@@ -11,6 +11,7 @@ count cannot change a single bit of it.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DISTRIBUTIONS, Distribution, get_distribution
-from .estimators import AssumptionChecks, evt_estimate, monte_carlo_semideviation, typical_semideviation
-from .fitting import FitError, sort_and_summarize
-from .rng import RandomStream, derive_seed
+from .estimators import AssumptionChecks, estimate_rows, monte_carlo_semideviation
+from .fitting import THRESHOLD_QUANTILE, min_sample_size
+from .rng import RandomStream, derive_seed, derive_seeds
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
+# Trials per kernel call: bounds the (trials x m) working set of a cell
+# (Student-t draws six normals per value) without changing any result.
+_CHUNK_TRIALS = 2_048
 _MODE_PATTERN = re.compile(r"^monte_carlo\((\d+)\)$")
 
 
@@ -54,8 +58,13 @@ class ExperimentConfig:
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if not self.m_values:
             raise ValueError("at least one sample size is required")
-        if any(m < 10 for m in self.m_values):
-            raise ValueError("all sample sizes must be >= 10")
+        least = min_sample_size(THRESHOLD_QUANTILE)
+        if any(m < least for m in self.m_values):
+            raise ValueError(
+                f"all sample sizes must be >= {least}: below that the "
+                f"{THRESHOLD_QUANTILE:g}-quantile threshold leaves fewer than 2 "
+                "exceedances, so every tail fit would fail"
+            )
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -135,24 +144,48 @@ def run_trial(dist: Distribution, m: int, alpha: float, seed: int,
               true_value: float, trial_index: int = 0) -> TrialRecord:
     """Draw one sample of size ``m``, run both estimators, record errors.
 
-    Deterministic given ``seed``.  Fit failures never abort: the typical
-    estimator is still evaluated (with its default order-statistic rule,
-    since no exceedance count exists) and the record is flagged.
+    Deterministic given ``seed``; the grid's batch kernel at a batch of
+    one.  Fit failures never abort: the typical estimator is still
+    evaluated (with its default order-statistic rule, since no exceedance
+    count exists) and the record is flagged.
     """
-    stream = RandomStream(seed)
-    data = dist.sample(m, stream)
-    try:
-        report = evt_estimate(data, alpha)
-    except FitError:
-        sample = sort_and_summarize(data)
-        rho_typ = typical_semideviation(sample, alpha)
-        return TrialRecord(dist=dist.name, m=m, trial_index=trial_index,
-                           err_typical=rho_typ - true_value, err_evt=None,
-                           assumptions=None, fit_failed=True)
-    err_evt = None if report.rho_evt is None else report.rho_evt - true_value
-    return TrialRecord(dist=dist.name, m=m, trial_index=trial_index,
-                       err_typical=report.rho_typical - true_value,
-                       err_evt=err_evt, assumptions=report.assumptions)
+    est = estimate_rows(dist.sample(m, RandomStream(seed)), alpha)
+    failed = bool(est.fits.failed)
+    return TrialRecord(
+        dist=dist.name, m=m, trial_index=trial_index,
+        err_typical=float(est.rho_typical) - true_value,
+        err_evt=float(est.rho_evt) - true_value if est.evt_valid else None,
+        assumptions=None if failed else AssumptionChecks(
+            alpha_lt_k_over_m=bool(est.alpha_ok),
+            var_ge_mean=bool(est.var_ok),
+            gamma_lt_1=bool(est.gamma_ok),
+        ),
+        fit_failed=failed,
+    )
+
+
+def _summarize(dist: str, m: int, err_typical: np.ndarray,
+               err_evt: np.ndarray) -> SeriesSummary:
+    """Cell statistics from the typical errors of every trial and the EVT
+    errors of the trials whose assumption checks held."""
+    q25_t, q75_t = np.quantile(err_typical, [0.25, 0.75])
+    if err_evt.size:
+        mean_e = float(err_evt.mean())
+        q25_e, q75_e = np.quantile(err_evt, [0.25, 0.75])
+    else:
+        mean_e = q25_e = q75_e = float("nan")
+    return SeriesSummary(
+        dist=dist,
+        m=m,
+        trials_completed=err_typical.size,
+        evt_valid_fraction=err_evt.size / err_typical.size,
+        mean_err_typical=float(err_typical.mean()),
+        q25_typical=float(q25_t),
+        q75_typical=float(q75_t),
+        mean_err_evt=mean_e,
+        q25_evt=float(q25_e),
+        q75_evt=float(q75_e),
+    )
 
 
 def summarize_errors(records) -> SeriesSummary:
@@ -164,54 +197,38 @@ def summarize_errors(records) -> SeriesSummary:
     m = records[0].m
     if any(r.dist != dist or r.m != m for r in records):
         raise ValueError("records must share one (distribution, m) cell")
-
-    err_typ = np.array([r.err_typical for r in records])
-    evt_vals = np.array([r.err_evt for r in records if r.err_evt is not None])
-    q25_t, q75_t = np.quantile(err_typ, [0.25, 0.75])
-    if evt_vals.size:
-        mean_e = float(evt_vals.mean())
-        q25_e, q75_e = np.quantile(evt_vals, [0.25, 0.75])
-    else:
-        mean_e = q25_e = q75_e = float("nan")
-    return SeriesSummary(
-        dist=dist,
-        m=m,
-        trials_completed=len(records),
-        evt_valid_fraction=evt_vals.size / len(records),
-        mean_err_typical=float(err_typ.mean()),
-        q25_typical=float(q25_t),
-        q75_typical=float(q75_t),
-        mean_err_evt=mean_e,
-        q25_evt=float(q25_e),
-        q75_evt=float(q75_e),
-    )
+    return _summarize(dist, m, np.array([r.err_typical for r in records]),
+                      np.array([r.err_evt for r in records if r.err_evt is not None]))
 
 
 def _run_cell(args) -> SeriesSummary:
-    """Worker body: all trials of one (distribution, m) cell."""
+    """Worker body: all trials of one (distribution, m) cell as array passes."""
     config, dist_name, m, true_value = args
     dist = get_distribution(dist_name)
-    records = [
-        run_trial(dist, m, config.alpha,
-                  trial_seed(config.master_seed, dist_name, m, t),
-                  true_value, trial_index=t)
-        for t in range(config.trials)
-    ]
-    return summarize_errors(records)
+    seeds = derive_seeds((config.master_seed, dist_name, m), np.arange(config.trials))
+    err_typ, err_evt = [], []
+    for start in range(0, config.trials, _CHUNK_TRIALS):
+        est = estimate_rows(dist.sample_rows(seeds[start:start + _CHUNK_TRIALS], m),
+                            config.alpha)
+        err_typ.append(est.rho_typical - true_value)
+        err_evt.append(est.rho_evt[est.evt_valid] - true_value)
+    return _summarize(dist_name, m, np.concatenate(err_typ), np.concatenate(err_evt))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSummary]:
     """Run the full benchmark grid and return summaries sorted by (dist, m).
 
     ``workers`` only controls how cells are distributed over processes;
-    per-trial seeds are derived from the configuration, and ground truth is
-    computed once per distribution up front, so output is byte-for-byte
-    identical for any worker count.
+    it is clamped to the number of cells and of CPUs.  Per-trial seeds
+    are derived from the configuration, and ground truth is computed once
+    per distribution up front, so output is byte-for-byte identical for
+    any worker count.
     """
     truths = {name: ground_truth_value(config, get_distribution(name))
               for name in config.distributions}
     cells = [(config, name, m, truths[name])
              for name in config.distributions for m in config.m_values]
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         summaries = [_run_cell(cell) for cell in cells]
     else:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import betainc, exp1, gamma as gamma_fn
+from scipy.special import betainc, exp1, gamma as gamma_fn, stdtrit
 
-from .rng import RandomStream
+from .rng import RandomStream, normal_rows, uniform_rows
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -57,8 +56,12 @@ class Distribution:
     mean: float
     _cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _quantile: Callable[[float], float] = field(repr=False)
-    _sample: Callable[[RandomStream, int], np.ndarray] = field(repr=False)
+    # Maps the last axis of an array of open-interval uniforms (or, when
+    # ``_normals_per_value`` is set, of that many standard normals per
+    # value) to values of the law; works on any leading shape.
+    _transform: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _tail_semidev: Callable[[float], float] = field(repr=False)
+    _normals_per_value: int = field(default=0, repr=False)
 
     def cdf(self, z):
         """Exact distribution function F(z); accepts scalars or arrays."""
@@ -81,9 +84,24 @@ class Distribution:
         interval uniforms; Student-t(5) is built from six standard normals
         per draw (Z over the root of a scaled chi-square with 5 d.o.f.).
         """
+        return self._draw(n, stream.uniform, stream.normal)
+
+    def sample_rows(self, seeds, n: int) -> np.ndarray:
+        """One row of ``n`` draws per seed, shape ``(len(seeds), n)``.
+
+        Row ``i`` equals ``sample(n, RandomStream(seeds[i]))``: the counter-
+        based stream makes every row a pure function of its seed, so a
+        whole batch is drawn with one array pass.
+        """
+        return self._draw(n, lambda size: uniform_rows(seeds, size),
+                          lambda size: normal_rows(seeds, size))
+
+    def _draw(self, n, uniform, normal) -> np.ndarray:
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        return self._sample(stream, int(n))
+        if self._normals_per_value:
+            return self._transform(normal(self._normals_per_value * int(n)))
+        return self._transform(uniform(int(n)))
 
     def value_at_risk(self, alpha: float) -> float:
         """The (1 - alpha)-quantile: the cost exceeded with probability alpha."""
@@ -131,24 +149,12 @@ def _t5_cdf(z):
     return np.where(z >= 0.0, 1.0 - half_tail, half_tail)
 
 
-def _t5_quantile(p):
-    # Monotone bracketing root-find on the exact CDF (no closed-form
-    # approximation, so quantile error stays at root-finder tolerance).
-    if p == 0.5:
-        return 0.0
-    lo, hi = -1.0, 1.0
-    while float(_t5_cdf(np.float64(lo))) > p:
-        lo *= 2.0
-    while float(_t5_cdf(np.float64(hi))) < p:
-        hi *= 2.0
-    return brentq(lambda z: float(_t5_cdf(np.float64(z))) - p, lo, hi,
-                  xtol=1e-13, rtol=8.9e-16)
-
-
-def _t5_sample(stream, n):
-    z = stream.normal(6 * n).reshape(n, 6)
-    chi2_5 = np.sum(z[:, 1:] ** 2, axis=1)
-    return z[:, 0] / np.sqrt(chi2_5 / 5.0)
+def _t5_from_normals(z):
+    # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from
+    # six consecutive normals per value.
+    z = z.reshape(*z.shape[:-1], -1, 6)
+    chi2_5 = np.sum(z[..., 1:] ** 2, axis=-1)
+    return z[..., 0] / np.sqrt(chi2_5 / 5.0)
 
 
 def _t5_tail_semidev(w):
@@ -215,7 +221,7 @@ PARETO2 = Distribution(
     mean=2.0,
     _cdf=_pareto2_cdf,
     _quantile=lambda p: (1.0 - p) ** -0.5,
-    _sample=lambda stream, n: (1.0 - stream.uniform(n)) ** -0.5,
+    _transform=lambda u: (1.0 - u) ** -0.5,
     _tail_semidev=_pareto2_tail_semidev,
 )
 
@@ -225,9 +231,10 @@ TSTUDENT5 = Distribution(
     right_endpoint=np.inf,
     mean=0.0,
     _cdf=_t5_cdf,
-    _quantile=_t5_quantile,
-    _sample=_t5_sample,
+    _quantile=lambda p: stdtrit(5.0, p),
+    _transform=_t5_from_normals,
     _tail_semidev=_t5_tail_semidev,
+    _normals_per_value=6,
 )
 
 EXPONENTIAL1 = Distribution(
@@ -237,7 +244,7 @@ EXPONENTIAL1 = Distribution(
     mean=1.0,
     _cdf=_exp1_cdf,
     _quantile=lambda p: -np.log1p(-p),
-    _sample=lambda stream, n: -np.log1p(-stream.uniform(n)),
+    _transform=lambda u: -np.log1p(-u),
     _tail_semidev=_exp1_tail_semidev,
 )
 
@@ -248,7 +255,7 @@ GUMBEL = Distribution(
     mean=EULER_GAMMA,
     _cdf=lambda z: np.exp(-np.exp(-z)),
     _quantile=lambda p: -np.log(-np.log(p)),
-    _sample=lambda stream, n: -np.log(-np.log(stream.uniform(n))),
+    _transform=lambda u: -np.log(-np.log(u)),
     _tail_semidev=_gumbel_tail_semidev,
 )
 
@@ -259,7 +266,7 @@ UNIFORM01 = Distribution(
     mean=0.5,
     _cdf=lambda z: np.clip(z, 0.0, 1.0),
     _quantile=lambda p: p,
-    _sample=lambda stream, n: stream.uniform(n),
+    _transform=lambda u: u,
     _tail_semidev=_uniform_tail_semidev,
 )
 
@@ -270,7 +277,7 @@ BETA12 = Distribution(
     mean=1.0 / 3.0,
     _cdf=_beta12_cdf,
     _quantile=lambda p: 1.0 - np.sqrt(1.0 - p),
-    _sample=lambda stream, n: 1.0 - np.sqrt(1.0 - stream.uniform(n)),
+    _transform=lambda u: 1.0 - np.sqrt(1.0 - u),
     _tail_semidev=_beta12_tail_semidev,
 )
 

@@ -19,20 +19,30 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .distributions import Distribution
-from .fitting import SortedSample, _ceil_scaled, pwm_fit, select_threshold, sort_and_summarize
+from .fitting import (
+    THRESHOLD_QUANTILE,
+    RowFits,
+    SortedSample,
+    _as_sample,
+    _ceil_scaled,
+    _fit_error,
+    _per_group,
+    fit_rows,
+)
 from .rng import RandomStream
 from .tail_model import (
     GAMMA_NEAR_ZERO,
     AssumptionViolation,
     TailParams,
+    _cvar,
+    _semideviation,
     _survival_unchecked,
-    cvar,
-    extremal_semideviation,
+    _var,
     value_at_risk,
 )
 
@@ -69,6 +79,93 @@ class EstimateReport:
     warnings: tuple[str, ...] = ()
 
 
+class RowEstimates(NamedTuple):
+    """Both estimators on samples, one per row; see :func:`estimate_rows`.
+
+    ``var_tail``, ``cvar_tail`` and ``rho_evt`` are evaluated on every row
+    and mean something only where the flags say so: the model VaR and CVaR
+    where ``alpha_ok & gamma_ok``, ``rho_evt`` where ``evt_valid``.
+    """
+
+    mean: np.ndarray
+    fits: RowFits
+    rho_typical: np.ndarray
+    var_tail: np.ndarray
+    cvar_tail: np.ndarray
+    rho_evt: np.ndarray
+    alpha_ok: np.ndarray
+    gamma_ok: np.ndarray
+    var_ok: np.ndarray
+
+    @property
+    def evt_valid(self) -> np.ndarray:
+        """Rows whose fit succeeded and whose every assumption holds."""
+        return ~self.fits.failed & self.var_ok
+
+
+def _default_top_count(m: int, alpha: float) -> int:
+    """``m - ceil((1 - alpha) m)``: the top count of the empirical quantile rule."""
+    return m - _ceil_scaled((1.0 - alpha) * m)
+
+
+def typical_rows(ordered: np.ndarray, mean, n_top):
+    """The typical estimator along the last axis of ascending samples.
+
+    Each sample (row) averages ``max(y - mean, 0)`` over its ``n_top + 1``
+    largest values, divided by ``m``; ``mean`` and ``n_top`` hold one entry
+    per row, and rows sharing a count are one array pass.
+    """
+    m = ordered.shape[-1]
+
+    def group(n, rows):
+        top = ordered[rows, m - n - 1:] - mean[rows, None]
+        return (np.add.reduce(np.maximum(top, 0.0), axis=-1) / m,)
+
+    return _per_group(n_top, group)[0]
+
+
+def estimate_rows(samples: np.ndarray, alpha: float,
+                  threshold_quantile: float = THRESHOLD_QUANTILE) -> RowEstimates:
+    """Both estimators and the assumption flags for every sample (row).
+
+    ``samples`` is one sample of size ``m`` or an ``(n, m)`` matrix of
+    them; the fields of the result are scalars or length-``n`` arrays
+    accordingly.  This is the one pipeline behind :func:`evt_estimate`
+    (one sample) and the benchmark (one matrix per grid cell): sort each
+    row, fit its tail (:func:`~evtrisk.fitting.fit_rows`), evaluate the
+    closed forms elementwise.  Rows whose fit failed are scored by the
+    typical estimator's default order-statistic rule, since they have no
+    exceedance count.  Inputs are not validated here.
+    """
+    ordered = np.sort(samples, axis=-1)
+    m = ordered.shape[-1]
+    mean = np.add.reduce(ordered, axis=-1) / m
+    fits = fit_rows(ordered, threshold_quantile)
+    # Both estimators use the same exceedance count: the typical estimator
+    # then averages the top k+1 order statistics, mirroring how its
+    # smallest retained point doubles as the threshold estimate.
+    n_top = np.where(fits.failed, _default_top_count(m, alpha), fits.k)
+    # Failed rows carry NaN parameters (and k = 0 divides by zero); their
+    # closed forms come out NaN and are masked by the flags.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha_ok = alpha < fits.k / m
+        var = _var(fits.threshold, fits.scale, fits.gamma, m * alpha / fits.k)
+        cvar_tail = _cvar(var, fits.threshold, fits.scale, fits.gamma)
+        rho_evt = _semideviation(cvar_tail, mean, alpha)
+    gamma_ok = fits.gamma < 1.0
+    return RowEstimates(
+        mean=mean,
+        fits=fits,
+        rho_typical=typical_rows(ordered, mean, n_top),
+        var_tail=var,
+        cvar_tail=cvar_tail,
+        rho_evt=rho_evt,
+        alpha_ok=alpha_ok,
+        gamma_ok=gamma_ok,
+        var_ok=alpha_ok & gamma_ok & (var >= mean),
+    )
+
+
 def typical_semideviation(sample: SortedSample, alpha: float,
                           n_top: int | None = None) -> float:
     """Empirical estimator from the largest order statistics.
@@ -88,15 +185,14 @@ def typical_semideviation(sample: SortedSample, alpha: float,
     if m < 2:
         raise ValueError("need at least 2 points")
     if n_top is None:
-        n_top = m - _ceil_scaled((1.0 - alpha) * m)
+        n_top = _default_top_count(m, alpha)
     if not 0 <= n_top < m:
         raise ValueError(f"n_top must be in [0, m), got {n_top}")
-    top = sample.values[m - n_top - 1:]
-    return float(np.maximum(top - sample.mean, 0.0).sum() / m)
+    return float(typical_rows(sample.values, np.float64(sample.mean), np.int64(n_top)))
 
 
 def evt_estimate(data, alpha: float = 0.01,
-                 threshold_quantile: float = 0.90) -> EstimateReport:
+                 threshold_quantile: float = THRESHOLD_QUANTILE) -> EstimateReport:
     """Run the full small-sample estimation pipeline on raw data.
 
     Sorts the data, places the threshold, fits the tail model by
@@ -106,43 +202,32 @@ def evt_estimate(data, alpha: float = 0.01,
     callers can record them.  Fit failures (constant data, too few
     exceedances) do raise :class:`~evtrisk.fitting.FitError`.
     """
-    sample = sort_and_summarize(data)
-    if sample.m < 10:
-        raise ValueError(f"need at least 10 data points, got {sample.m}")
-    threshold, n_exceed = select_threshold(sample, threshold_quantile)
-    fit = pwm_fit(sample, threshold, n_exceed)
-    params = fit.params
-
-    # Both estimators use the same exceedance count: the typical estimator
-    # then averages the top k+1 order statistics, mirroring how its
-    # smallest retained point doubles as the threshold estimate.
-    rho_typical = typical_semideviation(sample, alpha, n_top=n_exceed)
-
-    alpha_ok = alpha < params.tail_fraction
-    gamma_ok = params.gamma < 1.0
-    var_tail = cvar_tail = rho_evt = None
-    var_ok = False
-    if alpha_ok and gamma_ok:
-        var_tail = value_at_risk(params, alpha)
-        cvar_tail = cvar(params, alpha)
-        var_ok = var_tail >= sample.mean
-        if var_ok:
-            rho_evt = extremal_semideviation(params, alpha, sample.mean)
-
+    values = _as_sample(data)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < threshold_quantile < 1.0:
+        raise ValueError(f"quantile level must be in (0, 1), got {threshold_quantile}")
+    est = estimate_rows(values, alpha, threshold_quantile)
+    fits = est.fits
+    if fits.failed:
+        raise _fit_error(int(fits.k), values.size, threshold_quantile)
+    params = TailParams(k=int(fits.k), m=values.size, gamma=float(fits.gamma),
+                        threshold=float(fits.threshold), scale=float(fits.scale))
+    evaluated = bool(est.alpha_ok and est.gamma_ok)
     return EstimateReport(
         alpha=alpha,
         params=params,
-        sample_mean=sample.mean,
-        rho_typical=rho_typical,
-        var_tail=var_tail,
-        cvar_tail=cvar_tail,
-        rho_evt=rho_evt,
+        sample_mean=float(est.mean),
+        rho_typical=float(est.rho_typical),
+        var_tail=float(est.var_tail) if evaluated else None,
+        cvar_tail=float(est.cvar_tail) if evaluated else None,
+        rho_evt=float(est.rho_evt) if est.var_ok else None,
         assumptions=AssumptionChecks(
-            alpha_lt_k_over_m=alpha_ok,
-            var_ge_mean=var_ok,
-            gamma_lt_1=gamma_ok,
+            alpha_lt_k_over_m=bool(est.alpha_ok),
+            var_ge_mean=bool(est.var_ok),
+            gamma_lt_1=bool(est.gamma_ok),
         ),
-        warnings=fit.warnings,
+        warnings=("tied-threshold",) if fits.tied else (),
     )
 
 
@@ -193,6 +278,8 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
             f"value-at-risk {v} is below the sample mean {sample_mean}; "
             "the integral check has the same hypothesis as the closed form"
         )
+    from scipy.integrate import IntegrationWarning, quad
+
     gamma, scale, s = params.gamma, params.scale, params.threshold
     weight = params.tail_fraction / scale
 

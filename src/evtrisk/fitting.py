@@ -24,16 +24,23 @@ strictly less than 1 and the scale strictly positive -- exactly the
 conditions the closed-form risk functionals require.  The plotting-
 position variant of the weights ((i - 0.35)/k, Hosking-Wallis) is not
 implemented; it loses the guaranteed shape < 1.
+
+The recipe is implemented once, along the last axis of an array of
+samples (:func:`fit_rows`), so one call fits a whole batch;
+:func:`select_threshold` and :func:`pwm_fit` are its single-sample views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .tail_model import TailParams
+
+THRESHOLD_QUANTILE = 0.90
 
 
 class FitError(ValueError):
@@ -46,6 +53,81 @@ def _ceil_scaled(x: float) -> int:
     if abs(x - nearest) < 1e-9:
         return int(nearest)
     return int(math.ceil(x))
+
+
+def min_sample_size(q: float = THRESHOLD_QUANTILE) -> int:
+    """Smallest sample size whose level-``q`` threshold leaves 2 points above it.
+
+    Below it the threshold rule admits at most one exceedance whatever the
+    data, so every fit fails; at the default ``q = 0.90`` it is 20.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must be in (0, 1), got {q}")
+    # m - ceil(q m) <= (1 - q) m, so no smaller m can leave 2 points.
+    m = max(2, int(1.99 / (1.0 - q)))
+    while m - _ceil_scaled(q * m) < 2:
+        m += 1
+    return m
+
+
+def _fit_error(k: int, m: int, q: float) -> FitError:
+    """Why a sample of ``m`` points with ``k < 2`` exceedances cannot be fitted."""
+    least = min_sample_size(q)
+    if m < least:
+        return FitError(
+            f"{m} points leave at most {m - _ceil_scaled(q * m)} above the "
+            f"{q:g}-quantile threshold, and the fit needs 2 exceedances: "
+            f"at least {least} points are required"
+        )
+    if k == 0:
+        return FitError("no strict exceedances above the threshold")
+    return FitError(f"only {k} exceedance above the threshold; at least 2 are needed")
+
+
+def _as_sample(data) -> np.ndarray:
+    """Validate raw data as a non-empty, finite 1-d float array."""
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("data must be a non-empty 1-d sequence")
+    if not np.isfinite(arr).all():
+        raise ValueError("data contains non-finite values")
+    return arr
+
+
+def _per_group(keys, fn):
+    """Evaluate ``fn(key, rows)`` once per distinct entry of ``keys``.
+
+    ``fn`` returns a tuple of results for the rows it is given.  When
+    every entry is the same (the common case, and always so for a single
+    sample) ``rows`` is ``...`` and the results are returned as ``fn``
+    gave them; otherwise ``rows`` holds the indices of each group and the
+    results are scattered into arrays shaped like ``keys``.
+    """
+    first = keys.item(0)
+    if keys.size == 1 or (keys == first).all():
+        return fn(first, ...)
+    outs = None
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        results = fn(int(key), rows)
+        if outs is None:
+            outs = [np.empty(keys.shape, np.result_type(r)) for r in results]
+        for out, r in zip(outs, results):
+            out[rows] = r
+    return tuple(outs)
+
+
+def _pwm(excess_desc: np.ndarray):
+    """Shape, scale and ``P - 2Q`` from exceedances ordered largest first.
+
+    Works along the last axis, so one call fits every row of a matrix
+    whose rows share one exceedance count.
+    """
+    k = excess_desc.shape[-1]
+    p_mom = np.add.reduce(excess_desc, axis=-1) / k
+    q_mom = np.add.reduce(np.arange(k) / k * excess_desc, axis=-1) / k
+    denom = p_mom - 2.0 * q_mom
+    return (p_mom - 4.0 * q_mom) / denom, 2.0 * p_mom * q_mom / denom, denom
 
 
 @dataclass(frozen=True)
@@ -88,24 +170,82 @@ class FitReport:
     warnings: tuple[str, ...] = ()
 
 
+class RowFits(NamedTuple):
+    """Tail fits of samples, one per row; see :func:`fit_rows`.
+
+    ``gamma`` and ``scale`` are NaN where the fit failed (fewer than 2
+    exceedances); ``tied`` flags rows where more than one value equals
+    the threshold.
+    """
+
+    threshold: np.ndarray
+    k: np.ndarray
+    gamma: np.ndarray
+    scale: np.ndarray
+    tied: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Rows with fewer than 2 exceedances, which the fit cannot use."""
+        return self.k < 2
+
+
+def _threshold_rule(ordered: np.ndarray, q: float):
+    """Threshold, exceedance count and tie flag along the last axis.
+
+    The threshold of an ascending sample of size ``m`` is its order
+    statistic ``ceil(q * m)`` (1-based), and ``k`` counts the values
+    strictly above it.
+    """
+    m = ordered.shape[-1]
+    idx = _ceil_scaled(q * m)
+    threshold = ordered[..., idx - 1]
+    k = np.add.reduce(ordered > threshold[..., None], axis=-1)
+    # In an ascending sample the values equal to the threshold are one run
+    # around index idx - 1; it is longer than one if it reaches past
+    # either neighbour.
+    tied = k < m - idx
+    if idx >= 2:
+        tied = tied | (ordered[..., idx - 2] == threshold)
+    return threshold, k, tied
+
+
+def fit_rows(ordered: np.ndarray, q: float = THRESHOLD_QUANTILE) -> RowFits:
+    """Threshold rule and moment fit along the last axis of ascending samples.
+
+    ``ordered`` is one ascending sample of size ``m``, or an ``(n, m)``
+    matrix of them; the fields of the result are scalars or length-``n``
+    arrays accordingly.  Ties make ``k`` differ between rows, so the
+    moments are computed per group of rows sharing one ``k``, each group
+    as one array pass.
+    """
+    m = ordered.shape[-1]
+    threshold, k, tied = _threshold_rule(ordered, q)
+
+    def fit_group(kk, rows):
+        if kk < 2:
+            nan = np.full(np.shape(threshold[rows]), np.nan)
+            return nan, nan
+        return _pwm(ordered[rows, m - kk:][..., ::-1] - threshold[rows, None])[:2]
+
+    gamma, scale = _per_group(k, fit_group)
+    return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, tied=tied)
+
+
 def sort_and_summarize(data) -> SortedSample:
     """Sort a raw data sequence ascending and attach its mean."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("data must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data contains non-finite values")
-    ordered = np.sort(arr)
+    ordered = np.sort(_as_sample(data))
     return SortedSample(values=ordered, mean=float(ordered.mean()))
 
 
-def select_threshold(sample: SortedSample, q: float = 0.90) -> tuple[float, int]:
+def select_threshold(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> tuple[float, int]:
     """Pick the tail threshold and count its strict exceedances.
 
     Parameters
     ----------
     sample : SortedSample
-        At least 10 points, so the quantile index is interior.
+        The data; at the default level it needs at least 20 points to
+        leave 2 exceedances (see :func:`min_sample_size`).
     q : float, optional
         Empirical quantile level for the threshold; the default 0.90
         makes the threshold an estimate of the cost exceeded 10% of the
@@ -125,18 +265,10 @@ def select_threshold(sample: SortedSample, q: float = 0.90) -> tuple[float, int]
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    if sample.m < 10:
-        raise ValueError(f"need at least 10 points to place a threshold, got {sample.m}")
-    idx = _ceil_scaled(q * sample.m)
-    threshold = float(sample.values[idx - 1])
-    n_exceed = int(np.count_nonzero(sample.values > threshold))
-    if n_exceed == 0:
-        raise FitError("no strict exceedances above the threshold")
-    if n_exceed < 2:
-        raise FitError(
-            f"only {n_exceed} exceedance above the threshold; at least 2 are needed"
-        )
-    return threshold, n_exceed
+    threshold, k, _ = _threshold_rule(sample.values, q)
+    if k < 2:
+        raise _fit_error(int(k), sample.m, q)
+    return float(threshold), int(k)
 
 
 def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
@@ -155,26 +287,19 @@ def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
     if not np.all(top > threshold):
         raise ValueError("the top n_exceed values must exceed the threshold strictly")
 
-    excess_desc = top[::-1] - threshold
-    p_mom = float(excess_desc.mean())
-    q_mom = float(np.mean(np.arange(k) / k * excess_desc))
-    denom = p_mom - 2.0 * q_mom
+    shape, scale, denom = _pwm(top[::-1] - threshold)
     if denom <= 0.0:
         # Impossible for strictly positive exceedances; a failure here means
         # the inputs violated the contract above.
         raise FitError("degenerate probability-weighted moments (P - 2Q <= 0)")
-    shape = (p_mom - 4.0 * q_mom) / denom
-    scale = 2.0 * p_mom * q_mom / denom
-
-    warnings = []
-    if np.count_nonzero(sample.values == threshold) > 1:
-        warnings.append("tied-threshold")
-
-    params = TailParams(k=k, m=m, gamma=shape, threshold=threshold, scale=scale)
-    return FitReport(params=params, exceedances_used=k, warnings=tuple(warnings))
+    tied = np.count_nonzero(sample.values == threshold) > 1
+    warnings = ("tied-threshold",) if tied else ()
+    params = TailParams(k=k, m=m, gamma=float(shape), threshold=threshold,
+                        scale=float(scale))
+    return FitReport(params=params, exceedances_used=k, warnings=warnings)
 
 
-def fit_tail(sample: SortedSample, q: float = 0.90) -> FitReport:
+def fit_tail(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> FitReport:
     """Select the threshold and fit the tail in one call."""
     threshold, n_exceed = select_threshold(sample, q)
     return pwm_fit(sample, threshold, n_exceed)

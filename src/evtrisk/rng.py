@@ -76,6 +76,51 @@ def derive_seed(*parts: int | str) -> int:
     return h
 
 
+def derive_seeds(prefix: tuple, indices) -> np.ndarray:
+    """``derive_seed(*prefix, i)`` for every integer ``i`` in ``indices``.
+
+    The last fold of :func:`derive_seed` depends only on ``i``, so the
+    seeds of a whole index array come from one vectorized finalizer call.
+    """
+    h = np.uint64((derive_seed(*prefix) + _GOLDEN) & _MASK64)
+    return _mix64_array(h ^ np.asarray(indices, dtype=np.uint64))
+
+
+def _counter_words(seeds, start: int, n: int) -> np.ndarray:
+    """Words ``start + 1 .. start + n`` of the stream of each seed.
+
+    ``seeds`` is a uint64 scalar or array; the result has shape
+    ``np.shape(seeds) + (n,)``.
+    """
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    return _mix64_array(np.asarray(seeds, dtype=np.uint64)[..., None] + idx * _U64_GOLDEN)
+
+
+def _to_unit(words: np.ndarray) -> np.ndarray:
+    """Open-interval uniforms from the top 53 bits of each word."""
+    return ((words >> _SHIFT_11).astype(np.float64) + 0.5) * _TO_UNIT
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms paired along the (even) last axis."""
+    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    angle = (2.0 * np.pi) * u[..., 1::2]
+    out = np.empty(u.shape)
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius * np.sin(angle)
+    return out
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """Row ``i`` holds ``RandomStream(seeds[i]).uniform(n)``."""
+    return _to_unit(_counter_words(seeds, 0, n))
+
+
+def normal_rows(seeds, n: int) -> np.ndarray:
+    """Row ``i`` holds ``RandomStream(seeds[i]).normal(n)``."""
+    return _box_muller(uniform_rows(seeds, 2 * ((n + 1) // 2)))[..., :n]
+
+
 class RandomStream:
     """A forkable stream of pseudo-random numbers.
 
@@ -116,14 +161,13 @@ class RandomStream:
         """Next ``n`` raw 64-bit words as a uint64 array."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        words = _counter_words(self._seed, self._counter, n)
         self._counter += n
-        return _mix64_array(np.uint64(self._seed) + idx * _U64_GOLDEN)
+        return words
 
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1)."""
-        w = self.words(n)
-        return ((w >> _SHIFT_11).astype(np.float64) + 0.5) * _TO_UNIT
+        return _to_unit(self.words(n))
 
     def normal(self, n: int) -> np.ndarray:
         """Next ``n`` i.i.d. standard normal draws via Box-Muller.
@@ -133,14 +177,7 @@ class RandomStream:
         discarded (so chunked requests are not splice-equivalent, unlike
         :meth:`uniform`).
         """
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        angle = (2.0 * np.pi) * u[1::2]
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        return _box_muller(self.uniform(2 * ((n + 1) // 2)))[:n]
 
     def spawn(self, *key: int | str) -> "RandomStream":
         """A statistically independent child stream identified by ``key``."""

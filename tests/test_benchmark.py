@@ -6,17 +6,26 @@ import math
 import numpy as np
 import pytest
 
+import evtrisk.benchmark as benchmark
 from evtrisk import (
+    DISTRIBUTIONS,
     ExperimentConfig,
+    FitError,
+    RandomStream,
     TrialRecord,
+    evt_estimate,
     get_distribution,
     ground_truth_value,
     run_experiment,
     run_trial,
+    sort_and_summarize,
     summarize_errors,
     trial_seed,
+    typical_semideviation,
 )
 from evtrisk.benchmark import parse_ground_truth_mode
+from evtrisk.cli import summary_row
+from evtrisk.estimators import estimate_rows
 
 
 def small_config(**overrides):
@@ -41,6 +50,14 @@ class TestConfigValidation:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             ExperimentConfig(distributions=("pareto2",), m_values=(9,))
+
+    def test_minimum_m_follows_the_threshold_rule(self):
+        # At the 0.90 threshold every m in 10..19 leaves one exceedance, so
+        # every fit of such a cell would fail; 20 is the first that fits.
+        with pytest.raises(ValueError, match=">= 20"):
+            ExperimentConfig(distributions=("pareto2",), m_values=(19, 20))
+        cfg = ExperimentConfig(distributions=("uniform01",), m_values=(20,), trials=5)
+        assert cfg.m_values == (20,)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
@@ -165,3 +182,133 @@ class TestRunExperiment:
         a = run_experiment(small_config())
         b = run_experiment(small_config(master_seed=34))
         assert a != b
+
+
+def reference_trial(values, alpha=0.01):
+    """Loop reference for one trial at alpha = 0.01, written from the method."""
+    y = np.sort(values)
+    m = y.size
+    mean = y.mean()
+    s = y[-(-9 * m // 10) - 1]                       # order statistic ceil(0.9 m)
+    k = int(np.count_nonzero(y > s))
+    if k < 2:                                        # fit failed: default top count
+        n_top = m - -(-99 * m // 100)
+        return dict(mean=mean, k=k, typical=np.maximum(y[m - n_top - 1:] - mean, 0.0).sum() / m)
+    e = y[::-1][:k] - s
+    p, q = e.mean(), np.mean(np.arange(k) / k * e)
+    gamma, scale = (p - 4.0 * q) / (p - 2.0 * q), 2.0 * p * q / (p - 2.0 * q)
+    log_r = math.log(m * alpha / k)
+    var = s + scale * math.expm1(-gamma * log_r) / gamma
+    rho = alpha * ((var + scale - gamma * s) / (1.0 - gamma) - mean)
+    return dict(mean=mean, k=k, gamma=gamma, scale=scale, var=var,
+                typical=np.maximum(y[m - k - 1:] - mean, 0.0).sum() / m,
+                rho=rho if alpha < k / m and var >= mean else None)
+
+
+class TestBatchKernel:
+    """A cell's one array pass against its batch-of-one views and a loop."""
+
+    @pytest.mark.parametrize("m", [20, 50, 99])
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    def test_cell_matches_batch_of_one(self, name, m):
+        trials, alpha, seed = 200, 0.01, 11
+        cfg = ExperimentConfig(distributions=(name,), m_values=(m,), trials=trials,
+                               master_seed=seed)
+        dist = get_distribution(name)
+        truth = ground_truth_value(cfg, dist)
+        seeds = [trial_seed(seed, name, m, t) for t in range(trials)]
+        est = estimate_rows(dist.sample_rows(seeds, m), alpha)
+        records = []
+        for t, trial in enumerate(seeds):
+            rec = run_trial(dist, m, alpha, trial, truth, trial_index=t)
+            records.append(rec)
+            data = dist.sample(m, RandomStream(trial))
+            ref = reference_trial(data, alpha)
+            assert rec.err_typical == est.rho_typical[t] - truth
+            assert est.rho_typical[t] == ref["typical"]
+            assert est.mean[t] == ref["mean"]
+            assert est.fits.k[t] == ref["k"]
+            assert rec.fit_failed == est.fits.failed[t] == (ref["k"] < 2)
+            assert (rec.err_evt is None) == (not est.evt_valid[t]) == (ref.get("rho") is None)
+            if rec.fit_failed:
+                with pytest.raises(FitError):
+                    evt_estimate(data, alpha)
+                continue
+            report = evt_estimate(data, alpha)
+            assert est.fits.gamma[t] == report.params.gamma == ref["gamma"]
+            assert est.fits.scale[t] == report.params.scale == ref["scale"]
+            assert report.sample_mean == est.mean[t]
+            assert report.rho_typical == est.rho_typical[t]
+            if report.var_tail is not None:
+                assert report.var_tail == pytest.approx(ref["var"], rel=1e-13, abs=0.0)
+                assert est.var_tail[t] == pytest.approx(ref["var"], rel=1e-13, abs=0.0)
+            if rec.err_evt is not None:
+                assert report.rho_evt == pytest.approx(ref["rho"], rel=1e-13, abs=0.0)
+                assert est.rho_evt[t] == pytest.approx(ref["rho"], rel=1e-13, abs=0.0)
+        assert summary_row(run_experiment(cfg)[0]) == summary_row(summarize_errors(records))
+
+    def test_ties_and_fit_failures_per_row(self):
+        base = np.arange(1.0, 31.0)                  # m = 30: k is 3 without ties
+        matrix = np.array([
+            base,
+            np.r_[base[:26], 27.0, 27.0, 29.0, 30.0],     # tied threshold, k = 2
+            np.r_[base[:26], 27.0, 27.0, 27.0, 30.0],     # k = 1: fit fails
+            np.full(30, 4.0),                             # k = 0: fit fails
+            np.r_[base[:25], 27.0, 27.0, 28.0, 29.0, 30.0],  # tie below, k = 3
+        ])[:, ::-1]                                  # the kernel sorts each row
+        alpha = 0.01
+        est = estimate_rows(matrix, alpha)
+        assert est.fits.failed.tolist() == [False, False, True, True, False]
+        assert est.evt_valid.tolist() == [True, True, False, False, True]
+        for i, row in enumerate(matrix):
+            sample = sort_and_summarize(row)
+            if est.fits.failed[i]:
+                with pytest.raises(FitError):
+                    evt_estimate(row, alpha)
+                want = typical_semideviation(sample, alpha)
+            else:
+                report = evt_estimate(row, alpha)
+                assert ("tied-threshold" in report.warnings) == est.fits.tied[i]
+                assert report.rho_evt == est.rho_evt[i]
+                want = typical_semideviation(sample, alpha, n_top=int(est.fits.k[i]))
+            assert est.rho_typical[i] == want
+        truth = 0.5
+        summary = benchmark._summarize("hand", 30, est.rho_typical - truth,
+                                       est.rho_evt[est.evt_valid] - truth)
+        assert summary.trials_completed == 5
+        assert summary.evt_valid_fraction == 0.6
+
+
+class TestWorkerClamp:
+    """--workers is clamped to the cell count and the CPU count."""
+
+    class RecordingPool:
+        created = []
+
+        def __init__(self, max_workers):
+            self.created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    @pytest.mark.parametrize("workers, cpus, want", [
+        (5000, 64, 4),      # 2 laws x 2 sizes: never more workers than cells
+        (5000, 3, 3),
+        (2, 64, 2),
+        (5000, 1, None),    # a single CPU runs the cells in-process
+        (1, 64, None),
+    ])
+    def test_pool_size(self, monkeypatch, workers, cpus, want):
+        created = []
+        monkeypatch.setattr(self.RecordingPool, "created", created)
+        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(benchmark.os, "cpu_count", lambda: cpus)
+        cfg = small_config(trials=3)
+        assert run_experiment(cfg, workers=workers) == run_experiment(cfg)
+        assert created == ([] if want is None else [want])

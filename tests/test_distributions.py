@@ -183,6 +183,15 @@ class TestSampling:
         np.testing.assert_array_equal(d.sample(50, RandomStream(5)),
                                       d.sample(50, RandomStream(5)))
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_rows_equal_per_stream_draws(self, name):
+        dist = get_distribution(name)
+        seeds = [3, 2**64 - 1, 987654321]
+        rows = dist.sample_rows(seeds, 37)
+        assert rows.shape == (3, 37)
+        for seed, row in zip(seeds, rows):
+            np.testing.assert_array_equal(row, dist.sample(37, RandomStream(seed)))
+
 
 class TestValidation:
     def test_unknown_name(self):

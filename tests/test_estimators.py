@@ -99,6 +99,12 @@ class TestPipeline:
         with pytest.raises(ValueError):
             evt_estimate(np.arange(5.0), alpha=0.01)
 
+    @pytest.mark.parametrize("m", range(10, 20))
+    def test_below_twenty_points_names_the_cause(self, m):
+        data = get_distribution("pareto2").sample(m, RandomStream(m))
+        with pytest.raises(FitError, match=f"{m} points .* at least 20 points"):
+            evt_estimate(data, alpha=0.01)
+
 
 class TestMonteCarloOracle:
     def test_uniform_half_level(self):

@@ -11,6 +11,7 @@ from evtrisk import (
     select_threshold,
     sort_and_summarize,
 )
+from evtrisk.fitting import fit_rows, min_sample_size
 
 
 class TestSortAndSummarize:
@@ -75,6 +76,63 @@ class TestSelectThreshold:
         want_idx = -(-9 * m // 10)  # exact ceil(0.9 m) in integer arithmetic
         assert threshold == float(want_idx)
         assert k == m - want_idx
+
+
+class TestMinSampleSize:
+    def test_default_level(self):
+        assert min_sample_size() == 20
+
+    @pytest.mark.parametrize("q", [0.5, 0.75, 0.9, 0.95, 0.99])
+    def test_is_the_smallest_size_leaving_two_exceedances(self, q):
+        least = min_sample_size(q)
+        for m in range(2, least + 30):
+            s = sort_and_summarize(np.arange(1.0, m + 1.0))
+            if m < least:
+                with pytest.raises(FitError, match=f"at least {least} points"):
+                    select_threshold(s, q)
+            else:
+                assert select_threshold(s, q)[1] >= 2
+
+
+class TestFitRows:
+    """The batched threshold rule and moment fit on a hand-built matrix."""
+
+    @staticmethod
+    def matrix():
+        base = np.arange(1.0, 31.0)          # m = 30: threshold at index 27
+        rows = [
+            base,                            # k = 3, no tie
+            np.r_[base[:26], 27.0, 27.0, 29.0, 30.0],   # tie above: k = 2
+            np.r_[base[:26], 27.0, 27.0, 27.0, 30.0],   # tie above: k = 1
+            np.full(30, 4.0),                # constant: k = 0
+            np.r_[base[:25], 27.0, 27.0, 28.0, 29.0, 30.0],  # tie below: k = 3
+        ]
+        return np.array(rows)
+
+    def test_per_row_counts_flags_and_failures(self):
+        fits = fit_rows(self.matrix())
+        assert fits.threshold.tolist() == [27.0, 27.0, 27.0, 4.0, 27.0]
+        assert fits.k.tolist() == [3, 2, 1, 0, 3]
+        assert fits.failed.tolist() == [False, False, True, True, False]
+        assert fits.tied.tolist() == [False, True, True, True, True]
+        assert np.isnan(fits.gamma[fits.failed]).all()
+        assert np.isnan(fits.scale[fits.failed]).all()
+
+    def test_rows_match_the_scalar_fit(self):
+        matrix = self.matrix()
+        fits = fit_rows(matrix)
+        for i, row in enumerate(matrix):
+            sample = sort_and_summarize(row)
+            if fits.failed[i]:
+                with pytest.raises(FitError):
+                    select_threshold(sample)
+                continue
+            threshold, k = select_threshold(sample)
+            report = pwm_fit(sample, threshold, k)
+            assert (threshold, k) == (fits.threshold[i], fits.k[i])
+            assert report.params.gamma == fits.gamma[i]
+            assert report.params.scale == fits.scale[i]
+            assert ("tied-threshold" in report.warnings) == fits.tied[i]
 
 
 class TestPwmFit:

@@ -7,7 +7,7 @@ same algorithm, and its statistical output against textbook properties.
 import numpy as np
 import pytest
 
-from evtrisk.rng import RandomStream, derive_seed, mix64
+from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, normal_rows, uniform_rows
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -115,6 +115,30 @@ class TestSeedDerivation:
         assert child_a.seed != child_b.seed
         assert child_a.seed != parent.seed
         assert not np.array_equal(child_a.words(8), child_b.words(8))
+
+
+class TestBatchedStreams:
+    """Row i of a batched draw is the stream of seed i, bit for bit."""
+
+    SEEDS = [0, 1, 2**63 + 5, (1 << 64) - 1, derive_seed(7, "pareto2", 20, 3)]
+
+    def test_derive_seeds_matches_scalar_fold(self):
+        got = derive_seeds((1729, "gumbel", 35), np.arange(50))
+        want = [derive_seed(1729, "gumbel", 35, t) for t in range(50)]
+        assert [int(s) for s in got] == want
+
+    def test_uniform_rows(self):
+        rows = uniform_rows(self.SEEDS, 33)
+        assert rows.shape == (len(self.SEEDS), 33)
+        for seed, row in zip(self.SEEDS, rows):
+            np.testing.assert_array_equal(row, RandomStream(seed).uniform(33))
+
+    @pytest.mark.parametrize("n", [1, 7, 120])
+    def test_normal_rows(self, n):
+        rows = normal_rows(self.SEEDS, n)
+        assert rows.shape == (len(self.SEEDS), n)
+        for seed, row in zip(self.SEEDS, rows):
+            np.testing.assert_array_equal(row, RandomStream(seed).normal(n))
 
 
 class TestValidation:
