@@ -32,6 +32,10 @@ EULER_GAMMA = float(np.euler_gamma)
 # Student-t(5) density normalization: Gamma(3) / (sqrt(5*pi) * Gamma(5/2)).
 _T5_COEF = float(gamma_fn(3.0) / (np.sqrt(5.0 * np.pi) * gamma_fn(2.5)))
 
+# Values per block of a large sample: small enough that a block's words
+# and normals (six per value for Student-t) stay in cache.
+_SAMPLE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -83,8 +87,21 @@ class Distribution:
         All laws except Student-t use the inverse-CDF transform of open-
         interval uniforms; Student-t(5) is built from six standard normals
         per draw (Z over the root of a scaled chi-square with 5 d.o.f.).
+
+        A sample larger than one block is filled in blocks of
+        ``_SAMPLE_BLOCK`` values, so no intermediate array grows with
+        ``n``.  The blocks splice exactly: uniforms are splice-equivalent,
+        and a Student-t block asks for six normals per value, an even
+        count, so no Box-Muller pair straddles a cut.  The values and the
+        stream's counter are those of one pass.
         """
-        return self._draw(n, stream.uniform, stream.normal)
+        if n <= _SAMPLE_BLOCK:
+            return self._draw(n, stream.uniform, stream.normal)
+        out = np.empty(int(n))
+        for start in range(0, out.size, _SAMPLE_BLOCK):
+            block = out[start:start + _SAMPLE_BLOCK]
+            block[...] = self._draw(block.size, stream.uniform, stream.normal)
+        return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:
         """One row of ``n`` draws per seed, shape ``(len(seeds), n)``.
@@ -151,9 +168,13 @@ def _t5_cdf(z):
 
 def _t5_from_normals(z):
     # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from
-    # six consecutive normals per value.
+    # six consecutive normals per value.  The squares are added left to
+    # right, which is the order np.sum(z[..., 1:] ** 2, axis=-1) takes
+    # here, without its (..., 5) temporary.
     z = z.reshape(*z.shape[:-1], -1, 6)
-    chi2_5 = np.sum(z[..., 1:] ** 2, axis=-1)
+    chi2_5 = z[..., 1] * z[..., 1]
+    for j in range(2, 6):
+        chi2_5 += z[..., j] * z[..., j]
     return z[..., 0] / np.sqrt(chi2_5 / 5.0)
 
 

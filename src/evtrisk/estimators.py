@@ -30,6 +30,7 @@ from .fitting import (
     SortedSample,
     _as_sample,
     _ceil_scaled,
+    _check_resolved,
     _fit_error,
     _per_group,
     fit_rows,
@@ -99,8 +100,14 @@ class RowEstimates(NamedTuple):
 
     @property
     def evt_valid(self) -> np.ndarray:
-        """Rows whose fit succeeded and whose every assumption holds."""
-        return ~self.fits.failed & self.var_ok
+        """Rows whose fit succeeded and whose every assumption holds.
+
+        A fit succeeded if it had 2 exceedances and a positive, finite
+        scale; a scale that rounding broke makes :func:`evt_estimate`
+        raise, so such rows are not valid either.
+        """
+        scale = self.fits.scale
+        return ~self.fits.failed & (scale > 0.0) & (scale < np.inf) & self.var_ok
 
 
 def _default_top_count(m: int, alpha: float) -> int:
@@ -211,6 +218,7 @@ def evt_estimate(data, alpha: float = 0.01,
     fits = est.fits
     if fits.failed:
         raise _fit_error(int(fits.k), values.size, threshold_quantile)
+    _check_resolved(int(fits.k), float(fits.gamma), float(fits.scale))
     params = TailParams(k=int(fits.k), m=values.size, gamma=float(fits.gamma),
                         threshold=float(fits.threshold), scale=float(fits.scale))
     evaluated = bool(est.alpha_ok and est.gamma_ok)
@@ -255,9 +263,15 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     mu = float(y.mean())
     idx = _ceil_scaled((1.0 - alpha) * n)          # 1-based order statistic
     v = float(np.partition(y, idx - 1)[idx - 1])
-    summand = np.where(y >= v, np.maximum(y - mu, 0.0), 0.0)
-    estimate = float(summand.mean())
-    std_error = float(summand.std(ddof=1) / np.sqrt(n))
+    # The summand is built in place on y, so the peak holds about two
+    # arrays of n doubles (y and the partition copy, or y and std's
+    # deviations) plus the mask.
+    below = y < v
+    y -= mu
+    np.maximum(y, 0.0, out=y)
+    y[below] = 0.0
+    estimate = float(y.mean())
+    std_error = float(y.std(ddof=1) / np.sqrt(n))
     return estimate, std_error
 
 

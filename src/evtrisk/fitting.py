@@ -84,6 +84,28 @@ def _fit_error(k: int, m: int, q: float) -> FitError:
     return FitError(f"only {k} exceedance above the threshold; at least 2 are needed")
 
 
+def _check_resolved(k: int, gamma: float, scale: float) -> None:
+    """Raise a FitError if rounding broke the moment fit's guarantees.
+
+    Strictly positive exceedances give shape < 1 and a positive, finite
+    scale in exact arithmetic (see the module docstring), but not always
+    in double precision: subnormal exceedances make the scale underflow
+    to 0, and exceedances spread over too many orders of magnitude make
+    the shape round to 1.
+    """
+    if not 0.0 < scale < math.inf:
+        size = "too small (subnormal)" if scale <= 0.0 else "too large"
+        raise FitError(
+            f"the fitted scale is {scale!r}: the {k} exceedances are {size} "
+            "for double precision to fit"
+        )
+    if not gamma < 1.0:
+        raise FitError(
+            f"the fitted shape rounds to {gamma!r}: the {k} exceedances span "
+            "more orders of magnitude than double precision resolves"
+        )
+
+
 def _as_sample(data) -> np.ndarray:
     """Validate raw data as a non-empty, finite 1-d float array."""
     arr = np.asarray(data, dtype=float)
@@ -292,6 +314,7 @@ def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
         # Impossible for strictly positive exceedances; a failure here means
         # the inputs violated the contract above.
         raise FitError("degenerate probability-weighted moments (P - 2Q <= 0)")
+    _check_resolved(k, float(shape), float(scale))
     tied = np.count_nonzero(sample.values == threshold) > 1
     warnings = ("tied-threshold",) if tied else ()
     params = TailParams(k=k, m=m, gamma=float(shape), threshold=threshold,

@@ -37,10 +37,17 @@ _TO_UNIT = 2.0 ** -53
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array (wraparound is intentional)."""
-    z = (z ^ (z >> _SHIFT_30)) * _U64_MULT_1
-    z = (z ^ (z >> _SHIFT_27)) * _U64_MULT_2
-    return z ^ (z >> _SHIFT_31)
+    """SplitMix64 finalizer on a uint64 array (wraparound is intentional).
+
+    Overwrites and returns ``z``, so callers pass an array they own; the
+    steps are integer operations, so working in place changes no bit.
+    """
+    z ^= z >> _SHIFT_30
+    z *= _U64_MULT_1
+    z ^= z >> _SHIFT_27
+    z *= _U64_MULT_2
+    z ^= z >> _SHIFT_31
+    return z
 
 
 def mix64(z: int) -> int:
@@ -98,7 +105,10 @@ def _counter_words(seeds, start: int, n: int) -> np.ndarray:
 
 def _to_unit(words: np.ndarray) -> np.ndarray:
     """Open-interval uniforms from the top 53 bits of each word."""
-    return ((words >> _SHIFT_11).astype(np.float64) + 0.5) * _TO_UNIT
+    u = (words >> _SHIFT_11).astype(np.float64)
+    u += 0.5
+    u *= _TO_UNIT
+    return u
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
@@ -106,8 +116,11 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
     angle = (2.0 * np.pi) * u[..., 1::2]
     out = np.empty(u.shape)
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
+    cos, sin = out[..., 0::2], out[..., 1::2]
+    np.cos(angle, out=cos)
+    cos *= radius
+    np.sin(angle, out=sin)
+    sin *= radius
     return out
 
 
@@ -174,8 +187,11 @@ class RandomStream:
 
         Consumes ``2 * ceil(n / 2)`` words: normals are produced in pairs
         from consecutive uniforms and the spare draw of an odd request is
-        discarded (so chunked requests are not splice-equivalent, unlike
-        :meth:`uniform`).
+        discarded.  Requests for even counts are therefore splice-exact,
+        like :meth:`uniform`: ``normal(a)`` then ``normal(b)`` with ``a``
+        even returns the values and leaves the counter of one
+        ``normal(a + b)``, because no pair straddles the cut.  An odd
+        ``a`` is not: its spare draw is lost.
         """
         return _box_muller(self.uniform(2 * ((n + 1) // 2)))[:n]
 

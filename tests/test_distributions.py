@@ -13,7 +13,8 @@ from scipy import stats
 from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, get_distribution
-from evtrisk.distributions import _T5_COEF
+from evtrisk.distributions import _SAMPLE_BLOCK, _T5_COEF, _t5_from_normals
+from evtrisk.rng import normal_rows
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
 
@@ -191,6 +192,38 @@ class TestSampling:
         assert rows.shape == (3, 37)
         for seed, row in zip(seeds, rows):
             np.testing.assert_array_equal(row, dist.sample(37, RandomStream(seed)))
+
+
+class TestBlockedSampling:
+    """A large sample is drawn in blocks; the splice must be invisible."""
+
+    @staticmethod
+    def one_pass(dist, n, stream):
+        if dist.name == "tstudent5":
+            return dist._transform(stream.normal(6 * n))
+        return dist._transform(stream.uniform(n))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("n", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
+                                   3 * _SAMPLE_BLOCK + 5])
+    def test_blocks_equal_one_pass(self, name, n):
+        dist = get_distribution(name)
+        for seed in (0, 2**64 - 1):
+            blocked, whole = RandomStream(seed), RandomStream(seed)
+            np.testing.assert_array_equal(dist.sample(n, blocked),
+                                          self.one_pass(dist, n, whole))
+            assert blocked.counter == whole.counter
+
+    @pytest.mark.parametrize("shape", [(6 * 1001,), (7, 6 * 57)])
+    def test_t5_chi_square_sum_matches_np_sum(self, shape):
+        # The Student-t transform adds the five squares left to right; the
+        # grid's tstudent5 columns rely on that being np.sum's result.
+        z = (RandomStream(9).normal(shape[0]) if len(shape) == 1
+             else normal_rows(np.arange(shape[0], dtype=np.uint64), shape[1]))
+        z6 = z.reshape(*z.shape[:-1], -1, 6)
+        chi2_5 = np.sum(z6[..., 1:] ** 2, axis=-1)
+        np.testing.assert_array_equal(_t5_from_normals(z),
+                                      z6[..., 0] / np.sqrt(chi2_5 / 5.0))
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Tests for the estimation pipeline and its verification oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,17 @@ from evtrisk import (
     typical_semideviation,
     value_at_risk,
 )
+from evtrisk.distributions import DISTRIBUTIONS
+from evtrisk.estimators import estimate_rows
 from helpers import exact_pareto2_params, random_params
+
+# Admissible samples whose moment fit rounding breaks, with the cause the
+# FitError names: subnormal exceedances underflow the scale, and
+# exceedances spread past double precision round the shape to 1.
+UNRESOLVED_FITS = [
+    pytest.param(np.arange(1, 21) * 1e-320, "scale is 0.0: .* too small", id="subnormal"),
+    pytest.param(np.r_[np.zeros(18), 1.0, 1e20], "shape rounds to 1.0", id="spread"),
+]
 
 
 class TestTypicalEstimator:
@@ -105,6 +116,22 @@ class TestPipeline:
         with pytest.raises(FitError, match=f"{m} points .* at least 20 points"):
             evt_estimate(data, alpha=0.01)
 
+    @pytest.mark.parametrize("data, cause", UNRESOLVED_FITS)
+    def test_unresolved_fit_names_the_cause(self, data, cause):
+        with pytest.raises(FitError, match=cause):
+            evt_estimate(data, alpha=0.01)
+
+    @pytest.mark.parametrize("data, cause", UNRESOLVED_FITS)
+    def test_unresolved_fit_is_not_evt_valid_in_a_batch(self, data, cause):
+        # The grid's path: the row next to a regular sample is counted as
+        # invalid, as evt_estimate refuses it, and does not spoil its
+        # neighbour.
+        regular = get_distribution("pareto2").sample(data.size, RandomStream(3))
+        est = estimate_rows(np.stack([data, regular]), 0.01)
+        assert est.evt_valid.tolist() == [False, True]
+        assert not estimate_rows(data, 0.01).evt_valid
+        assert est.rho_evt[1] == evt_estimate(regular, alpha=0.01).rho_evt
+
 
 class TestMonteCarloOracle:
     def test_uniform_half_level(self):
@@ -137,6 +164,21 @@ class TestMonteCarloOracle:
         with pytest.raises(ValueError):
             monte_carlo_semideviation(get_distribution("gumbel"), 0.01, 999,
                                       RandomStream(1))
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    def test_peak_memory_about_two_arrays(self, name):
+        # The draw is generated in blocks and the summand built in place,
+        # so the traced peak is about two arrays of n doubles plus a mask,
+        # whatever the law, however many words a value consumes.
+        n = 10**6
+        dist = get_distribution(name)
+        tracemalloc.start()
+        try:
+            monte_carlo_semideviation(dist, 0.01, n, RandomStream(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n, peak / (8 * n)
 
 
 class TestQuadratureOracle:

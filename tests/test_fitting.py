@@ -6,6 +6,7 @@ import pytest
 from evtrisk import (
     FitError,
     RandomStream,
+    fit_tail,
     get_distribution,
     pwm_fit,
     select_threshold,
@@ -165,6 +166,14 @@ class TestPwmFit:
         s = sort_and_summarize(np.arange(1.0, 11.0))
         with pytest.raises(FitError):
             pwm_fit(s, 9.0, 1)
+
+    @pytest.mark.parametrize("data, cause", [
+        (np.arange(1, 21) * 1e-320, "scale is 0.0: .* too small"),
+        (np.r_[np.zeros(18), 1.0, 1e20], "shape rounds to 1.0"),
+    ])
+    def test_unresolved_moments_raise_fit_error(self, data, cause):
+        with pytest.raises(FitError, match=cause):
+            fit_tail(sort_and_summarize(data))
 
     def test_requires_strict_exceedance(self):
         s = sort_and_summarize([1.0] * 10 + [2.0, 2.0])

@@ -1,4 +1,4 @@
-"""Tests of the package as a whole: what importing it costs."""
+"""Tests of the package as a whole: what importing it costs, how it runs."""
 
 import os
 import subprocess
@@ -15,10 +15,22 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     code = ("import sys, evtrisk\n"
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
             " if m in sys.modules))")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    proc = _run_python("-W", "error", "-m", "evtrisk", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "usage: evtrisk" in proc.stdout
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(evtrisk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
