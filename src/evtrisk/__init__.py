@@ -22,7 +22,6 @@ from .benchmark import (
     ground_truth_value,
     run_experiment,
     run_trial,
-    summarize_errors,
     trial_seed,
 )
 from .cli import InputDataset, load_config, load_csv
@@ -51,7 +50,6 @@ from .fitting import (
     FitError,
     FitReport,
     SortedSample,
-    fit_tail,
     pwm_fit,
     select_threshold,
     sort_and_summarize,
@@ -98,7 +96,6 @@ __all__ = [
     "derive_seed",
     "evt_estimate",
     "extremal_semideviation",
-    "fit_tail",
     "get_distribution",
     "gpd_survival",
     "ground_truth_value",
@@ -111,7 +108,6 @@ __all__ = [
     "select_threshold",
     "semideviation_by_quadrature",
     "sort_and_summarize",
-    "summarize_errors",
     "synthetic_overflow_path",
     "tail_approximation_error",
     "tail_cdf",

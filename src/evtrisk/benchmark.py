@@ -146,8 +146,9 @@ def run_trial(dist: Distribution, m: int, alpha: float, seed: int,
 
     Deterministic given ``seed``; the grid's batch kernel at a batch of
     one.  Fit failures never abort: the typical estimator is still
-    evaluated (with its default order-statistic rule, since no exceedance
-    count exists) and the record is flagged.
+    evaluated (with its default order-statistic rule when fewer than 2
+    exceedances exist) and the record is flagged where
+    :func:`~evtrisk.estimators.evt_estimate` would raise.
     """
     est = estimate_rows(dist.sample(m, RandomStream(seed)), alpha)
     failed = bool(est.fits.failed)
@@ -156,10 +157,7 @@ def run_trial(dist: Distribution, m: int, alpha: float, seed: int,
         err_typical=float(est.rho_typical) - true_value,
         err_evt=float(est.rho_evt) - true_value if est.evt_valid else None,
         assumptions=None if failed else AssumptionChecks(
-            alpha_lt_k_over_m=bool(est.alpha_ok),
-            var_ge_mean=bool(est.var_ok),
-            gamma_lt_1=bool(est.gamma_ok),
-        ),
+            alpha_lt_k_over_m=bool(est.alpha_ok), var_ge_mean=bool(est.evt_valid)),
         fit_failed=failed,
     )
 
@@ -186,19 +184,6 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
         q25_evt=float(q25_e),
         q75_evt=float(q75_e),
     )
-
-
-def summarize_errors(records) -> SeriesSummary:
-    """Aggregate trial records from one (distribution, m) cell."""
-    records = list(records)
-    if not records:
-        raise ValueError("cannot summarize an empty record list")
-    dist = records[0].dist
-    m = records[0].m
-    if any(r.dist != dist or r.m != m for r in records):
-        raise ValueError("records must share one (distribution, m) cell")
-    return _summarize(dist, m, np.array([r.err_typical for r in records]),
-                      np.array([r.err_evt for r in records if r.err_evt is not None]))
 
 
 def _run_cell(args) -> SeriesSummary:

@@ -5,7 +5,6 @@ Subcommands::
     evtrisk estimate  --input data.csv --alpha 0.01      # JSON report
     evtrisk benchmark --config bench.cfg --out out.csv   # error-summary CSV
     evtrisk oracle    --dist pareto2 --alpha 0.01 --samples 4000000 --seed 1
-    evtrisk plot-data --in out.csv --dist pareto2        # filter one series
 
 The benchmark config file is line-oriented ``key = value`` text; see
 :func:`load_config`.  Setting the environment variable ``EVTRISK_SEED``
@@ -238,22 +237,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_plot_data(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{args.input}: not a benchmark summary CSV")
-    get_distribution(args.dist)  # validates the name
-    kept = [row for row in lines[1:] if row.split(",", 1)[0] == args.dist]
-    output = "\n".join([CSV_HEADER] + kept) + "\n"
-    if args.out == "-":
-        sys.stdout.write(output)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evtrisk",
@@ -283,13 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--samples", type=int, default=4_000_000)
     orc.add_argument("--seed", type=int, default=None)
     orc.set_defaults(func=_cmd_oracle)
-
-    plo = sub.add_parser("plot-data", help="filter one distribution's series "
-                                           "from a benchmark CSV")
-    plo.add_argument("--in", dest="input", required=True)
-    plo.add_argument("--dist", required=True)
-    plo.add_argument("--out", default="-", help="output path or '-' for stdout")
-    plo.set_defaults(func=_cmd_plot_data)
     return parser
 
 

@@ -59,13 +59,15 @@ class Distribution:
     right_endpoint: float
     mean: float
     _cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _quantile: Callable[[float], float] = field(repr=False)
-    # Maps the last axis of an array of open-interval uniforms (or, when
-    # ``_normals_per_value`` is set, of that many standard normals per
-    # value) to values of the law; works on any leading shape.
-    _transform: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # Elementwise on arrays too: sampling maps open-interval uniforms
+    # through it.
+    _quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _tail_semidev: Callable[[float], float] = field(repr=False)
+    # Set for a law built from standard normals instead: ``_transform``
+    # maps the last axis, ``_normals_per_value`` normals per value, to
+    # values of the law; works on any leading shape.
     _normals_per_value: int = field(default=0, repr=False)
+    _transform: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def cdf(self, z):
         """Exact distribution function F(z); accepts scalars or arrays."""
@@ -118,7 +120,7 @@ class Distribution:
             raise ValueError(f"sample size must be >= 1, got {n}")
         if self._normals_per_value:
             return self._transform(normal(self._normals_per_value * int(n)))
-        return self._transform(uniform(int(n)))
+        return self._quantile(uniform(int(n)))
 
     def value_at_risk(self, alpha: float) -> float:
         """The (1 - alpha)-quantile: the cost exceeded with probability alpha."""
@@ -242,7 +244,6 @@ PARETO2 = Distribution(
     mean=2.0,
     _cdf=_pareto2_cdf,
     _quantile=lambda p: (1.0 - p) ** -0.5,
-    _transform=lambda u: (1.0 - u) ** -0.5,
     _tail_semidev=_pareto2_tail_semidev,
 )
 
@@ -253,9 +254,9 @@ TSTUDENT5 = Distribution(
     mean=0.0,
     _cdf=_t5_cdf,
     _quantile=lambda p: stdtrit(5.0, p),
-    _transform=_t5_from_normals,
     _tail_semidev=_t5_tail_semidev,
     _normals_per_value=6,
+    _transform=_t5_from_normals,
 )
 
 EXPONENTIAL1 = Distribution(
@@ -265,7 +266,6 @@ EXPONENTIAL1 = Distribution(
     mean=1.0,
     _cdf=_exp1_cdf,
     _quantile=lambda p: -np.log1p(-p),
-    _transform=lambda u: -np.log1p(-u),
     _tail_semidev=_exp1_tail_semidev,
 )
 
@@ -276,7 +276,6 @@ GUMBEL = Distribution(
     mean=EULER_GAMMA,
     _cdf=lambda z: np.exp(-np.exp(-z)),
     _quantile=lambda p: -np.log(-np.log(p)),
-    _transform=lambda u: -np.log(-np.log(u)),
     _tail_semidev=_gumbel_tail_semidev,
 )
 
@@ -287,7 +286,6 @@ UNIFORM01 = Distribution(
     mean=0.5,
     _cdf=lambda z: np.clip(z, 0.0, 1.0),
     _quantile=lambda p: p,
-    _transform=lambda u: u,
     _tail_semidev=_uniform_tail_semidev,
 )
 
@@ -298,7 +296,6 @@ BETA12 = Distribution(
     mean=1.0 / 3.0,
     _cdf=_beta12_cdf,
     _quantile=lambda p: 1.0 - np.sqrt(1.0 - p),
-    _transform=lambda u: 1.0 - np.sqrt(1.0 - u),
     _tail_semidev=_beta12_tail_semidev,
 )
 

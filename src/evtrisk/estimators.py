@@ -25,12 +25,10 @@ import numpy as np
 
 from .distributions import Distribution
 from .fitting import (
-    THRESHOLD_QUANTILE,
     RowFits,
     SortedSample,
     _as_sample,
     _ceil_scaled,
-    _check_resolved,
     _fit_error,
     _per_group,
     fit_rows,
@@ -50,11 +48,15 @@ from .tail_model import (
 
 @dataclass(frozen=True)
 class AssumptionChecks:
-    """Validity flags for the EVT estimator's closed form."""
+    """Validity flags for the EVT estimator's closed form.
+
+    ``gamma_lt_1`` is always true: a fit whose shape is not below 1 is
+    unusable and raises :class:`~evtrisk.fitting.FitError` instead.
+    """
 
     alpha_lt_k_over_m: bool
     var_ge_mean: bool
-    gamma_lt_1: bool
+    gamma_lt_1: bool = True
 
     def all_hold(self) -> bool:
         return self.alpha_lt_k_over_m and self.var_ge_mean and self.gamma_lt_1
@@ -85,7 +87,8 @@ class RowEstimates(NamedTuple):
 
     ``var_tail``, ``cvar_tail`` and ``rho_evt`` are evaluated on every row
     and mean something only where the flags say so: the model VaR and CVaR
-    where ``alpha_ok & gamma_ok``, ``rho_evt`` where ``evt_valid``.
+    where the fit is usable and ``alpha_ok``, ``rho_evt`` where
+    ``evt_valid``, i.e. where moreover the VaR is at least the mean.
     """
 
     mean: np.ndarray
@@ -95,19 +98,7 @@ class RowEstimates(NamedTuple):
     cvar_tail: np.ndarray
     rho_evt: np.ndarray
     alpha_ok: np.ndarray
-    gamma_ok: np.ndarray
-    var_ok: np.ndarray
-
-    @property
-    def evt_valid(self) -> np.ndarray:
-        """Rows whose fit succeeded and whose every assumption holds.
-
-        A fit succeeded if it had 2 exceedances and a positive, finite
-        scale; a scale that rounding broke makes :func:`evt_estimate`
-        raise, so such rows are not valid either.
-        """
-        scale = self.fits.scale
-        return ~self.fits.failed & (scale > 0.0) & (scale < np.inf) & self.var_ok
+    evt_valid: np.ndarray
 
 
 def _default_top_count(m: int, alpha: float) -> int:
@@ -131,8 +122,7 @@ def typical_rows(ordered: np.ndarray, mean, n_top):
     return _per_group(n_top, group)[0]
 
 
-def estimate_rows(samples: np.ndarray, alpha: float,
-                  threshold_quantile: float = THRESHOLD_QUANTILE) -> RowEstimates:
+def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     """Both estimators and the assumption flags for every sample (row).
 
     ``samples`` is one sample of size ``m`` or an ``(n, m)`` matrix of
@@ -140,26 +130,25 @@ def estimate_rows(samples: np.ndarray, alpha: float,
     accordingly.  This is the one pipeline behind :func:`evt_estimate`
     (one sample) and the benchmark (one matrix per grid cell): sort each
     row, fit its tail (:func:`~evtrisk.fitting.fit_rows`), evaluate the
-    closed forms elementwise.  Rows whose fit failed are scored by the
-    typical estimator's default order-statistic rule, since they have no
-    exceedance count.  Inputs are not validated here.
+    closed forms elementwise.  Rows with fewer than 2 exceedances are
+    scored by the typical estimator's default order-statistic rule, since
+    they have no exceedance count.  Inputs are not validated here.
     """
     ordered = np.sort(samples, axis=-1)
     m = ordered.shape[-1]
     mean = np.add.reduce(ordered, axis=-1) / m
-    fits = fit_rows(ordered, threshold_quantile)
+    fits = fit_rows(ordered)
     # Both estimators use the same exceedance count: the typical estimator
     # then averages the top k+1 order statistics, mirroring how its
     # smallest retained point doubles as the threshold estimate.
-    n_top = np.where(fits.failed, _default_top_count(m, alpha), fits.k)
-    # Failed rows carry NaN parameters (and k = 0 divides by zero); their
-    # closed forms come out NaN and are masked by the flags.
+    n_top = np.where(fits.k < 2, _default_top_count(m, alpha), fits.k)
+    # Failed rows carry NaN or unusable parameters (and k = 0 divides by
+    # zero); their closed forms are masked by evt_valid.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_ok = alpha < fits.k / m
         var = _var(fits.threshold, fits.scale, fits.gamma, m * alpha / fits.k)
         cvar_tail = _cvar(var, fits.threshold, fits.scale, fits.gamma)
         rho_evt = _semideviation(cvar_tail, mean, alpha)
-    gamma_ok = fits.gamma < 1.0
     return RowEstimates(
         mean=mean,
         fits=fits,
@@ -168,8 +157,7 @@ def estimate_rows(samples: np.ndarray, alpha: float,
         cvar_tail=cvar_tail,
         rho_evt=rho_evt,
         alpha_ok=alpha_ok,
-        gamma_ok=gamma_ok,
-        var_ok=alpha_ok & gamma_ok & (var >= mean),
+        evt_valid=~fits.failed & alpha_ok & (var >= mean),
     )
 
 
@@ -198,43 +186,36 @@ def typical_semideviation(sample: SortedSample, alpha: float,
     return float(typical_rows(sample.values, np.float64(sample.mean), np.int64(n_top)))
 
 
-def evt_estimate(data, alpha: float = 0.01,
-                 threshold_quantile: float = THRESHOLD_QUANTILE) -> EstimateReport:
+def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
     """Run the full small-sample estimation pipeline on raw data.
 
     Sorts the data, places the threshold, fits the tail model by
     probability-weighted moments, evaluates both estimators, and checks the
     closed form's hypotheses.  Failed hypothesis checks are reported as
     flags with ``rho_evt`` omitted -- they do not raise -- so that batch
-    callers can record them.  Fit failures (constant data, too few
-    exceedances) do raise :class:`~evtrisk.fitting.FitError`.
+    callers can record them.  An unusable fit (constant data, too few
+    exceedances, parameters rounding broke) raises
+    :class:`~evtrisk.fitting.FitError`.
     """
     values = _as_sample(data)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < threshold_quantile < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {threshold_quantile}")
-    est = estimate_rows(values, alpha, threshold_quantile)
+    est = estimate_rows(values, alpha)
     fits = est.fits
     if fits.failed:
-        raise _fit_error(int(fits.k), values.size, threshold_quantile)
-    _check_resolved(int(fits.k), float(fits.gamma), float(fits.scale))
+        raise _fit_error(values.size, int(fits.k), float(fits.gamma), float(fits.scale))
     params = TailParams(k=int(fits.k), m=values.size, gamma=float(fits.gamma),
                         threshold=float(fits.threshold), scale=float(fits.scale))
-    evaluated = bool(est.alpha_ok and est.gamma_ok)
     return EstimateReport(
         alpha=alpha,
         params=params,
         sample_mean=float(est.mean),
         rho_typical=float(est.rho_typical),
-        var_tail=float(est.var_tail) if evaluated else None,
-        cvar_tail=float(est.cvar_tail) if evaluated else None,
-        rho_evt=float(est.rho_evt) if est.var_ok else None,
-        assumptions=AssumptionChecks(
-            alpha_lt_k_over_m=bool(est.alpha_ok),
-            var_ge_mean=bool(est.var_ok),
-            gamma_lt_1=bool(est.gamma_ok),
-        ),
+        var_tail=float(est.var_tail) if est.alpha_ok else None,
+        cvar_tail=float(est.cvar_tail) if est.alpha_ok else None,
+        rho_evt=float(est.rho_evt) if est.evt_valid else None,
+        assumptions=AssumptionChecks(alpha_lt_k_over_m=bool(est.alpha_ok),
+                                     var_ge_mean=bool(est.evt_valid)),
         warnings=("tied-threshold",) if fits.tied else (),
     )
 

@@ -25,6 +25,12 @@ conditions the closed-form risk functionals require.  The plotting-
 position variant of the weights ((i - 0.35)/k, Hosking-Wallis) is not
 implemented; it loses the guaranteed shape < 1.
 
+Double precision can still break those guarantees, so a fit is *usable*
+only if its scale is positive and finite and its shape is below 1; a
+sample with fewer than 2 exceedances has NaN parameters and is unusable
+too.  That one rule is the ``failed`` field of :func:`fit_rows`, and
+:func:`_fit_error` words the cause for every caller that raises.
+
 The recipe is implemented once, along the last axis of an array of
 samples (:func:`fit_rows`), so one call fits a whole batch;
 :func:`select_threshold` and :func:`pwm_fit` are its single-sample views.
@@ -70,40 +76,38 @@ def min_sample_size(q: float = THRESHOLD_QUANTILE) -> int:
     return m
 
 
-def _fit_error(k: int, m: int, q: float) -> FitError:
-    """Why a sample of ``m`` points with ``k < 2`` exceedances cannot be fitted."""
-    least = min_sample_size(q)
-    if m < least:
-        return FitError(
-            f"{m} points leave at most {m - _ceil_scaled(q * m)} above the "
-            f"{q:g}-quantile threshold, and the fit needs 2 exceedances: "
-            f"at least {least} points are required"
-        )
-    if k == 0:
-        return FitError("no strict exceedances above the threshold")
-    return FitError(f"only {k} exceedance above the threshold; at least 2 are needed")
+def _fit_error(m: int, k: int, gamma: float = math.nan, scale: float = math.nan,
+               q: float | None = THRESHOLD_QUANTILE) -> FitError:
+    """Why a fit of ``k`` exceedances in ``m`` points is not usable.
 
-
-def _check_resolved(k: int, gamma: float, scale: float) -> None:
-    """Raise a FitError if rounding broke the moment fit's guarantees.
-
-    Strictly positive exceedances give shape < 1 and a positive, finite
-    scale in exact arithmetic (see the module docstring), but not always
-    in double precision: subnormal exceedances make the scale underflow
-    to 0, and exceedances spread over too many orders of magnitude make
-    the shape round to 1.
+    Fewer than 2 exceedances cannot be fitted; with a threshold level
+    ``q`` the cause is named as too few points where the rule itself
+    leaves fewer than 2.  Otherwise rounding broke the moment fit's
+    guarantees (see the module docstring): subnormal exceedances make the
+    scale underflow to 0, and exceedances spread over too many orders of
+    magnitude make the shape round to 1.
     """
+    if k < 2:
+        least = 0 if q is None else min_sample_size(q)
+        if m < least:
+            return FitError(
+                f"{m} points leave at most {m - _ceil_scaled(q * m)} above the "
+                f"{q:g}-quantile threshold, and the fit needs 2 exceedances: "
+                f"at least {least} points are required"
+            )
+        if k == 0:
+            return FitError("no strict exceedances above the threshold")
+        return FitError(f"only {k} exceedance above the threshold; at least 2 are needed")
     if not 0.0 < scale < math.inf:
         size = "too small (subnormal)" if scale <= 0.0 else "too large"
-        raise FitError(
+        return FitError(
             f"the fitted scale is {scale!r}: the {k} exceedances are {size} "
             "for double precision to fit"
         )
-    if not gamma < 1.0:
-        raise FitError(
-            f"the fitted shape rounds to {gamma!r}: the {k} exceedances span "
-            "more orders of magnitude than double precision resolves"
-        )
+    return FitError(
+        f"the fitted shape rounds to {gamma!r}: the {k} exceedances span "
+        "more orders of magnitude than double precision resolves"
+    )
 
 
 def _as_sample(data) -> np.ndarray:
@@ -140,7 +144,7 @@ def _per_group(keys, fn):
 
 
 def _pwm(excess_desc: np.ndarray):
-    """Shape, scale and ``P - 2Q`` from exceedances ordered largest first.
+    """Shape and scale from exceedances ordered largest first.
 
     Works along the last axis, so one call fits every row of a matrix
     whose rows share one exceedance count.
@@ -149,33 +153,18 @@ def _pwm(excess_desc: np.ndarray):
     p_mom = np.add.reduce(excess_desc, axis=-1) / k
     q_mom = np.add.reduce(np.arange(k) / k * excess_desc, axis=-1) / k
     denom = p_mom - 2.0 * q_mom
-    return (p_mom - 4.0 * q_mom) / denom, 2.0 * p_mom * q_mom / denom, denom
+    return (p_mom - 4.0 * q_mom) / denom, 2.0 * p_mom * q_mom / denom
 
 
 @dataclass(frozen=True)
 class SortedSample:
-    """A data set held as ascending order statistics plus its mean.
+    """A data set held as read-only ascending order statistics plus its mean.
 
-    Build via :func:`sort_and_summarize`; direct construction validates that
-    ``values`` is ascending and finite and that ``mean`` matches.
+    Build via :func:`sort_and_summarize`, which validates the data once.
     """
 
     values: np.ndarray
     mean: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("sample must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample contains non-finite values")
-        if np.any(np.diff(v) < 0.0):
-            raise ValueError("values must be ascending; use sort_and_summarize")
-        if not math.isclose(self.mean, float(v.mean()),
-                            rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("mean is inconsistent with values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     @property
     def m(self) -> int:
@@ -188,16 +177,16 @@ class FitReport:
     """Result of a tail fit: parameters plus bookkeeping."""
 
     params: TailParams
-    exceedances_used: int
     warnings: tuple[str, ...] = ()
 
 
 class RowFits(NamedTuple):
     """Tail fits of samples, one per row; see :func:`fit_rows`.
 
-    ``gamma`` and ``scale`` are NaN where the fit failed (fewer than 2
-    exceedances); ``tied`` flags rows where more than one value equals
-    the threshold.
+    ``failed`` marks the rows whose fit is not usable: fewer than 2
+    exceedances (``gamma`` and ``scale`` are NaN there), or a scale that
+    is not positive and finite or a shape that is not below 1.  ``tied``
+    flags rows where more than one value equals the threshold.
     """
 
     threshold: np.ndarray
@@ -205,11 +194,7 @@ class RowFits(NamedTuple):
     gamma: np.ndarray
     scale: np.ndarray
     tied: np.ndarray
-
-    @property
-    def failed(self) -> np.ndarray:
-        """Rows with fewer than 2 exceedances, which the fit cannot use."""
-        return self.k < 2
+    failed: np.ndarray
 
 
 def _threshold_rule(ordered: np.ndarray, q: float):
@@ -232,31 +217,42 @@ def _threshold_rule(ordered: np.ndarray, q: float):
     return threshold, k, tied
 
 
-def fit_rows(ordered: np.ndarray, q: float = THRESHOLD_QUANTILE) -> RowFits:
+def fit_rows(ordered: np.ndarray) -> RowFits:
     """Threshold rule and moment fit along the last axis of ascending samples.
 
     ``ordered`` is one ascending sample of size ``m``, or an ``(n, m)``
     matrix of them; the fields of the result are scalars or length-``n``
-    arrays accordingly.  Ties make ``k`` differ between rows, so the
-    moments are computed per group of rows sharing one ``k``, each group
-    as one array pass.
+    arrays accordingly.  The threshold is at the 0.90 level.
+    """
+    return _fit_above(ordered, *_threshold_rule(ordered, THRESHOLD_QUANTILE))
+
+
+def _fit_above(ordered, threshold, k, tied) -> RowFits:
+    """Moment fit of the top ``k`` values of each row above its threshold.
+
+    Ties make ``k`` differ between rows, so the moments are computed per
+    group of rows sharing one ``k``, each group as one array pass.  NaN
+    parameters (fewer than 2 exceedances) compare false, so one test
+    marks every unusable fit.
     """
     m = ordered.shape[-1]
-    threshold, k, tied = _threshold_rule(ordered, q)
 
     def fit_group(kk, rows):
         if kk < 2:
             nan = np.full(np.shape(threshold[rows]), np.nan)
             return nan, nan
-        return _pwm(ordered[rows, m - kk:][..., ::-1] - threshold[rows, None])[:2]
+        return _pwm(ordered[rows, m - kk:][..., ::-1] - threshold[rows, None])
 
     gamma, scale = _per_group(k, fit_group)
-    return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, tied=tied)
+    failed = ~((scale > 0.0) & (scale < np.inf) & (gamma < 1.0))
+    return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, tied=tied,
+                   failed=failed)
 
 
 def sort_and_summarize(data) -> SortedSample:
     """Sort a raw data sequence ascending and attach its mean."""
     ordered = np.sort(_as_sample(data))
+    ordered.setflags(write=False)
     return SortedSample(values=ordered, mean=float(ordered.mean()))
 
 
@@ -289,40 +285,26 @@ def select_threshold(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> tup
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     threshold, k, _ = _threshold_rule(sample.values, q)
     if k < 2:
-        raise _fit_error(int(k), sample.m, q)
+        raise _fit_error(sample.m, int(k), q=q)
     return float(threshold), int(k)
 
 
 def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
     """Fit GPD shape and scale to the exceedances by probability-weighted moments.
 
-    ``n_exceed`` must be at least 2 and the top ``n_exceed`` order statistics
-    must all exceed ``threshold`` strictly (as produced by
-    :func:`select_threshold`).
+    The top ``n_exceed`` order statistics must all exceed ``threshold``
+    strictly (as produced by :func:`select_threshold`); fewer than 2 of
+    them, or a fit that rounding made unusable, raise a :class:`FitError`.
     """
     k, m = int(n_exceed), sample.m
-    if k < 2:
-        raise FitError(f"need at least 2 exceedances, got {k}")
-    if k >= m:
-        raise ValueError(f"exceedance count {k} must be smaller than the sample size {m}")
-    top = sample.values[m - k:]
-    if not np.all(top > threshold):
+    if not 0 <= k < m:
+        raise ValueError(f"exceedance count {k} must be in [0, m) for a sample of m = {m}")
+    if not np.all(sample.values[m - k:] > threshold):
         raise ValueError("the top n_exceed values must exceed the threshold strictly")
-
-    shape, scale, denom = _pwm(top[::-1] - threshold)
-    if denom <= 0.0:
-        # Impossible for strictly positive exceedances; a failure here means
-        # the inputs violated the contract above.
-        raise FitError("degenerate probability-weighted moments (P - 2Q <= 0)")
-    _check_resolved(k, float(shape), float(scale))
     tied = np.count_nonzero(sample.values == threshold) > 1
-    warnings = ("tied-threshold",) if tied else ()
-    params = TailParams(k=k, m=m, gamma=float(shape), threshold=threshold,
-                        scale=float(scale))
-    return FitReport(params=params, exceedances_used=k, warnings=warnings)
-
-
-def fit_tail(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> FitReport:
-    """Select the threshold and fit the tail in one call."""
-    threshold, n_exceed = select_threshold(sample, q)
-    return pwm_fit(sample, threshold, n_exceed)
+    fits = _fit_above(sample.values, np.float64(threshold), np.int64(k), tied)
+    if fits.failed:
+        raise _fit_error(m, k, float(fits.gamma), float(fits.scale), q=None)
+    params = TailParams(k=k, m=m, gamma=float(fits.gamma), threshold=threshold,
+                        scale=float(fits.scale))
+    return FitReport(params=params, warnings=("tied-threshold",) if tied else ())

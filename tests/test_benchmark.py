@@ -12,14 +12,12 @@ from evtrisk import (
     ExperimentConfig,
     FitError,
     RandomStream,
-    TrialRecord,
     evt_estimate,
     get_distribution,
     ground_truth_value,
     run_experiment,
     run_trial,
     sort_and_summarize,
-    summarize_errors,
     trial_seed,
     typical_semideviation,
 )
@@ -113,15 +111,16 @@ class TestRunTrial:
 
 
 class TestSummarize:
+    """Cell statistics from the typical errors of every trial and the EVT
+    errors of the valid ones."""
+
     @staticmethod
-    def record(err_typ, err_evt, index=0):
-        return TrialRecord(dist="uniform01", m=20, trial_index=index,
-                           err_typical=err_typ, err_evt=err_evt,
-                           assumptions=None)
+    def summarize(err_typ, err_evt):
+        return benchmark._summarize("uniform01", 20, np.array(err_typ, dtype=float),
+                                    np.array(err_evt, dtype=float))
 
     def test_three_point_quartiles(self):
-        recs = [self.record(e, e, i) for i, e in enumerate((-1.0, 0.0, 1.0))]
-        s = summarize_errors(recs)
+        s = self.summarize([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
         assert s.mean_err_typical == 0.0
         assert s.q25_typical == -0.5  # linear interpolation between order stats
         assert s.q75_typical == 0.5
@@ -129,32 +128,19 @@ class TestSummarize:
         assert s.evt_valid_fraction == 1.0
 
     def test_identical_errors(self):
-        recs = [self.record(0.3, None, i) for i in range(4)]
-        s = summarize_errors(recs)
+        s = self.summarize([0.3] * 4, [])
         assert s.mean_err_typical == s.q25_typical == s.q75_typical == 0.3
         assert s.evt_valid_fraction == 0.0
         assert math.isnan(s.mean_err_evt)
 
     def test_single_record(self):
-        s = summarize_errors([self.record(0.7, 0.2)])
+        s = self.summarize([0.7], [0.2])
         assert s.mean_err_typical == s.q25_typical == s.q75_typical == 0.7
         assert s.mean_err_evt == s.q25_evt == s.q75_evt == 0.2
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            summarize_errors([])
-
-    def test_rejects_mixed_cells(self):
-        a = self.record(0.1, None)
-        b = dataclasses.replace(self.record(0.1, None), m=25)
-        with pytest.raises(ValueError):
-            summarize_errors([a, b])
-
     def test_quartile_ordering(self):
         rng = np.random.default_rng(2)
-        recs = [self.record(float(rng.normal()), float(rng.normal()), i)
-                for i in range(101)]
-        s = summarize_errors(recs)
+        s = self.summarize(rng.normal(size=101), rng.normal(size=101))
         assert s.q25_typical <= s.q75_typical
         assert s.q25_evt <= s.q75_evt
         assert 0.0 <= s.evt_valid_fraction <= 1.0
@@ -245,7 +231,10 @@ class TestBatchKernel:
             if rec.err_evt is not None:
                 assert report.rho_evt == pytest.approx(ref["rho"], rel=1e-13, abs=0.0)
                 assert est.rho_evt[t] == pytest.approx(ref["rho"], rel=1e-13, abs=0.0)
-        assert summary_row(run_experiment(cfg)[0]) == summary_row(summarize_errors(records))
+        cell = benchmark._summarize(
+            name, m, np.array([r.err_typical for r in records]),
+            np.array([r.err_evt for r in records if r.err_evt is not None]))
+        assert summary_row(run_experiment(cfg)[0]) == summary_row(cell)
 
     def test_ties_and_fit_failures_per_row(self):
         base = np.arange(1.0, 31.0)                  # m = 30: k is 3 without ties

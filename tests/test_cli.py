@@ -188,27 +188,3 @@ class TestOracleCommand:
                                "--samples", "20000")
         assert code != 0
         assert "valid names" in err
-
-
-class TestPlotDataCommand:
-    def test_filters_one_distribution(self, tmp_path, capsys):
-        cfg = tmp_path / "b.cfg"
-        cfg.write_text("distributions = uniform01, beta12\n"
-                       "m_values = 20\ntrials = 4\nmaster_seed = 2\n")
-        out_csv = tmp_path / "out.csv"
-        run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out_csv))
-        code, out, _ = run_cli(capsys, "plot-data", "--in", str(out_csv),
-                               "--dist", "beta12")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 2
-        assert lines[1].startswith("beta12,")
-
-    def test_rejects_foreign_csv(self, tmp_path, capsys):
-        bad = tmp_path / "x.csv"
-        bad.write_text("a,b\n1,2\n")
-        code, _, err = run_cli(capsys, "plot-data", "--in", str(bad),
-                               "--dist", "beta12")
-        assert code != 0
-        assert "not a benchmark summary CSV" in err

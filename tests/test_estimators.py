@@ -1,5 +1,6 @@
 """Tests for the estimation pipeline and its verification oracles."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from evtrisk import (
     AssumptionViolation,
     FitError,
+    UNIFORM01,
     RandomStream,
     TailParams,
     cvar,
@@ -16,6 +18,7 @@ from evtrisk import (
     extremal_semideviation,
     get_distribution,
     monte_carlo_semideviation,
+    run_trial,
     semideviation_by_quadrature,
     sort_and_summarize,
     tail_approximation_error,
@@ -124,13 +127,23 @@ class TestPipeline:
     @pytest.mark.parametrize("data, cause", UNRESOLVED_FITS)
     def test_unresolved_fit_is_not_evt_valid_in_a_batch(self, data, cause):
         # The grid's path: the row next to a regular sample is counted as
-        # invalid, as evt_estimate refuses it, and does not spoil its
+        # failed, as evt_estimate refuses it, and does not spoil its
         # neighbour.
         regular = get_distribution("pareto2").sample(data.size, RandomStream(3))
         est = estimate_rows(np.stack([data, regular]), 0.01)
+        assert est.fits.failed.tolist() == [True, False]
         assert est.evt_valid.tolist() == [False, True]
-        assert not estimate_rows(data, 0.01).evt_valid
+        alone = estimate_rows(data, 0.01)
+        assert alone.fits.failed and not alone.evt_valid
         assert est.rho_evt[1] == evt_estimate(regular, alpha=0.01).rho_evt
+
+    @pytest.mark.parametrize("data, cause", UNRESOLVED_FITS)
+    def test_unresolved_fit_is_a_failed_trial(self, data, cause):
+        # A benchmark trial reads the same rule as evt_estimate.
+        law = dataclasses.replace(UNIFORM01, _quantile=lambda u: data)  # always draws data
+        rec = run_trial(law, data.size, 0.01, seed=5, true_value=0.0)
+        assert rec.fit_failed
+        assert rec.err_evt is None and rec.assumptions is None
 
 
 class TestMonteCarloOracle:

@@ -6,7 +6,6 @@ import pytest
 from evtrisk import (
     FitError,
     RandomStream,
-    fit_tail,
     get_distribution,
     pwm_fit,
     select_threshold,
@@ -144,7 +143,7 @@ class TestPwmFit:
         report = pwm_fit(s, 10.0, 2)
         assert report.params.gamma == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert report.params.scale == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert report.exceedances_used == 2
+        assert report.params.k == 2
 
     def test_equal_exceedances_give_zero_shape(self):
         c = 0.75
@@ -164,16 +163,26 @@ class TestPwmFit:
 
     def test_requires_two_exceedances(self):
         s = sort_and_summarize(np.arange(1.0, 11.0))
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="only 1 exceedance"):
             pwm_fit(s, 9.0, 1)
+        with pytest.raises(FitError, match="no strict exceedances"):
+            pwm_fit(s, 10.0, 0)
+
+    @pytest.mark.parametrize("k", [-1, 10, 11])
+    def test_rejects_counts_outside_the_sample(self, k):
+        s = sort_and_summarize(np.arange(1.0, 11.0))
+        with pytest.raises(ValueError, match=r"must be in \[0, m\)"):
+            pwm_fit(s, 0.5, k)
 
     @pytest.mark.parametrize("data, cause", [
         (np.arange(1, 21) * 1e-320, "scale is 0.0: .* too small"),
         (np.r_[np.zeros(18), 1.0, 1e20], "shape rounds to 1.0"),
     ])
     def test_unresolved_moments_raise_fit_error(self, data, cause):
+        sample = sort_and_summarize(data)
+        threshold, k = select_threshold(sample)
         with pytest.raises(FitError, match=cause):
-            fit_tail(sort_and_summarize(data))
+            pwm_fit(sample, threshold, k)
 
     def test_requires_strict_exceedance(self):
         s = sort_and_summarize([1.0] * 10 + [2.0, 2.0])
