@@ -26,7 +26,7 @@ from .rng import RandomStream, derive_seed, derive_seeds
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
 # Trials per kernel call: bounds the (trials x m) working set of a cell
-# (Student-t draws six normals per value) without changing any result.
+# (Student-t draws six uniforms per value) without changing any result.
 _CHUNK_TRIALS = 2_048
 _MODE_PATTERN = re.compile(r"^monte_carlo\((\d+)\)$")
 
@@ -146,9 +146,10 @@ def run_trial(dist: Distribution, m: int, alpha: float, seed: int,
 
     Deterministic given ``seed``; the grid's batch kernel at a batch of
     one.  Fit failures never abort: the typical estimator is still
-    evaluated (with its default order-statistic rule when fewer than 2
-    exceedances exist) and the record is flagged where
-    :func:`~evtrisk.estimators.evt_estimate` would raise.
+    evaluated (on the top ``k + 1`` order statistics, as on every trial)
+    and the record is flagged where
+    :func:`~evtrisk.estimators.evt_estimate` would raise.  An ``alpha``
+    outside (0, 1) raises ``ValueError``.
     """
     est = estimate_rows(dist.sample(m, RandomStream(seed)), alpha)
     failed = bool(est.fits.failed)

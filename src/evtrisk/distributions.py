@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc, exp1, gamma as gamma_fn, stdtrit
 
-from .rng import RandomStream, normal_rows, uniform_rows
+from .rng import RandomStream, _box_muller, uniform_rows
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -33,7 +33,7 @@ EULER_GAMMA = float(np.euler_gamma)
 _T5_COEF = float(gamma_fn(3.0) / (np.sqrt(5.0 * np.pi) * gamma_fn(2.5)))
 
 # Values per block of a large sample: small enough that a block's words
-# and normals (six per value for Student-t) stay in cache.
+# (six per value for Student-t) stay in cache.
 _SAMPLE_BLOCK = 8192
 
 
@@ -63,10 +63,10 @@ class Distribution:
     # through it.
     _quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _tail_semidev: Callable[[float], float] = field(repr=False)
-    # Set for a law built from standard normals instead: ``_transform``
-    # maps the last axis, ``_normals_per_value`` normals per value, to
-    # values of the law; works on any leading shape.
-    _normals_per_value: int = field(default=0, repr=False)
+    # Set for a law not sampled through ``_quantile``: ``_transform`` maps
+    # the last axis, ``_words_per_value`` uniforms per value, to values of
+    # the law; works on any leading shape.
+    _words_per_value: int = field(default=1, repr=False)
     _transform: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def cdf(self, z):
@@ -87,22 +87,23 @@ class Distribution:
         """Draw ``n`` i.i.d. values using ``stream``.
 
         All laws except Student-t use the inverse-CDF transform of open-
-        interval uniforms; Student-t(5) is built from six standard normals
-        per draw (Z over the root of a scaled chi-square with 5 d.o.f.).
+        interval uniforms; Student-t(5) turns six uniforms per draw into
+        six standard normals by Box-Muller (Z over the root of a scaled
+        chi-square with 5 d.o.f.).
 
         A sample larger than one block is filled in blocks of
         ``_SAMPLE_BLOCK`` values, so no intermediate array grows with
         ``n``.  The blocks splice exactly: uniforms are splice-equivalent,
-        and a Student-t block asks for six normals per value, an even
+        and a Student-t block asks for six uniforms per value, an even
         count, so no Box-Muller pair straddles a cut.  The values and the
         stream's counter are those of one pass.
         """
         if n <= _SAMPLE_BLOCK:
-            return self._draw(n, stream.uniform, stream.normal)
+            return self._draw(n, stream.uniform)
         out = np.empty(int(n))
         for start in range(0, out.size, _SAMPLE_BLOCK):
             block = out[start:start + _SAMPLE_BLOCK]
-            block[...] = self._draw(block.size, stream.uniform, stream.normal)
+            block[...] = self._draw(block.size, stream.uniform)
         return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:
@@ -112,15 +113,13 @@ class Distribution:
         based stream makes every row a pure function of its seed, so a
         whole batch is drawn with one array pass.
         """
-        return self._draw(n, lambda size: uniform_rows(seeds, size),
-                          lambda size: normal_rows(seeds, size))
+        return self._draw(n, lambda size: uniform_rows(seeds, size))
 
-    def _draw(self, n, uniform, normal) -> np.ndarray:
+    def _draw(self, n, uniform) -> np.ndarray:
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        if self._normals_per_value:
-            return self._transform(normal(self._normals_per_value * int(n)))
-        return self._quantile(uniform(int(n)))
+        u = uniform(self._words_per_value * int(n))
+        return self._quantile(u) if self._transform is None else self._transform(u)
 
     def value_at_risk(self, alpha: float) -> float:
         """The (1 - alpha)-quantile: the cost exceeded with probability alpha."""
@@ -170,9 +169,10 @@ def _t5_cdf(z):
 
 def _t5_from_normals(z):
     # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from
-    # six consecutive normals per value.  The squares are added left to
-    # right, which is the order np.sum(z[..., 1:] ** 2, axis=-1) takes
-    # here, without its (..., 5) temporary.
+    # six consecutive normals per value (Box-Muller pairs of uniforms when
+    # sampling).  The squares are added left to right, which is the order
+    # np.sum(z[..., 1:] ** 2, axis=-1) takes here, without its (..., 5)
+    # temporary.
     z = z.reshape(*z.shape[:-1], -1, 6)
     chi2_5 = z[..., 1] * z[..., 1]
     for j in range(2, 6):
@@ -255,8 +255,8 @@ TSTUDENT5 = Distribution(
     _cdf=_t5_cdf,
     _quantile=lambda p: stdtrit(5.0, p),
     _tail_semidev=_t5_tail_semidev,
-    _normals_per_value=6,
-    _transform=_t5_from_normals,
+    _words_per_value=6,
+    _transform=lambda u: _t5_from_normals(_box_muller(u)),
 )
 
 EXPONENTIAL1 = Distribution(

@@ -101,11 +101,6 @@ class RowEstimates(NamedTuple):
     evt_valid: np.ndarray
 
 
-def _default_top_count(m: int, alpha: float) -> int:
-    """``m - ceil((1 - alpha) m)``: the top count of the empirical quantile rule."""
-    return m - _ceil_scaled((1.0 - alpha) * m)
-
-
 def typical_rows(ordered: np.ndarray, mean, n_top):
     """The typical estimator along the last axis of ascending samples.
 
@@ -130,18 +125,15 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     accordingly.  This is the one pipeline behind :func:`evt_estimate`
     (one sample) and the benchmark (one matrix per grid cell): sort each
     row, fit its tail (:func:`~evtrisk.fitting.fit_rows`), evaluate the
-    closed forms elementwise.  Rows with fewer than 2 exceedances are
-    scored by the typical estimator's default order-statistic rule, since
-    they have no exceedance count.  Inputs are not validated here.
+    closed forms elementwise.  ``alpha`` is checked here, once for both;
+    the samples are not validated.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     ordered = np.sort(samples, axis=-1)
     m = ordered.shape[-1]
     mean = np.add.reduce(ordered, axis=-1) / m
     fits = fit_rows(ordered)
-    # Both estimators use the same exceedance count: the typical estimator
-    # then averages the top k+1 order statistics, mirroring how its
-    # smallest retained point doubles as the threshold estimate.
-    n_top = np.where(fits.k < 2, _default_top_count(m, alpha), fits.k)
     # Failed rows carry NaN or unusable parameters (and k = 0 divides by
     # zero); their closed forms are masked by evt_valid.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -152,7 +144,10 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     return RowEstimates(
         mean=mean,
         fits=fits,
-        rho_typical=typical_rows(ordered, mean, n_top),
+        # One exceedance count for both estimators on every row, failed
+        # fits included: the typical estimator averages the top k + 1
+        # order statistics, the smallest of which is the threshold.
+        rho_typical=typical_rows(ordered, mean, fits.k),
         var_tail=var,
         cvar_tail=cvar_tail,
         rho_evt=rho_evt,
@@ -180,7 +175,7 @@ def typical_semideviation(sample: SortedSample, alpha: float,
     if m < 2:
         raise ValueError("need at least 2 points")
     if n_top is None:
-        n_top = _default_top_count(m, alpha)
+        n_top = m - _ceil_scaled((1.0 - alpha) * m)
     if not 0 <= n_top < m:
         raise ValueError(f"n_top must be in [0, m), got {n_top}")
     return float(typical_rows(sample.values, np.float64(sample.mean), np.int64(n_top)))
@@ -198,8 +193,6 @@ def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
     :class:`~evtrisk.fitting.FitError`.
     """
     values = _as_sample(data)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     est = estimate_rows(values, alpha)
     fits = est.fits
     if fits.failed:

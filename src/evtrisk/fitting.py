@@ -83,9 +83,9 @@ def _fit_error(m: int, k: int, gamma: float = math.nan, scale: float = math.nan,
     Fewer than 2 exceedances cannot be fitted; with a threshold level
     ``q`` the cause is named as too few points where the rule itself
     leaves fewer than 2.  Otherwise rounding broke the moment fit's
-    guarantees (see the module docstring): subnormal exceedances make the
-    scale underflow to 0, and exceedances spread over too many orders of
-    magnitude make the shape round to 1.
+    guarantees (see the module docstring): exceedances spread over too
+    many orders of magnitude make the shape round to 1, and at the edges
+    of the double range the scale can round to 0 or overflow.
     """
     if k < 2:
         least = 0 if q is None else min_sample_size(q)
@@ -147,13 +147,20 @@ def _pwm(excess_desc: np.ndarray):
     """Shape and scale from exceedances ordered largest first.
 
     Works along the last axis, so one call fits every row of a matrix
-    whose rows share one exceedance count.
+    whose rows share one exceedance count.  The moments are taken of the
+    exceedances divided by ``2**e``, with ``e`` the binary exponent of the
+    largest one, and the scale is multiplied back.  Powers of two scale
+    exactly, so shape and scale are bit for bit those of the unscaled
+    formulas wherever these neither overflow nor underflow, and ``P*Q``
+    stays in range at any magnitude of the data.
     """
     k = excess_desc.shape[-1]
-    p_mom = np.add.reduce(excess_desc, axis=-1) / k
-    q_mom = np.add.reduce(np.arange(k) / k * excess_desc, axis=-1) / k
+    e = np.frexp(excess_desc[..., 0])[1]
+    excess = np.ldexp(excess_desc, -e[..., None])
+    p_mom = np.add.reduce(excess, axis=-1) / k
+    q_mom = np.add.reduce(np.arange(k) / k * excess, axis=-1) / k
     denom = p_mom - 2.0 * q_mom
-    return (p_mom - 4.0 * q_mom) / denom, 2.0 * p_mom * q_mom / denom
+    return (p_mom - 4.0 * q_mom) / denom, np.ldexp(2.0 * p_mom * q_mom / denom, e)
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,6 @@ def uniform_rows(seeds, n: int) -> np.ndarray:
     return _to_unit(_counter_words(seeds, 0, n))
 
 
-def normal_rows(seeds, n: int) -> np.ndarray:
-    """Row ``i`` holds ``RandomStream(seeds[i]).normal(n)``."""
-    return _box_muller(uniform_rows(seeds, 2 * ((n + 1) // 2)))[..., :n]
-
-
 class RandomStream:
     """A forkable stream of pseudo-random numbers.
 

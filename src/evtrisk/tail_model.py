@@ -141,14 +141,10 @@ def tail_cdf(params: TailParams, z):
     """Distribution function of the tail model; accepts scalars or arrays."""
     arr = np.asarray(z, dtype=float)
     x = (arr - params.threshold) / params.scale
-    if params.gamma < -GAMMA_NEAR_ZERO:
-        x_upper = -1.0 / params.gamma
-        inside = np.clip(x, 0.0, np.nextafter(x_upper, 0.0))
-        out = 1.0 - params.tail_fraction * _survival_unchecked(params.gamma, inside)
-        out = np.where(x >= x_upper, 1.0, out)
-    else:
-        inside = np.maximum(x, 0.0)
-        out = 1.0 - params.tail_fraction * _survival_unchecked(params.gamma, inside)
+    x_upper = -1.0 / params.gamma if params.gamma < -GAMMA_NEAR_ZERO else math.inf
+    inside = np.clip(x, 0.0, np.nextafter(x_upper, 0.0))
+    out = 1.0 - params.tail_fraction * _survival_unchecked(params.gamma, inside)
+    out = np.where(x >= x_upper, 1.0, out)
     out = np.where(x < 0.0, 0.0, out)
     if np.ndim(z) == 0:
         return float(out)
@@ -161,29 +157,26 @@ def tail_quantile(params: TailParams, u):
     The model has an atom of mass ``1 - k/m`` at the threshold, so every
     level up to that mass maps to the threshold itself; higher levels invert
     the continuous tail branch.  Vectorized over ``u`` (used for
-    inverse-transform sampling of the model).
+    inverse-transform sampling of the model).  The tail branch is
+    :func:`_var` at the survival ratio ``r = (1 - u) / (k/m)``; atom
+    levels take ``r = 1``, where it gives the threshold exactly.
     """
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile level must satisfy 0 <= u < 1")
-    atom_mass = 1.0 - params.tail_fraction
-    # survival ratio within the tail branch; harmless filler at atom levels
-    r = np.where(arr > atom_mass, (1.0 - arr) / params.tail_fraction, 1.0)
-    if abs(params.gamma) < GAMMA_NEAR_ZERO:
-        excess = -np.log(r)
-    else:
-        excess = np.expm1(-params.gamma * np.log(r)) / params.gamma
-    out = np.where(arr > atom_mass, params.threshold + params.scale * excess,
-                   params.threshold)
+    r = np.where(arr > 1.0 - params.tail_fraction,
+                 (1.0 - arr) / params.tail_fraction, 1.0)
+    out = _var(params.threshold, params.scale, params.gamma, r)
     if np.ndim(u) == 0:
         return float(out)
     return out
 
 
 def _var(threshold, scale, gamma, r):
-    """Model value-at-risk at ``r = m * alpha / k``; a ufunc over arrays.
+    """Tail-branch quantile at the survival ratio ``r``; a ufunc over arrays.
 
-    The (1 - alpha)-quantile of the continuous tail branch:
+    At ``r = m * alpha / k`` it is the model value-at-risk, the
+    (1 - alpha)-quantile of the continuous tail branch:
     ``threshold + scale * ((r ** -gamma) - 1) / gamma``, or
     ``threshold - scale * log(r)`` for shapes within ``GAMMA_NEAR_ZERO``
     of zero, both in the stable ``expm1``/``log`` form.

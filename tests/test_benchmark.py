@@ -102,6 +102,11 @@ class TestRunTrial:
             if rec.err_evt is not None:
                 assert math.isfinite(rec.err_evt)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            run_trial(get_distribution("pareto2"), 20, alpha, seed=3, true_value=0.18)
+
     def test_seed_depends_on_all_coordinates(self):
         base = trial_seed(33, "pareto2", 20, 5)
         assert trial_seed(34, "pareto2", 20, 5) != base
@@ -177,17 +182,16 @@ def reference_trial(values, alpha=0.01):
     mean = y.mean()
     s = y[-(-9 * m // 10) - 1]                       # order statistic ceil(0.9 m)
     k = int(np.count_nonzero(y > s))
-    if k < 2:                                        # fit failed: default top count
-        n_top = m - -(-99 * m // 100)
-        return dict(mean=mean, k=k, typical=np.maximum(y[m - n_top - 1:] - mean, 0.0).sum() / m)
+    typical = np.maximum(y[m - k - 1:] - mean, 0.0).sum() / m
+    if k < 2:                                        # fit failed
+        return dict(mean=mean, k=k, typical=typical)
     e = y[::-1][:k] - s
     p, q = e.mean(), np.mean(np.arange(k) / k * e)
     gamma, scale = (p - 4.0 * q) / (p - 2.0 * q), 2.0 * p * q / (p - 2.0 * q)
     log_r = math.log(m * alpha / k)
     var = s + scale * math.expm1(-gamma * log_r) / gamma
     rho = alpha * ((var + scale - gamma * s) / (1.0 - gamma) - mean)
-    return dict(mean=mean, k=k, gamma=gamma, scale=scale, var=var,
-                typical=np.maximum(y[m - k - 1:] - mean, 0.0).sum() / m,
+    return dict(mean=mean, k=k, gamma=gamma, scale=scale, var=var, typical=typical,
                 rho=rho if alpha < k / m and var >= mean else None)
 
 
@@ -250,16 +254,16 @@ class TestBatchKernel:
         assert est.fits.failed.tolist() == [False, False, True, True, False]
         assert est.evt_valid.tolist() == [True, True, False, False, True]
         for i, row in enumerate(matrix):
-            sample = sort_and_summarize(row)
             if est.fits.failed[i]:
                 with pytest.raises(FitError):
                     evt_estimate(row, alpha)
-                want = typical_semideviation(sample, alpha)
             else:
                 report = evt_estimate(row, alpha)
                 assert ("tied-threshold" in report.warnings) == est.fits.tied[i]
                 assert report.rho_evt == est.rho_evt[i]
-                want = typical_semideviation(sample, alpha, n_top=int(est.fits.k[i]))
+            # One rule on every row, failed fits included: the top k + 1.
+            want = typical_semideviation(sort_and_summarize(row), alpha,
+                                         n_top=int(est.fits.k[i]))
             assert est.rho_typical[i] == want
         truth = 0.5
         summary = benchmark._summarize("hand", 30, est.rho_typical - truth,

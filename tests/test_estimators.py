@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from evtrisk import (
 )
 from evtrisk.distributions import DISTRIBUTIONS
 from evtrisk.estimators import estimate_rows
+from evtrisk.fitting import fit_rows, pwm_fit, select_threshold
 from helpers import exact_pareto2_params, random_params
 
 # Admissible samples whose moment fit rounding breaks, with the cause the
-# FitError names: subnormal exceedances underflow the scale, and
-# exceedances spread past double precision round the shape to 1.
+# FitError names: exceedances spread past double precision round the
+# shape to 1.
 UNRESOLVED_FITS = [
-    pytest.param(np.arange(1, 21) * 1e-320, "scale is 0.0: .* too small", id="subnormal"),
     pytest.param(np.r_[np.zeros(18), 1.0, 1e20], "shape rounds to 1.0", id="spread"),
 ]
 
@@ -119,6 +120,23 @@ class TestPipeline:
         with pytest.raises(FitError, match=f"{m} points .* at least 20 points"):
             evt_estimate(data, alpha=0.01)
 
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_fit_is_exact_under_powers_of_two(self, power):
+        # P*Q of the raw exceedances would overflow or underflow here.
+        data = get_distribution("pareto2").sample(50, RandomStream(1))
+        base = evt_estimate(data, alpha=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evt_estimate(np.ldexp(data, power), alpha=0.01)
+        assert report.params.k == base.params.k
+        assert report.params.gamma == base.params.gamma
+        assert report.params.scale == np.ldexp(base.params.scale, power)
+
+    def test_subnormal_data_fit(self):
+        report = evt_estimate(np.arange(1, 21) * 1e-320, alpha=0.01)
+        assert report.params.scale > 0.0
+        assert report.params.gamma < 1.0
+
     @pytest.mark.parametrize("data, cause", UNRESOLVED_FITS)
     def test_unresolved_fit_names_the_cause(self, data, cause):
         with pytest.raises(FitError, match=cause):
@@ -144,6 +162,66 @@ class TestPipeline:
         rec = run_trial(law, data.size, 0.01, seed=5, true_value=0.0)
         assert rec.fit_failed
         assert rec.err_evt is None and rec.assumptions is None
+
+
+def random_matrices(count=200, seed=2024):
+    """Seeded ``(n, m)`` sample matrices; some rounded so that thresholds
+    tie and ``k`` varies between rows, down to k < 2."""
+    rng = np.random.default_rng(seed)
+    draws = (lambda n, m: rng.pareto(2.0, (n, m)) + 1.0,
+             lambda n, m: rng.standard_normal((n, m)),
+             lambda n, m: rng.uniform(0.0, 1.0, (n, m)),
+             lambda n, m: rng.exponential(1.0, (n, m)))
+    for i in range(count):
+        n, m = int(rng.integers(1, 41)), int(rng.integers(20, 100))
+        matrix = draws[i % len(draws)](n, m)
+        if i % 3:
+            matrix = np.round(matrix, int(rng.integers(1, 3)))
+        yield matrix
+
+
+class TestRowIndependence:
+    """A row's result does not depend on the rows batched with it."""
+
+    @staticmethod
+    def fields(est, i=...):
+        fits = est.fits._asdict()
+        rest = {key: value for key, value in est._asdict().items() if key != "fits"}
+        return {key: np.asarray(value[i]) for key, value in {**fits, **rest}.items()}
+
+    def test_estimate_rows_bitwise_per_row(self):
+        low_k = mixed = 0
+        for matrix in random_matrices():
+            est = estimate_rows(matrix, 0.01)
+            low_k += int(np.count_nonzero(est.fits.k < 2))
+            mixed += len(np.unique(est.fits.k)) > 1
+            for i, row in enumerate(matrix):
+                got, want = self.fields(est, i), self.fields(estimate_rows(row, 0.01))
+                for key in want:
+                    assert got[key].dtype == want[key].dtype, key
+                    # Bitwise, except that any two NaNs match: the sign of
+                    # a NaN from an invalid operation (a failed row's VaR)
+                    # differs between numpy's vector and scalar loops.
+                    assert (got[key].tobytes() == want[key].tobytes()
+                            or np.isnan(got[key]) and np.isnan(want[key])), key
+        # The inputs reach the per-k scatter path and the failed fits.
+        assert low_k > 0 and mixed > 0
+
+    def test_fit_rows_matches_scalar_fit(self):
+        for matrix in random_matrices():
+            fits = fit_rows(np.sort(matrix, axis=-1))
+            for i, row in enumerate(matrix):
+                sample = sort_and_summarize(row)
+                if fits.failed[i]:
+                    with pytest.raises(FitError):
+                        pwm_fit(sample, *select_threshold(sample))
+                    continue
+                threshold, k = select_threshold(sample)
+                report = pwm_fit(sample, threshold, k)
+                assert (threshold, k) == (fits.threshold[i], fits.k[i])
+                assert report.params.gamma == fits.gamma[i]
+                assert report.params.scale == fits.scale[i]
+                assert ("tied-threshold" in report.warnings) == fits.tied[i]
 
 
 class TestMonteCarloOracle:

@@ -175,7 +175,6 @@ class TestPwmFit:
             pwm_fit(s, 0.5, k)
 
     @pytest.mark.parametrize("data, cause", [
-        (np.arange(1, 21) * 1e-320, "scale is 0.0: .* too small"),
         (np.r_[np.zeros(18), 1.0, 1e20], "shape rounds to 1.0"),
     ])
     def test_unresolved_moments_raise_fit_error(self, data, cause):

@@ -7,7 +7,7 @@ same algorithm, and its statistical output against textbook properties.
 import numpy as np
 import pytest
 
-from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, normal_rows, uniform_rows
+from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, uniform_rows
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -132,13 +132,6 @@ class TestBatchedStreams:
         assert rows.shape == (len(self.SEEDS), 33)
         for seed, row in zip(self.SEEDS, rows):
             np.testing.assert_array_equal(row, RandomStream(seed).uniform(33))
-
-    @pytest.mark.parametrize("n", [1, 7, 120])
-    def test_normal_rows(self, n):
-        rows = normal_rows(self.SEEDS, n)
-        assert rows.shape == (len(self.SEEDS), n)
-        for seed, row in zip(self.SEEDS, rows):
-            np.testing.assert_array_equal(row, RandomStream(seed).normal(n))
 
 
 class TestValidation:
