@@ -23,17 +23,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, exp1, gamma as gamma_fn, stdtrit
 
-from .rng import RandomStream, _box_muller, uniform_rows
+from .rng import RandomStream, uniform_rows
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Student-t(5) density normalization: Gamma(3) / (sqrt(5*pi) * Gamma(5/2)).
-_T5_COEF = float(gamma_fn(3.0) / (np.sqrt(5.0 * np.pi) * gamma_fn(2.5)))
+# Student-t(5) density normalization:
+# Gamma(3) / (sqrt(5*pi) * Gamma(5/2)) = 8 / (3*pi*sqrt(5)).
+_T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
 # Values per block of a large sample: small enough that a block's words
-# (six per value for Student-t) stay in cache.
+# stay in cache.  Student-t reads six uniforms per value and uses four;
+# blocks are whole values, so its groups never straddle a cut.
 _SAMPLE_BLOCK = 8192
 
 
@@ -87,16 +88,16 @@ class Distribution:
         """Draw ``n`` i.i.d. values using ``stream``.
 
         All laws except Student-t use the inverse-CDF transform of open-
-        interval uniforms; Student-t(5) turns six uniforms per draw into
-        six standard normals by Box-Muller (Z over the root of a scaled
-        chi-square with 5 d.o.f.).
+        interval uniforms; Student-t(5) reads six uniforms per value, four
+        used, and forms Z over the root of a scaled chi-square with 5 d.o.f.
+        (see ``_t5_from_uniforms``).
 
         A sample larger than one block is filled in blocks of
         ``_SAMPLE_BLOCK`` values, so no intermediate array grows with
         ``n``.  The blocks splice exactly: uniforms are splice-equivalent,
-        and a Student-t block asks for six uniforms per value, an even
-        count, so no Box-Muller pair straddles a cut.  The values and the
-        stream's counter are those of one pass.
+        and blocks are whole values, so a Student-t group of six uniforms
+        never straddles a cut.  The values and the stream's counter are
+        those of one pass.
         """
         if n <= _SAMPLE_BLOCK:
             return self._draw(n, stream.uniform)
@@ -162,22 +163,31 @@ def _pareto2_tail_semidev(w):
 
 
 def _t5_cdf(z):
+    from scipy.special import betainc
+
     x = 5.0 / (5.0 + z * z)
     half_tail = 0.5 * betainc(2.5, 0.5, x)
     return np.where(z >= 0.0, 1.0 - half_tail, half_tail)
 
 
-def _t5_from_normals(z):
-    # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from
-    # six consecutive normals per value (Box-Muller pairs of uniforms when
-    # sampling).  The squares are added left to right, which is the order
-    # np.sum(z[..., 1:] ** 2, axis=-1) takes here, without its (..., 5)
-    # temporary.
-    z = z.reshape(*z.shape[:-1], -1, 6)
-    chi2_5 = z[..., 1] * z[..., 1]
-    for j in range(2, 6):
-        chi2_5 += z[..., j] * z[..., j]
-    return z[..., 0] / np.sqrt(chi2_5 / 5.0)
+def _t5_quantile(p):
+    from scipy.special import stdtrit
+
+    return stdtrit(5.0, p)
+
+
+def _t5_from_uniforms(u):
+    # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from six
+    # consecutive uniforms per value.  Box-Muller would turn the pairs
+    # (u0, u1), (u2, u3), (u4, u5) into six normals z0..z5; the squares of
+    # a pair sum to -2 log of its first uniform (cos^2 + sin^2 = 1), so
+    # only z0 and z1 need trig, and u3 and u5 are drawn but unused.
+    u = u.reshape(*u.shape[:-1], -1, 6)
+    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
+    angle = (2.0 * np.pi) * u[..., 1]
+    z1 = np.sin(angle) * radius
+    chi2_5 = z1 * z1 - 2.0 * np.log(u[..., 2]) - 2.0 * np.log(u[..., 4])
+    return np.cos(angle) * radius / np.sqrt(chi2_5 / 5.0)
 
 
 def _t5_tail_semidev(w):
@@ -208,6 +218,8 @@ def _exp1_tail_semidev(w):
 def _gumbel_tail_semidev(w):
     # With a = exp(-w):  integral of (y - euler) dF over [w, inf)
     #   = exp(-a) * (euler - w) + E1(a)
+    from scipy.special import exp1
+
     a = np.exp(-w)
     return np.exp(-a) * (EULER_GAMMA - w) + exp1(a)
 
@@ -253,10 +265,10 @@ TSTUDENT5 = Distribution(
     right_endpoint=np.inf,
     mean=0.0,
     _cdf=_t5_cdf,
-    _quantile=lambda p: stdtrit(5.0, p),
+    _quantile=_t5_quantile,
     _tail_semidev=_t5_tail_semidev,
     _words_per_value=6,
-    _transform=lambda u: _t5_from_normals(_box_muller(u)),
+    _transform=_t5_from_uniforms,
 )
 
 EXPONENTIAL1 = Distribution(

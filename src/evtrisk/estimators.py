@@ -38,6 +38,7 @@ from .tail_model import (
     GAMMA_NEAR_ZERO,
     AssumptionViolation,
     TailParams,
+    _bounded,
     _cvar,
     _semideviation,
     _survival_unchecked,
@@ -284,7 +285,7 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
         # The requested tolerance sits near roundoff for some shapes;
         # accuracy is asserted against the closed form in the test suite.
         _warnings.simplefilter("ignore", IntegrationWarning)
-        if gamma < -GAMMA_NEAR_ZERO:
+        if _bounded(gamma):
             upper = params.support.upper
             # Breakpoints keep the adaptive subdivision near the integrand's
             # mass when the support is finite but enormous (tiny |gamma|).

@@ -7,7 +7,8 @@ Generalized Pareto (GPD) exceedance law above it.  Its CDF is
     F(z) = 0                                   for z below the threshold,
     F(z) = 1 - (k/m) * S((z - threshold)/scale)  on the support interval,
     F(z) = 1                                   past the upper endpoint
-                                               (finite only for shape < 0),
+                                               (finite only for shape
+                                               <= -GAMMA_NEAR_ZERO),
 
 with ``S`` the GPD survival function.  Because the quantile, CVaR, and
 extremal upper-semideviation of this model all have closed forms, fitting
@@ -30,6 +31,16 @@ import numpy as np
 GAMMA_NEAR_ZERO = 1e-10
 
 
+def _bounded(gamma) -> bool:
+    """Whether the shape has a finite upper endpoint, ``-scale/gamma``.
+
+    The complement of the near-zero test on the negative side, so a shape
+    takes either the power form with its endpoint or the exponential form
+    without one.
+    """
+    return gamma <= -GAMMA_NEAR_ZERO
+
+
 class AssumptionViolation(ValueError):
     """The closed-form estimator's hypothesis (VaR >= sample mean) fails."""
 
@@ -50,7 +61,7 @@ def gpd_survival(gamma: float, z):
         Shape parameter (extreme value index).
     z : float or array
         Points in the survival function's domain: ``z >= 0`` and, for
-        negative shapes, ``z < -1/gamma``.
+        shapes at or below ``-GAMMA_NEAR_ZERO``, ``z < -1/gamma``.
 
     Returns
     -------
@@ -62,7 +73,7 @@ def gpd_survival(gamma: float, z):
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("gpd_survival requires z >= 0")
-    if gamma < -GAMMA_NEAR_ZERO and np.any(arr >= -1.0 / gamma):
+    if _bounded(gamma) and np.any(arr >= -1.0 / gamma):
         raise ValueError(
             f"z outside the survival domain [0, {-1.0 / gamma}) for shape {gamma}"
         )
@@ -126,8 +137,9 @@ class TailParams:
 
     @property
     def support(self) -> SupportInterval:
-        """Support of the tail part; upper endpoint is finite iff gamma < 0."""
-        if self.gamma < -GAMMA_NEAR_ZERO:
+        """Support of the tail part; upper endpoint is finite iff
+        ``gamma <= -GAMMA_NEAR_ZERO``."""
+        if _bounded(self.gamma):
             return SupportInterval(self.threshold,
                                    self.threshold - self.scale / self.gamma)
         return SupportInterval(self.threshold, math.inf)
@@ -141,7 +153,7 @@ def tail_cdf(params: TailParams, z):
     """Distribution function of the tail model; accepts scalars or arrays."""
     arr = np.asarray(z, dtype=float)
     x = (arr - params.threshold) / params.scale
-    x_upper = -1.0 / params.gamma if params.gamma < -GAMMA_NEAR_ZERO else math.inf
+    x_upper = -1.0 / params.gamma if _bounded(params.gamma) else math.inf
     inside = np.clip(x, 0.0, np.nextafter(x_upper, 0.0))
     out = 1.0 - params.tail_fraction * _survival_unchecked(params.gamma, inside)
     out = np.where(x >= x_upper, 1.0, out)

@@ -29,6 +29,7 @@ from evtrisk import (
 from evtrisk.distributions import DISTRIBUTIONS
 from evtrisk.estimators import estimate_rows
 from evtrisk.fitting import fit_rows, pwm_fit, select_threshold
+from evtrisk.tail_model import GAMMA_NEAR_ZERO
 from helpers import exact_pareto2_params, random_params
 
 # Admissible samples whose moment fit rounding breaks, with the cause the
@@ -300,6 +301,15 @@ class TestQuadratureOracle:
         v = value_at_risk(p, 0.05)
         with pytest.raises(AssumptionViolation):
             semideviation_by_quadrature(p, 0.05, v + 1.0)
+
+    @pytest.mark.parametrize("gamma", [np.nextafter(-GAMMA_NEAR_ZERO, -1.0),
+                                       -GAMMA_NEAR_ZERO,
+                                       np.nextafter(-GAMMA_NEAR_ZERO, 0.0)])
+    def test_matches_closed_form_at_the_bounded_edge(self, gamma):
+        p = TailParams(k=5, m=40, gamma=float(gamma), threshold=2.0, scale=1.5)
+        mean = value_at_risk(p, 0.05) - 1.0
+        got = semideviation_by_quadrature(p, 0.05, mean)
+        assert got == pytest.approx(extremal_semideviation(p, 0.05, mean), rel=1e-8)
 
 
 class TestTailApproximationError:

@@ -9,12 +9,12 @@ import evtrisk
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.optimize and scipy.integrate are only needed by code that
-    # imports them on use (the quadrature oracle); loading the package
-    # must not pay for them.
+    # scipy is only needed by code that imports it on use (the Student-t
+    # CDF and quantile, the Gumbel ground truth, the quadrature oracle);
+    # loading the package must not pay for it.
     code = ("import sys, evtrisk\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate')"
-            " if m in sys.modules))")
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

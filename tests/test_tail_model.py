@@ -1,5 +1,6 @@
 """Tests for the GPD tail model and its closed-form risk functionals."""
 
+import dataclasses
 import math
 import warnings
 
@@ -18,9 +19,18 @@ from evtrisk import (
     tail_quantile,
     value_at_risk,
 )
+from evtrisk.tail_model import GAMMA_NEAR_ZERO
 from helpers import exact_pareto2_params, random_params
 
 LN10 = math.log(10.0)
+EPS = np.finfo(float).eps
+# The negative near-zero edge: bounded at and below it, unbounded one ulp
+# toward zero.
+BOUNDED_EDGE = (np.nextafter(-GAMMA_NEAR_ZERO, -1.0), -GAMMA_NEAR_ZERO)
+UNBOUNDED_EDGE = np.nextafter(-GAMMA_NEAR_ZERO, 0.0)
+# Shapes within four ulp of +-GAMMA_NEAR_ZERO.
+NEAR_ZERO_SHAPES = [float(g + i * np.spacing(g))
+                    for g in (GAMMA_NEAR_ZERO, -GAMMA_NEAR_ZERO) for i in range(-4, 5)]
 
 
 class TestGpdSurvival:
@@ -46,6 +56,36 @@ class TestGpdSurvival:
             gpd_survival(0.5, -0.1)
         with pytest.raises(ValueError):
             gpd_survival(-0.5, 2.0)  # domain is [0, 2)
+
+
+class TestNearZeroEdge:
+    """Support, survival domain and CDF agree on which shapes are bounded."""
+
+    @staticmethod
+    def params(gamma):
+        return TailParams(k=2, m=20, gamma=float(gamma), threshold=0.0, scale=1.0)
+
+    @pytest.mark.parametrize("gamma", BOUNDED_EDGE)
+    def test_bounded_side(self, gamma):
+        upper = -1.0 / gamma
+        assert self.params(gamma).support.upper == upper
+        with pytest.raises(ValueError, match="survival domain"):
+            gpd_survival(gamma, 2e10)
+        assert gpd_survival(gamma, np.nextafter(upper, 0.0)) == 0.0
+        for z in (np.nextafter(upper, 0.0), upper, 2e10):
+            assert tail_cdf(self.params(gamma), z) == 1.0
+
+    def test_unbounded_side(self):
+        assert math.isinf(self.params(UNBOUNDED_EDGE).support.upper)
+        assert gpd_survival(UNBOUNDED_EDGE, 2e10) == 0.0
+        assert tail_cdf(self.params(UNBOUNDED_EDGE), 2e10) == 1.0
+
+    @pytest.mark.parametrize("gamma", (*BOUNDED_EDGE, UNBOUNDED_EDGE))
+    def test_either_side_is_finite_and_exponential(self, gamma):
+        z = np.linspace(0.0, 30.0, 7)
+        np.testing.assert_allclose(gpd_survival(gamma, z), np.exp(-z), rtol=1e-7)
+        f = tail_cdf(self.params(gamma), np.array([0.0, 30.0, 1e9, 1e10, 2e10, np.inf]))
+        assert np.all((f >= 0.9) & (f <= 1.0))
 
 
 class TestTailParamsValidation:
@@ -139,6 +179,47 @@ class TestTailQuantile:
             u = rng.uniform(1.0 - p.tail_fraction + 1e-6, 1.0 - 1e-9, size=20)
             z = tail_quantile(p, u)
             np.testing.assert_allclose(tail_cdf(p, z), u, rtol=0.0, atol=1e-11)
+
+
+class TestRoundTrip:
+    """``tail_cdf`` and ``tail_quantile`` invert each other on the tail
+    branch, to within what the density's conditioning allows."""
+
+    @staticmethod
+    def sweep(seed):
+        rng = np.random.default_rng(seed)
+        params = [random_params(rng) for _ in range(300)]
+        params += [dataclasses.replace(random_params(rng), gamma=g) for g in NEAR_ZERO_SHAPES]
+        return rng, params
+
+    @staticmethod
+    def density(p, u):
+        # Tail density at the level u: (k/m)/scale * r**(1 + gamma), with
+        # r = (1 - u)/(k/m) the survival ratio.
+        return p.tail_fraction / p.scale * ((1.0 - u) / p.tail_fraction) ** (1.0 + p.gamma)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cdf_of_quantile(self, seed):
+        # Rounding x costs about eps*|x| in x, so f(x)*eps*|x| in level;
+        # near a finite endpoint with shape < -1 the density diverges.
+        rng, params = self.sweep(seed)
+        for p in params:
+            u = rng.uniform(1.0 - p.tail_fraction, 1.0 - 1e-9 * p.tail_fraction, 50)
+            x = tail_quantile(p, u)
+            bound = 8.0 * EPS * (1.0 + np.abs(x) * self.density(p, u))
+            assert np.all(np.abs(tail_cdf(p, x) - u) <= bound), p
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_quantile_of_cdf(self, seed):
+        # A level is rounded to about eps, which moves x by eps/f(x).
+        rng, params = self.sweep(seed)
+        for p in params:
+            hi = min(p.support.upper, p.threshold + 30.0 * p.scale)
+            x = rng.uniform(p.threshold, hi, 50)
+            u = tail_cdf(p, x)
+            x, u = x[u < 1.0], u[u < 1.0]
+            bound = 8.0 * EPS * (np.abs(x) + 1.0 / self.density(p, u))
+            assert np.all(np.abs(tail_quantile(p, u) - x) <= bound), p
 
 
 class TestValueAtRisk:
