@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DISTRIBUTIONS, Distribution, get_distribution
+from .distributions import Distribution, get_distribution
 from .estimators import AssumptionChecks, estimate_rows, monte_carlo_semideviation
 from .fitting import THRESHOLD_QUANTILE, min_sample_size
 from .rng import RandomStream, derive_seed, derive_seeds
@@ -51,11 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.distributions:
             raise ValueError("at least one distribution is required")
-        for name in self.distributions:
-            if name not in DISTRIBUTIONS:
-                valid = ", ".join(sorted(DISTRIBUTIONS))
-                raise ValueError(f"unknown distribution {name!r}; valid names: {valid}")
-        object.__setattr__(self, "distributions", tuple(self.distributions))
+        object.__setattr__(self, "distributions",
+                           tuple(get_distribution(n).name for n in self.distributions))
         if not self.m_values:
             raise ValueError("at least one sample size is required")
         least = min_sample_size(THRESHOLD_QUANTILE)
@@ -218,6 +214,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSum
     if workers <= 1:
         summaries = [_run_cell(cell) for cell in cells]
     else:
+        # Imported here: it loads multiprocessing, which a single-process
+        # run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_cell, cells))
     return sorted(summaries, key=lambda s: (s.dist, s.m))

@@ -43,12 +43,20 @@ class InputDataset:
     parse_warnings: tuple[str, ...] = ()
 
 
-def _parse_number(token: str) -> float | None:
+def _read_lines(path: str, unit: str) -> list[str]:
+    """The lines of a UTF-8 text file.
+
+    A byte sequence that is not UTF-8 raises a ``ValueError`` naming the
+    file and the ``unit`` (``"row"`` or ``"line"``) it is on.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        value = float(token)
-    except ValueError:
-        return None
-    return value
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        number = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}: {unit} {number}: not UTF-8 text "
+                         f"(byte {data[exc.start]:#04x})") from None
 
 
 def load_csv(path: str) -> InputDataset:
@@ -56,25 +64,23 @@ def load_csv(path: str) -> InputDataset:
 
     A single leading header row is skipped automatically when its first
     token is not numeric.  Parsing uses the C locale's decimal point
-    regardless of platform settings.  Any non-numeric row after the header
-    raises a descriptive error naming the row.
+    regardless of platform settings.  Any non-numeric row after the header,
+    or text that is not UTF-8, raises a descriptive error naming the row.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-
     values: list[float] = []
     warnings: list[str] = []
-    for row_number, line in enumerate(lines, start=1):
+    for row_number, line in enumerate(_read_lines(path, "row"), start=1):
         token = line.split(",")[0].strip()
         if not token:
             warnings.append(f"row {row_number}: blank line skipped")
             continue
-        number = _parse_number(token)
-        if number is None:
+        try:
+            number = float(token)
+        except ValueError:
             if row_number == 1 and not values:
                 warnings.append(f"row 1: header {token!r} skipped")
                 continue
-            raise ValueError(f"{path}: row {row_number}: not a number: {token!r}")
+            raise ValueError(f"{path}: row {row_number}: not a number: {token!r}") from None
         if not np.isfinite(number):
             raise ValueError(f"{path}: row {row_number}: non-finite value {token!r}")
         values.append(number)
@@ -102,6 +108,17 @@ def _parse_m_values(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Config key -> parser of its value text; a parser raises ValueError.
+_CONFIG_KEYS = {
+    "distributions": lambda text: tuple(v.strip() for v in text.split(",") if v.strip()),
+    "m_values": _parse_m_values,
+    "trials": int,
+    "alpha": float,
+    "master_seed": int,
+    "ground_truth_mode": str,
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse a benchmark config file of ``key = value`` lines.
 
@@ -109,35 +126,31 @@ def load_config(path: str) -> ExperimentConfig:
     ``distributions`` (comma-separated names), ``m_values`` (``20..99``
     ranges and/or comma lists), ``trials``, ``alpha``, ``master_seed``,
     ``ground_truth_mode``.  Lines starting with ``#`` and blank lines are
-    ignored.  Unknown keys are an error.
+    ignored.  Unknown keys are an error.  Every error names the file; one
+    that a single line causes (text that is not UTF-8, a malformed line,
+    an unknown key, a value that does not parse) also names the line.
     """
     fields: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for row_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {row_number}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "distributions":
-                fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key == "m_values":
-                fields[key] = _parse_m_values(value)
-            elif key == "trials":
-                fields[key] = int(value)
-            elif key == "alpha":
-                fields[key] = float(value)
-            elif key == "master_seed":
-                fields[key] = int(value)
-            elif key == "ground_truth_mode":
-                fields[key] = value
-            else:
-                raise ValueError(f"{path}: line {row_number}: unknown config key {key!r}")
+    for row_number, raw in enumerate(_read_lines(path, "line"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {row_number}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: line {row_number}: unknown config key {key!r}")
+        try:
+            fields[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {row_number}: {key}: {exc}") from None
     if "distributions" not in fields:
         raise ValueError(f"{path}: missing required key 'distributions'")
-    return ExperimentConfig(**fields)
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def format_float(x: float) -> str:

@@ -122,12 +122,6 @@ class Distribution:
         u = uniform(self._words_per_value * int(n))
         return self._quantile(u) if self._transform is None else self._transform(u)
 
-    def value_at_risk(self, alpha: float) -> float:
-        """The (1 - alpha)-quantile: the cost exceeded with probability alpha."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        return self.quantile(1.0 - alpha)
-
     def extremal_semideviation(self, alpha: float) -> float:
         """Exact expected exceedance above the mean in the worst alpha fraction.
 

@@ -31,6 +31,7 @@ from .fitting import (
     _ceil_scaled,
     _fit_error,
     _per_group,
+    _tie_warnings,
     fit_rows,
 )
 from .rng import RandomStream
@@ -210,7 +211,7 @@ def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
         rho_evt=float(est.rho_evt) if est.evt_valid else None,
         assumptions=AssumptionChecks(alpha_lt_k_over_m=bool(est.alpha_ok),
                                      var_ge_mean=bool(est.evt_valid)),
-        warnings=("tied-threshold",) if fits.tied else (),
+        warnings=_tie_warnings(values, fits.threshold),
     )
 
 

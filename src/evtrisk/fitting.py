@@ -192,36 +192,32 @@ class RowFits(NamedTuple):
 
     ``failed`` marks the rows whose fit is not usable: fewer than 2
     exceedances (``gamma`` and ``scale`` are NaN there), or a scale that
-    is not positive and finite or a shape that is not below 1.  ``tied``
-    flags rows where more than one value equals the threshold.
+    is not positive and finite or a shape that is not below 1.
     """
 
     threshold: np.ndarray
     k: np.ndarray
     gamma: np.ndarray
     scale: np.ndarray
-    tied: np.ndarray
     failed: np.ndarray
 
 
 def _threshold_rule(ordered: np.ndarray, q: float):
-    """Threshold, exceedance count and tie flag along the last axis.
+    """Threshold and exceedance count along the last axis.
 
     The threshold of an ascending sample of size ``m`` is its order
     statistic ``ceil(q * m)`` (1-based), and ``k`` counts the values
     strictly above it.
     """
-    m = ordered.shape[-1]
-    idx = _ceil_scaled(q * m)
+    idx = _ceil_scaled(q * ordered.shape[-1])
     threshold = ordered[..., idx - 1]
     k = np.add.reduce(ordered > threshold[..., None], axis=-1)
-    # In an ascending sample the values equal to the threshold are one run
-    # around index idx - 1; it is longer than one if it reaches past
-    # either neighbour.
-    tied = k < m - idx
-    if idx >= 2:
-        tied = tied | (ordered[..., idx - 2] == threshold)
-    return threshold, k, tied
+    return threshold, k
+
+
+def _tie_warnings(values: np.ndarray, threshold) -> tuple[str, ...]:
+    """``("tied-threshold",)`` if more than one value equals the threshold."""
+    return ("tied-threshold",) if np.count_nonzero(values == threshold) > 1 else ()
 
 
 def fit_rows(ordered: np.ndarray) -> RowFits:
@@ -234,7 +230,7 @@ def fit_rows(ordered: np.ndarray) -> RowFits:
     return _fit_above(ordered, *_threshold_rule(ordered, THRESHOLD_QUANTILE))
 
 
-def _fit_above(ordered, threshold, k, tied) -> RowFits:
+def _fit_above(ordered, threshold, k) -> RowFits:
     """Moment fit of the top ``k`` values of each row above its threshold.
 
     Ties make ``k`` differ between rows, so the moments are computed per
@@ -252,8 +248,7 @@ def _fit_above(ordered, threshold, k, tied) -> RowFits:
 
     gamma, scale = _per_group(k, fit_group)
     failed = ~((scale > 0.0) & (scale < np.inf) & (gamma < 1.0))
-    return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, tied=tied,
-                   failed=failed)
+    return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, failed=failed)
 
 
 def sort_and_summarize(data) -> SortedSample:
@@ -290,7 +285,7 @@ def select_threshold(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> tup
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    threshold, k, _ = _threshold_rule(sample.values, q)
+    threshold, k = _threshold_rule(sample.values, q)
     if k < 2:
         raise _fit_error(sample.m, int(k), q=q)
     return float(threshold), int(k)
@@ -308,10 +303,9 @@ def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
         raise ValueError(f"exceedance count {k} must be in [0, m) for a sample of m = {m}")
     if not np.all(sample.values[m - k:] > threshold):
         raise ValueError("the top n_exceed values must exceed the threshold strictly")
-    tied = np.count_nonzero(sample.values == threshold) > 1
-    fits = _fit_above(sample.values, np.float64(threshold), np.int64(k), tied)
+    fits = _fit_above(sample.values, np.float64(threshold), np.int64(k))
     if fits.failed:
         raise _fit_error(m, k, float(fits.gamma), float(fits.scale), q=None)
     params = TailParams(k=k, m=m, gamma=float(fits.gamma), threshold=threshold,
                         scale=float(fits.scale))
-    return FitReport(params=params, warnings=("tied-threshold",) if tied else ())
+    return FitReport(params=params, warnings=_tie_warnings(sample.values, threshold))

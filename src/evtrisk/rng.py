@@ -111,30 +111,17 @@ def _to_unit(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniforms paired along the (even) last axis."""
-    radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    angle = (2.0 * np.pi) * u[..., 1::2]
-    out = np.empty(u.shape)
-    cos, sin = out[..., 0::2], out[..., 1::2]
-    np.cos(angle, out=cos)
-    cos *= radius
-    np.sin(angle, out=sin)
-    sin *= radius
-    return out
-
-
 def uniform_rows(seeds, n: int) -> np.ndarray:
     """Row ``i`` holds ``RandomStream(seeds[i]).uniform(n)``."""
     return _to_unit(_counter_words(seeds, 0, n))
 
 
 class RandomStream:
-    """A forkable stream of pseudo-random numbers.
+    """A stream of pseudo-random numbers.
 
     A stream is a value: its entire output is determined by ``(seed,
     counter)``.  Methods advance the counter; nothing else is mutated, so
-    per-task streams (via :meth:`spawn` or :func:`derive_seed`) can be used
+    per-task streams (seeded by :func:`derive_seed`) can be used
     concurrently without coordination.
 
     Parameters
@@ -176,20 +163,3 @@ class RandomStream:
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1)."""
         return _to_unit(self.words(n))
-
-    def normal(self, n: int) -> np.ndarray:
-        """Next ``n`` i.i.d. standard normal draws via Box-Muller.
-
-        Consumes ``2 * ceil(n / 2)`` words: normals are produced in pairs
-        from consecutive uniforms and the spare draw of an odd request is
-        discarded.  Requests for even counts are therefore splice-exact,
-        like :meth:`uniform`: ``normal(a)`` then ``normal(b)`` with ``a``
-        even returns the values and leaves the counter of one
-        ``normal(a + b)``, because no pair straddles the cut.  An odd
-        ``a`` is not: its spare draw is lost.
-        """
-        return _box_muller(self.uniform(2 * ((n + 1) // 2)))[:n]
-
-    def spawn(self, *key: int | str) -> "RandomStream":
-        """A statistically independent child stream identified by ``key``."""
-        return RandomStream(derive_seed(self._seed, "spawn", *key))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface, file parsing, and output formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no numeric values"):
             load_csv(str(path))
 
+    def test_invalid_utf8_names_file_and_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"volume\n1.0\n2\xff\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(str(path))
+        assert str(info.value).startswith(f"{path}: row 3: not UTF-8")
+
 
 class TestLoadConfig:
     def test_full_config(self, tmp_path):
@@ -85,6 +93,104 @@ class TestLoadConfig:
         path.write_text("trials = 5\n")
         with pytest.raises(ValueError, match="distributions"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("line", ["trials = abc", "alpha = x", "master_seed = 1.5",
+                                      "m_values = 20..x"])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, line):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"# grid\ndistributions = pareto2\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ValueError) as info:
+            load_config(str(path))
+        assert str(info.value).startswith(f"{path}: line 3: {key}: ")
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_bytes(b"distributions = pareto2\n# caf\xe9\n")
+        with pytest.raises(ValueError) as info:
+            load_config(str(path))
+        assert str(info.value).startswith(f"{path}: line 2: not UTF-8")
+
+    def test_rejected_config_names_file(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = pareto2\ntrials = 0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: trials must be >= 1"):
+            load_config(str(path))
+
+    def test_distribution_names_are_case_insensitive(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = Pareto2, GUMBEL\n")
+        assert load_config(str(path)).distributions == ("pareto2", "gumbel")
+
+
+class TestLoaderFuzz:
+    """Seeded byte strings either parse or raise a ValueError naming the file
+    and, for a fault of one row or line, that row or line."""
+
+    TOKENS = [*b"0123456789", b".", b"e", b"-", b",", b"=", b"#", b"..", b" ", b"\n",
+              *b"abxyz", b"\x00", b"\xff"]
+    KEYS = [b"distributions", b"m_values", b"trials", b"alpha", b"master_seed",
+            b"ground_truth_mode"]
+    VALID = (b"distributions = pareto2, gumbel\nm_values = 20..22, 30\ntrials = 5\n"
+             b"alpha = 0.05\nmaster_seed = 3\nground_truth_mode = analytic\n")
+
+    @classmethod
+    def noise(cls, rng, most):
+        return b"".join(bytes([t]) if isinstance(t, int) else t
+                        for t in rng.choice(np.array(cls.TOKENS, dtype=object),
+                                            int(rng.integers(0, most + 1))))
+
+    @classmethod
+    def config_bytes(cls, rng):
+        # A valid config with one value replaced, a line of noise added, or
+        # both; values stay short, so an m_values range cannot ask for a
+        # grid of millions of sizes.
+        lines = cls.VALID.splitlines(keepends=True)
+        i = int(rng.integers(len(lines)))
+        if rng.random() < 0.8:
+            key = cls.KEYS[int(rng.integers(len(cls.KEYS)))]
+            lines[i] = key + b" = " + cls.noise(rng, 4) + b"\n"
+        if rng.random() < 0.5:
+            lines.insert(int(rng.integers(len(lines) + 1)), cls.noise(rng, 12) + b"\n")
+        return b"".join(lines)
+
+    @staticmethod
+    def error(load, path, data):
+        """None if ``data`` parses, else the error text after the file name."""
+        path.write_bytes(data)
+        try:
+            load(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), (data, str(exc))
+            return str(exc)[len(f"{path}: "):]
+        return None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_load_csv(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        errors = []
+        for _ in range(300):
+            data = b"\n".join(self.noise(rng, 6) for _ in range(int(rng.integers(1, 6))))
+            errors.append(self.error(load_csv, tmp_path / "data.csv", data))
+        failed = [e for e in errors if e is not None]
+        # Only an input without a single number fails as a whole.
+        assert all(re.match(r"row \d+: ", e) or e == "no numeric values found"
+                   for e in failed), failed
+        assert 0 < len(failed) < len(errors)
+        assert any("not UTF-8" in e for e in failed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_load_config(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        errors = [self.error(load_config, tmp_path / "bench.cfg", self.config_bytes(rng))
+                  for _ in range(300)]
+        by_line = [e for e in errors if e is not None and re.match(r"line \d+: ", e)]
+        # The rest either parsed or are faults of the whole config: lines
+        # that each parse, but no distributions or values ExperimentConfig
+        # rejects.  All three outcomes occur.
+        whole = [e for e in errors if e is not None and e not in by_line]
+        assert by_line and whole and None in errors
+        assert any("not UTF-8" in e for e in by_line)
 
 
 class TestFloatFormat:

@@ -6,12 +6,13 @@ import pytest
 from evtrisk import (
     FitError,
     RandomStream,
+    evt_estimate,
     get_distribution,
     pwm_fit,
     select_threshold,
     sort_and_summarize,
 )
-from evtrisk.fitting import fit_rows, min_sample_size
+from evtrisk.fitting import _tie_warnings, fit_rows, min_sample_size
 
 
 class TestSortAndSummarize:
@@ -114,7 +115,8 @@ class TestFitRows:
         assert fits.threshold.tolist() == [27.0, 27.0, 27.0, 4.0, 27.0]
         assert fits.k.tolist() == [3, 2, 1, 0, 3]
         assert fits.failed.tolist() == [False, False, True, True, False]
-        assert fits.tied.tolist() == [False, True, True, True, True]
+        assert [_tie_warnings(row, t) for row, t in zip(self.matrix(), fits.threshold)] \
+            == [()] + 4 * [("tied-threshold",)]
         assert np.isnan(fits.gamma[fits.failed]).all()
         assert np.isnan(fits.scale[fits.failed]).all()
 
@@ -132,7 +134,18 @@ class TestFitRows:
             assert (threshold, k) == (fits.threshold[i], fits.k[i])
             assert report.params.gamma == fits.gamma[i]
             assert report.params.scale == fits.scale[i]
-            assert ("tied-threshold" in report.warnings) == fits.tied[i]
+            assert ("tied-threshold" in report.warnings) == (i in (1, 4))
+
+    def test_evt_estimate_warns_on_tied_rows_only(self):
+        warned = []
+        for i, row in enumerate(self.matrix()):
+            try:
+                report = evt_estimate(row, 0.01)
+            except FitError:
+                continue
+            if "tied-threshold" in report.warnings:
+                warned.append(i)
+        assert warned == [1, 4]
 
 
 class TestPwmFit:

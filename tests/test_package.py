@@ -10,11 +10,14 @@ import evtrisk
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy is only needed by code that imports it on use (the Student-t
-    # CDF and quantile, the Gumbel ground truth, the quadrature oracle);
-    # loading the package must not pay for it.
+    # CDF and quantile, the Gumbel ground truth, the quadrature oracle),
+    # and the process pool, which pulls in multiprocessing, only by a
+    # benchmark run with more than one worker; loading the package must
+    # pay for neither.
     code = ("import sys, evtrisk\n"
             "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))")
+            " if m.split('.')[0] in ('scipy', 'multiprocessing')"
+            " or m == 'concurrent.futures.process'))")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -81,23 +81,6 @@ class TestUniform:
         assert ks < 0.015  # 1.36/sqrt(n) is ~0.0096 at the 5% level
 
 
-class TestNormal:
-    def test_moments(self):
-        z = RandomStream(44).normal(200_000)
-        assert abs(z.mean()) < 0.01
-        assert abs(z.std() - 1.0) < 0.01
-        assert abs(np.mean(z ** 3)) < 0.03
-
-    def test_odd_request_length(self):
-        z = RandomStream(45).normal(7)
-        assert z.shape == (7,)
-
-    def test_word_consumption(self):
-        stream = RandomStream(46)
-        stream.normal(7)
-        assert stream.counter == 8  # 4 Box-Muller pairs
-
-
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(1, "x", 2) == derive_seed(1, "x", 2)
@@ -107,14 +90,6 @@ class TestSeedDerivation:
 
     def test_part_types_do_not_collide(self):
         assert derive_seed("12") != derive_seed(12)
-
-    def test_spawn_independence(self):
-        parent = RandomStream(10)
-        child_a = parent.spawn("a")
-        child_b = parent.spawn("b")
-        assert child_a.seed != child_b.seed
-        assert child_a.seed != parent.seed
-        assert not np.array_equal(child_a.words(8), child_b.words(8))
 
 
 class TestBatchedStreams:
