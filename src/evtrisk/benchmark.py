@@ -2,23 +2,25 @@
 
 For every (distribution, sample size) cell in a configured grid, the
 harness draws many independent small samples, runs both estimators on
-each, and summarizes the signed errors against the exact (or Monte Carlo)
-value of the target functional.  Per-trial seeds are derived by hashing
-``(master_seed, distribution, m, trial_index)``, so the output is a pure
-function of the configuration: execution order, threading, and process
-count cannot change a single bit of it.
+each, and summarizes the signed errors against the exact value of the
+target functional, which every benchmark law has in closed form.
+Per-trial seeds are derived by hashing ``(master_seed, distribution, m,
+trial_index)``, so the output is a pure function of the configuration:
+execution order, threading, process count and the environment cannot
+change a single bit of it.
 """
 
 from __future__ import annotations
 
+import operator
 import os
-import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Distribution, get_distribution
-from .estimators import AssumptionChecks, estimate_rows, monte_carlo_semideviation
+from .estimators import AssumptionChecks, estimate_rows
 from .fitting import THRESHOLD_QUANTILE, min_sample_size
 from .rng import RandomStream, derive_seed, derive_seeds
 
@@ -27,17 +29,15 @@ DEFAULT_TRIALS = 2_000
 # Trials per kernel call: bounds the (trials x m) working set of a cell
 # (Student-t draws six uniforms per value) without changing any result.
 _CHUNK_TRIALS = 2_048
-_MODE_PATTERN = re.compile(r"^monte_carlo\((\d+)\)$")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Benchmark grid definition.
 
-    ``ground_truth_mode`` is either ``"analytic"`` (exact closed forms) or
-    ``"monte_carlo(N)"`` with N the oracle sample count, e.g.
-    ``"monte_carlo(4000000)"``.  ``trials`` defaults to a desk-scale 2,000;
-    raise it to 10,000 to match full-scale runs.
+    Sizes are integers (``operator.index``), and a sample size may appear
+    only once.  ``trials`` defaults to a desk-scale 2,000; raise it to
+    10,000 to match full-scale runs.
     """
 
     distributions: tuple[str, ...]
@@ -45,43 +45,40 @@ class ExperimentConfig:
     trials: int = DEFAULT_TRIALS
     alpha: float = 0.01
     master_seed: int = 1729
-    ground_truth_mode: str = "analytic"
 
     def __post_init__(self):
         if not self.distributions:
             raise ValueError("at least one distribution is required")
         object.__setattr__(self, "distributions",
                            tuple(get_distribution(n).name for n in self.distributions))
-        if not self.m_values:
+        m_values = tuple(_integer("m_values", m) for m in self.m_values)
+        if not m_values:
             raise ValueError("at least one sample size is required")
+        repeated = [m for m, count in Counter(m_values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"m_values: sample size {repeated[0]} is repeated")
         least = min_sample_size(THRESHOLD_QUANTILE)
-        if any(m < least for m in self.m_values):
+        if min(m_values) < least:
             raise ValueError(
                 f"all sample sizes must be >= {least}: below that the "
                 f"{THRESHOLD_QUANTILE:g}-quantile threshold leaves fewer than 2 "
                 "exceedances, so every tail fit would fail"
             )
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        parse_ground_truth_mode(self.ground_truth_mode)
 
 
-def parse_ground_truth_mode(mode: str) -> tuple[str, int | None]:
-    """Split a mode string into ('analytic', None) or ('monte_carlo', n)."""
-    if mode == "analytic":
-        return "analytic", None
-    match = _MODE_PATTERN.match(mode)
-    if match:
-        n = int(match.group(1))
-        if n < 10_000:
-            raise ValueError("monte_carlo ground truth needs at least 10^4 samples")
-        return "monte_carlo", n
-    raise ValueError(
-        f"ground_truth_mode must be 'analytic' or 'monte_carlo(N)', got {mode!r}"
-    )
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a ``ValueError`` naming it if it is not
+    an integer (so 20.5 is never truncated to 20)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -127,13 +124,8 @@ def trial_seed(master_seed: int, dist_name: str, m: int, trial_index: int) -> in
 
 
 def ground_truth_value(config: ExperimentConfig, dist: Distribution) -> float:
-    """Target value for one distribution under the configured mode."""
-    kind, n = parse_ground_truth_mode(config.ground_truth_mode)
-    if kind == "analytic":
-        return dist.extremal_semideviation(config.alpha)
-    stream = RandomStream(derive_seed(config.master_seed, "ground-truth", dist.name))
-    estimate, _ = monte_carlo_semideviation(dist, config.alpha, n, stream)
-    return estimate
+    """The exact target value the errors of ``dist``'s cells are taken against."""
+    return dist.extremal_semideviation(config.alpha)
 
 
 def run_trial(dist: Distribution, m: int, alpha: float, seed: int,

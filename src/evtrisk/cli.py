@@ -7,17 +7,15 @@ Subcommands::
     evtrisk oracle    --dist pareto2 --alpha 0.01 --samples 4000000 --seed 1
 
 The benchmark config file is line-oriented ``key = value`` text; see
-:func:`load_config`.  Setting the environment variable ``EVTRISK_SEED``
-overrides the master seed from the config file and the oracle's default
-seed (an explicit ``--seed`` flag still wins).
+:func:`load_config`.  A run's inputs are its arguments and files alone:
+the master seed comes only from the config and the oracle's seed only from
+``--seed`` (default 1), so no environment variable changes any output.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -29,7 +27,6 @@ from .estimators import evt_estimate, monte_carlo_semideviation
 from .fitting import FitError
 from .rng import RandomStream
 
-SEED_ENV_VAR = "EVTRISK_SEED"
 CSV_HEADER = ("dist,m,trials,evt_valid_fraction,mean_err_typical,"
               "q25_typ,q75_typ,mean_err_evt,q25_evt,q75_evt")
 
@@ -90,19 +87,25 @@ def load_csv(path: str) -> InputDataset:
                         parse_warnings=tuple(warnings))
 
 
+# Most sample sizes one m_values line may list: over 1,000 times the
+# paper grid's 80, and checked before a range is expanded, so a typo such
+# as 20..999999999 fails at once instead of allocating gigabytes.
+_MAX_M_VALUES = 100_000
+
+
 def _parse_m_values(text: str) -> tuple[int, ...]:
     """Parse '20..99' ranges and '20,30,40' lists (mixable)."""
     out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if ".." in token:
-            lo_text, hi_text = token.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty range {token!r}")
-            out.extend(range(lo, hi + 1))
-        elif token:
-            out.append(int(token))
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        lo_text, dots, hi_text = token.partition("..")
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        if hi < lo:
+            raise ValueError(f"empty range {token!r}")
+        count = len(out) + hi - lo + 1
+        if count > _MAX_M_VALUES:
+            raise ValueError(f"{token!r} brings the sample sizes to {count:,}, "
+                             f"more than {_MAX_M_VALUES:,}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no sample sizes in {text!r}")
     return tuple(out)
@@ -115,7 +118,6 @@ _CONFIG_KEYS = {
     "trials": int,
     "alpha": float,
     "master_seed": int,
-    "ground_truth_mode": str,
 }
 
 
@@ -124,13 +126,15 @@ def load_config(path: str) -> ExperimentConfig:
 
     Recognized keys (matching :class:`ExperimentConfig` fields):
     ``distributions`` (comma-separated names), ``m_values`` (``20..99``
-    ranges and/or comma lists), ``trials``, ``alpha``, ``master_seed``,
-    ``ground_truth_mode``.  Lines starting with ``#`` and blank lines are
-    ignored.  Unknown keys are an error.  Every error names the file; one
-    that a single line causes (text that is not UTF-8, a malformed line,
-    an unknown key, a value that does not parse) also names the line.
+    ranges and/or comma lists), ``trials``, ``alpha``, ``master_seed``.
+    Lines starting with ``#`` and blank lines are ignored.  Unknown and
+    repeated keys are errors.  Every error names the file; one that a
+    single line causes (text that is not UTF-8, a malformed line, an
+    unknown or repeated key, a value that does not parse) also names the
+    line.
     """
     fields: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for row_number, raw in enumerate(_read_lines(path, "line"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -141,6 +145,10 @@ def load_config(path: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}: line {row_number}: unknown config key {key!r}")
+        if key in line_of:
+            raise ValueError(f"{path}: line {row_number}: {key}: "
+                             f"repeats line {line_of[key]}")
+        line_of[key] = row_number
         try:
             fields[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
@@ -202,13 +210,6 @@ def _report_to_json(report, warnings_extra=()) -> dict:
     }
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    return int(raw)
-
-
 def _cmd_estimate(args) -> int:
     dataset = load_csv(args.input)
     report = evt_estimate(dataset.values, alpha=args.alpha)
@@ -218,30 +219,20 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = load_config(args.config)
-    env_seed = _env_seed()
-    if env_seed is not None:
-        config = dataclasses.replace(config, master_seed=env_seed)
-    summaries = run_experiment(config, workers=args.workers)
+    summaries = run_experiment(load_config(args.config), workers=args.workers)
     write_summaries_csv(summaries, args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     dist = get_distribution(args.dist)
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 1
-    stream = RandomStream(seed)
-    estimate, std_error = monte_carlo_semideviation(dist, args.alpha,
-                                                    args.samples, stream)
+    estimate, std_error = monte_carlo_semideviation(dist, args.alpha, args.samples,
+                                                    RandomStream(args.seed))
     payload = {
         "dist": dist.name,
         "alpha": args.alpha,
         "samples": args.samples,
-        "seed": seed,
+        "seed": args.seed,
         "estimate": estimate,
         "std_error": std_error,
         "analytic": dist.extremal_semideviation(args.alpha),
@@ -255,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evtrisk",
         description="Small-sample extremal upper-semideviation estimation "
                     "and benchmarking.",
-        epilog=f"Environment: {SEED_ENV_VAR} overrides the benchmark master "
-               "seed and the oracle's default seed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -277,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--dist", required=True, help="benchmark distribution name")
     orc.add_argument("--alpha", type=float, default=0.01)
     orc.add_argument("--samples", type=int, default=4_000_000)
-    orc.add_argument("--seed", type=int, default=None)
+    orc.add_argument("--seed", type=int, default=1)
     orc.set_defaults(func=_cmd_oracle)
     return parser
 

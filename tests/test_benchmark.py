@@ -1,8 +1,8 @@
 """Tests for the benchmark harness: determinism, grid shape, summaries."""
 
 import concurrent.futures
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from evtrisk import (
     trial_seed,
     typical_semideviation,
 )
-from evtrisk.benchmark import parse_ground_truth_mode
 from evtrisk.cli import summary_row
 from evtrisk.estimators import estimate_rows
 
@@ -40,7 +39,6 @@ class TestConfigValidation:
         assert cfg.m_values == tuple(range(20, 100))
         assert cfg.trials == 2_000
         assert cfg.alpha == 0.01
-        assert cfg.ground_truth_mode == "analytic"
 
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError, match="valid names"):
@@ -66,16 +64,24 @@ class TestConfigValidation:
         cfg = ExperimentConfig(distributions=("uniform01",), m_values=(20,), trials=5)
         assert cfg.m_values == (20,)
 
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(distributions=("pareto2",),
-                             ground_truth_mode="exact")
+    @pytest.mark.parametrize("field, value, message", [
+        ("m_values", (20.5,), "m_values: 20.5 is not an integer"),
+        ("m_values", (20, 25.0), "m_values: 25.0 is not an integer"),
+        ("m_values", ("30",), "m_values: '30' is not an integer"),
+        ("trials", 2.5, "trials: 2.5 is not an integer"),
+        ("m_values", (20, 30, 20), "m_values: sample size 20 is repeated"),
+    ])
+    def test_rejects_sizes_that_are_not_distinct_integers(self, field, value, message):
+        # 20.5 used to run as m = 20, trials = 2.5 to fail inside numpy,
+        # and a repeated m to write two identical rows.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
 
-    def test_mode_parsing(self):
-        assert parse_ground_truth_mode("analytic") == ("analytic", None)
-        assert parse_ground_truth_mode("monte_carlo(4000000)") == ("monte_carlo", 4_000_000)
-        with pytest.raises(ValueError):
-            parse_ground_truth_mode("monte_carlo()")
+    def test_integer_like_sizes_become_ints(self):
+        cfg = small_config(m_values=(np.int64(20), np.int32(25)), trials=np.int64(12))
+        assert cfg.m_values == (20, 25) and cfg.trials == 12
+        assert all(type(v) is int for v in (*cfg.m_values, cfg.trials))
+        assert run_experiment(cfg) == run_experiment(small_config())
 
 
 class TestGroundTruth:
@@ -83,15 +89,6 @@ class TestGroundTruth:
         cfg = small_config()
         dist = get_distribution("uniform01")
         assert ground_truth_value(cfg, dist) == dist.extremal_semideviation(0.01)
-
-    def test_monte_carlo_mode(self):
-        cfg = small_config(ground_truth_mode="monte_carlo(50000)")
-        dist = get_distribution("exponential1")
-        got = ground_truth_value(cfg, dist)
-        want = dist.extremal_semideviation(0.01)
-        assert got == pytest.approx(want, rel=0.25)
-        # deterministic in the master seed
-        assert ground_truth_value(cfg, dist) == got
 
 
 class TestRunTrial:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from evtrisk import load_config, load_csv, synthetic_overflow_path
-from evtrisk.cli import CSV_HEADER, SEED_ENV_VAR, format_float, main
+from evtrisk.cli import CSV_HEADER, format_float, main
+from helpers import run_python
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,16 @@ class TestLoadCsv:
 
 
 class TestLoadConfig:
+    # Prints the error of load_config(argv[1]) and the seconds it took.
+    TIMED_LOAD = ("import sys, time\n"
+                  "from evtrisk import load_config\n"
+                  "start = time.perf_counter()\n"
+                  "try:\n"
+                  "    load_config(sys.argv[1])\n"
+                  "except ValueError as exc:\n"
+                  "    print(exc)\n"
+                  "print(time.perf_counter() - start)\n")
+
     def test_full_config(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text(
@@ -72,7 +83,6 @@ class TestLoadConfig:
             "trials = 50\n"
             "alpha = 0.02\n"
             "master_seed = 99\n"
-            "ground_truth_mode = monte_carlo(50000)\n"
         )
         cfg = load_config(str(path))
         assert cfg.distributions == ("pareto2", "gumbel")
@@ -80,12 +90,47 @@ class TestLoadConfig:
         assert cfg.trials == 50
         assert cfg.alpha == 0.02
         assert cfg.master_seed == 99
-        assert cfg.ground_truth_mode == "monte_carlo(50000)"
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("distributions = pareto2\nworkers = 2\n")
         with pytest.raises(ValueError, match="workers"):
+            load_config(str(path))
+
+    def test_ground_truth_mode_is_an_unknown_key(self, tmp_path):
+        # Ground truth is always the exact value; the key that chose a Monte
+        # Carlo estimate instead is gone, not ignored.
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = pareto2\nground_truth_mode = analytic\n")
+        with pytest.raises(ValueError) as info:
+            load_config(str(path))
+        assert str(info.value) == f"{path}: line 2: unknown config key 'ground_truth_mode'"
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = pareto2\ntrials = 5\n# more\ntrials = 6\n")
+        with pytest.raises(ValueError) as info:
+            load_config(str(path))
+        assert str(info.value) == f"{path}: line 4: trials: repeats line 2"
+
+    def test_huge_m_values_range_fails_before_expanding(self, tmp_path):
+        # In a child capped at 1 GiB: a loader that expanded the range
+        # first would run out of memory there rather than on the machine.
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = pareto2\nm_values = 20..999999999\n")
+        proc = run_python("-c", self.TIMED_LOAD, str(path), address_space=2**30)
+        assert proc.returncode == 0, proc.stderr
+        error, seconds = proc.stdout.splitlines()
+        assert error == (f"{path}: line 2: m_values: '20..999999999' brings "
+                         "the sample sizes to 999,999,980, more than 100,000")
+        assert float(seconds) < 1.0
+
+    def test_m_values_bound_counts_the_whole_line(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = pareto2\nm_values = 20..100019\n")
+        assert len(load_config(str(path)).m_values) == 100_000
+        path.write_text("distributions = pareto2\nm_values = 20..100019, 200000\n")
+        with pytest.raises(ValueError, match="'200000' brings the sample sizes to 100,001"):
             load_config(str(path))
 
     def test_missing_distributions(self, tmp_path):
@@ -129,10 +174,9 @@ class TestLoaderFuzz:
 
     TOKENS = [*b"0123456789", b".", b"e", b"-", b",", b"=", b"#", b"..", b" ", b"\n",
               *b"abxyz", b"\x00", b"\xff"]
-    KEYS = [b"distributions", b"m_values", b"trials", b"alpha", b"master_seed",
-            b"ground_truth_mode"]
+    KEYS = [b"distributions", b"m_values", b"trials", b"alpha", b"master_seed"]
     VALID = (b"distributions = pareto2, gumbel\nm_values = 20..22, 30\ntrials = 5\n"
-             b"alpha = 0.05\nmaster_seed = 3\nground_truth_mode = analytic\n")
+             b"alpha = 0.05\nmaster_seed = 3\n")
 
     @classmethod
     def noise(cls, rng, most):
@@ -143,8 +187,8 @@ class TestLoaderFuzz:
     @classmethod
     def config_bytes(cls, rng):
         # A valid config with one value replaced, a line of noise added, or
-        # both; values stay short, so an m_values range cannot ask for a
-        # grid of millions of sizes.
+        # both; values stay short (four tokens), so an m_values range
+        # lists at most 100 sizes and each load is quick.
         lines = cls.VALID.splitlines(keepends=True)
         i = int(rng.integers(len(lines)))
         if rng.random() < 0.8:
@@ -268,14 +312,17 @@ class TestBenchmarkCommand:
                 "--workers", "2")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
+    def test_environment_does_not_change_output(self, tmp_path, capsys, monkeypatch):
+        # The master seed comes from the config alone: EVTRISK_SEED once
+        # overrode it.
         cfg = tmp_path / "b.cfg"
         cfg.write_text(self.CONFIG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        monkeypatch.delenv("EVTRISK_SEED", raising=False)
         run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out1))
-        monkeypatch.setenv(SEED_ENV_VAR, "999")
+        monkeypatch.setenv("EVTRISK_SEED", "999")
         run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out2))
-        assert out1.read_bytes() != out2.read_bytes()
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestOracleCommand:
@@ -288,6 +335,14 @@ class TestOracleCommand:
         assert payload["analytic"] == pytest.approx(0.046051702, abs=1e-9)
         assert abs(payload["estimate"] - payload["analytic"]) <= \
             4.0 * payload["std_error"]
+
+    def test_seed_defaults_to_one_whatever_the_environment(self, capsys, monkeypatch):
+        argv = ("oracle", "--dist", "gumbel", "--samples", "20000")
+        monkeypatch.setenv("EVTRISK_SEED", "999")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["seed"] == 1
+        assert out == run_cli(capsys, *argv, "--seed", "1")[1]
 
     def test_unknown_name_lists_valid(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--dist", "pareto3",

@@ -1,11 +1,9 @@
 """Tests of the package as a whole: what importing it costs, how it runs."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import numpy
+import pytest
 
-import evtrisk
+from helpers import run_python
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
@@ -18,22 +16,49 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('scipy', 'multiprocessing')"
             " or m == 'concurrent.futures.process'))")
-    proc = _run_python("-c", code)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
-    proc = _run_python("-W", "error", "-m", "evtrisk", "--help")
+    proc = run_python("-W", "error", "-m", "evtrisk", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "usage: evtrisk" in proc.stdout
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports this checkout's package."""
-    src = str(Path(evtrisk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+class TestSimdDispatch:
+    """The benchmark CSV does not depend on which SIMD kernels numpy
+    dispatches to.  This is a claim about one machine: it compares its
+    AVX-512 kernels with its next level down, not different CPUs."""
+
+    # Prints the CSV of a 6-law x m {20, 57, 99} x 300-trial grid after
+    # checking that every CPU feature named on the command line is off.
+    CHILD = """
+import sys, numpy, evtrisk
+from evtrisk.cli import CSV_HEADER, summary_row
+umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
+still_on = [f for f in sys.argv[1:] if umath.__cpu_features__[f]]
+assert not still_on, still_on
+cfg = evtrisk.ExperimentConfig(distributions=sorted(evtrisk.DISTRIBUTIONS),
+                               m_values=(20, 57, 99), trials=300, master_seed=11)
+print("\\n".join([CSV_HEADER, *map(summary_row, evtrisk.run_experiment(cfg))]))
+"""
+
+    def test_csv_bytes_without_avx512_kernels(self):
+        # numpy's runtime CPU tables (numpy 1.x keeps them under numpy.core).
+        umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
+        # Only dispatch targets can be switched off; numpy refuses the rest.
+        targets = [t for t in umath.__cpu_dispatch__
+                   if umath.__cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]
+        if not targets:
+            pytest.skip("numpy dispatches no AVX-512 kernels on this CPU, "
+                        "so there is no lower level to compare with")
+        default = run_python("-W", "error", "-c", self.CHILD, NPY_DISABLE_CPU_FEATURES="")
+        lowered = run_python("-W", "error", "-c", self.CHILD, *targets,
+                              NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        assert default.returncode == 0, default.stderr
+        assert lowered.returncode == 0, lowered.stderr
+        assert default.stdout.count("\n") == 19        # header and 18 cells
+        assert lowered.stdout == default.stdout
