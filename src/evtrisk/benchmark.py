@@ -12,6 +12,7 @@ change a single bit of it.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections import Counter
@@ -27,7 +28,8 @@ from .rng import RandomStream, derive_seed, derive_seeds
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
 # Trials per kernel call: bounds the (trials x m) working set of a cell
-# (Student-t draws six uniforms per value) without changing any result.
+# (Student-t hashes four words per value into four planes) without
+# changing any result.
 _CHUNK_TRIALS = 2_048
 
 
@@ -35,9 +37,10 @@ _CHUNK_TRIALS = 2_048
 class ExperimentConfig:
     """Benchmark grid definition.
 
-    Sizes are integers (``operator.index``), and a sample size may appear
-    only once.  ``trials`` defaults to a desk-scale 2,000; raise it to
-    10,000 to match full-scale runs.
+    Sizes and ``master_seed`` are integers (``operator.index``); a sample
+    size may appear only once, and the seed lies in ``[0, 2**64)``, so no
+    two seeds fold to the same trial streams.  ``trials`` defaults to a
+    desk-scale 2,000; raise it to 10,000 to match full-scale runs.
     """
 
     distributions: tuple[str, ...]
@@ -70,6 +73,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        seed = _integer("master_seed", self.master_seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed: {seed} is outside [0, 2**64)")
+        object.__setattr__(self, "master_seed", seed)
 
 
 def _integer(name: str, value) -> int:
@@ -99,11 +106,14 @@ class TrialRecord:
 class SeriesSummary:
     """Error statistics for one (distribution, m) cell.
 
-    The q25/q75 fields are empirical quartiles of the per-trial errors
-    (linear interpolation between order statistics); together they give the
-    50% band around the mean error curve.  EVT statistics are computed only
-    over trials whose assumption checks held, with the retained fraction
-    reported as ``evt_valid_fraction``; they are NaN if no trial was valid.
+    The q25/q75 fields are empirical quartiles of the per-trial errors by
+    numpy's default ``linear`` rule (Hyndman and Fan's type 7: position
+    ``q (n - 1)`` in the sorted errors, interpolated between its two
+    neighbours), equal bit for bit to ``np.quantile``; together they give
+    the 50% band around the mean error curve.  EVT statistics are computed
+    only over trials whose assumption checks held, with the retained
+    fraction reported as ``evt_valid_fraction``; they are NaN if no trial
+    was valid.
     """
 
     dist: str
@@ -151,27 +161,53 @@ def run_trial(dist: Distribution, m: int, alpha: float, seed: int,
     )
 
 
+def _quartiles(errors: np.ndarray) -> tuple[float, float]:
+    """``np.quantile(errors, [0.25, 0.75])`` bit for bit, from one partition.
+
+    numpy's ``linear`` rule: at ``pos = q (n - 1)``, with ``lo =
+    floor(pos)`` and ``t = pos - lo``, the neighbours ``a = s[lo]`` and
+    ``b = s[lo + 1]`` of the ordered errors ``s`` give ``a + (b - a) t``,
+    or ``b - (b - a) (1 - t)`` when ``t >= 0.5``.  ``s`` is partitioned at
+    the pivots ``np.quantile`` uses, not sorted: -0.0 and 0.0 compare
+    equal, and only the same partition puts the same zero at ``lo``.  A
+    NaN lands last and makes both quartiles NaN, as in numpy.
+    """
+    last = errors.size - 1
+    pos = (0.25 * last, 0.75 * last)
+    # At n = 1 numpy takes index -1 for both neighbours and t = pos + 1.
+    lo = [min(math.floor(p), last - 1) for p in pos]
+    s = np.partition(errors, sorted({0, -1, *lo, *(i + 1 for i in lo)}))
+    if math.isnan(s[-1]):
+        return math.nan, math.nan
+    out = []
+    for p, i in zip(pos, lo):
+        t = p - i
+        a, b = float(s[i]), float(s[i + 1])
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out[0], out[1]
+
+
 def _summarize(dist: str, m: int, err_typical: np.ndarray,
                err_evt: np.ndarray) -> SeriesSummary:
     """Cell statistics from the typical errors of every trial and the EVT
     errors of the trials whose assumption checks held."""
-    q25_t, q75_t = np.quantile(err_typical, [0.25, 0.75])
+    q25_t, q75_t = _quartiles(err_typical)
     if err_evt.size:
         mean_e = float(err_evt.mean())
-        q25_e, q75_e = np.quantile(err_evt, [0.25, 0.75])
+        q25_e, q75_e = _quartiles(err_evt)
     else:
-        mean_e = q25_e = q75_e = float("nan")
+        mean_e = q25_e = q75_e = math.nan
     return SeriesSummary(
         dist=dist,
         m=m,
         trials_completed=err_typical.size,
         evt_valid_fraction=err_evt.size / err_typical.size,
         mean_err_typical=float(err_typical.mean()),
-        q25_typical=float(q25_t),
-        q75_typical=float(q75_t),
+        q25_typical=q25_t,
+        q75_typical=q75_t,
         mean_err_evt=mean_e,
-        q25_evt=float(q25_e),
-        q75_evt=float(q75_e),
+        q25_evt=q25_e,
+        q75_evt=q75_e,
     )
 
 

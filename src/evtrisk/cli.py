@@ -130,8 +130,9 @@ def load_config(path: str) -> ExperimentConfig:
     Lines starting with ``#`` and blank lines are ignored.  Unknown and
     repeated keys are errors.  Every error names the file; one that a
     single line causes (text that is not UTF-8, a malformed line, an
-    unknown or repeated key, a value that does not parse) also names the
-    line.
+    unknown or repeated key, a value that does not parse or that
+    :class:`ExperimentConfig` rejects under that key's name) also names
+    the line.
     """
     fields: dict[str, object] = {}
     line_of: dict[str, int] = {}
@@ -158,7 +159,10 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        # An error that names one key ("master_seed: ...") names its line.
+        key = str(exc).partition(":")[0]
+        where = f"line {line_of[key]}: " if key in line_of else ""
+        raise ValueError(f"{path}: {where}{exc}") from None
 
 
 def format_float(x: float) -> str:

@@ -20,11 +20,12 @@ estimator benchmark is scored against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .rng import RandomStream, uniform_rows
+from .rng import RandomStream, uniform_planes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -33,7 +34,7 @@ EULER_GAMMA = float(np.euler_gamma)
 _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
 # Values per block of a large sample: small enough that a block's words
-# stay in cache.  Student-t reads six uniforms per value and uses four;
+# stay in cache.  Student-t counts six words per value and hashes four;
 # blocks are whole values, so its groups never straddle a cut.
 _SAMPLE_BLOCK = 8192
 
@@ -64,10 +65,13 @@ class Distribution:
     # through it.
     _quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _tail_semidev: Callable[[float], float] = field(repr=False)
-    # Set for a law not sampled through ``_quantile``: ``_transform`` maps
-    # the last axis, ``_words_per_value`` uniforms per value, to values of
-    # the law; works on any leading shape.
+    # A value takes ``_words_per_value`` words of the stream, of which the
+    # uniforms at ``_word_offsets`` are drawn, one contiguous plane each.
+    # A law sampled through ``_quantile`` uses the one plane of offset 0;
+    # otherwise ``_transform`` maps the planes (stacked on the first axis,
+    # any shape after it) to values of the law.
     _words_per_value: int = field(default=1, repr=False)
+    _word_offsets: tuple[int, ...] = field(default=(0,), repr=False)
     _transform: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def cdf(self, z):
@@ -87,24 +91,26 @@ class Distribution:
     def sample(self, n: int, stream: RandomStream) -> np.ndarray:
         """Draw ``n`` i.i.d. values using ``stream``.
 
-        All laws except Student-t use the inverse-CDF transform of open-
-        interval uniforms; Student-t(5) reads six uniforms per value, four
-        used, and forms Z over the root of a scaled chi-square with 5 d.o.f.
-        (see ``_t5_from_uniforms``).
+        All laws except Student-t use the inverse-CDF transform of one
+        open-interval uniform per value.  Student-t(5) takes six words of
+        the stream per value but hashes only the four it reads (offsets 0,
+        1, 2 and 4), and forms Z over the root of a scaled chi-square with
+        5 d.o.f. (see ``_t5_from_uniforms``).  The stream's counter
+        advances by six words per value all the same.
 
         A sample larger than one block is filled in blocks of
         ``_SAMPLE_BLOCK`` values, so no intermediate array grows with
-        ``n``.  The blocks splice exactly: uniforms are splice-equivalent,
-        and blocks are whole values, so a Student-t group of six uniforms
-        never straddles a cut.  The values and the stream's counter are
-        those of one pass.
+        ``n``.  The blocks splice exactly: every word is a function of its
+        counter alone, and blocks are whole values, so a Student-t group
+        of six words never straddles a cut.  The values and the stream's
+        counter are those of one pass.
         """
         if n <= _SAMPLE_BLOCK:
-            return self._draw(n, stream.uniform)
+            return self._draw(n, stream.uniform_planes)
         out = np.empty(int(n))
         for start in range(0, out.size, _SAMPLE_BLOCK):
             block = out[start:start + _SAMPLE_BLOCK]
-            block[...] = self._draw(block.size, stream.uniform)
+            block[...] = self._draw(block.size, stream.uniform_planes)
         return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:
@@ -114,13 +120,15 @@ class Distribution:
         based stream makes every row a pure function of its seed, so a
         whole batch is drawn with one array pass.
         """
-        return self._draw(n, lambda size: uniform_rows(seeds, size))
+        return self._draw(n, partial(uniform_planes, seeds, 0))
 
-    def _draw(self, n, uniform) -> np.ndarray:
+    def _draw(self, n, planes) -> np.ndarray:
+        """``n`` values from ``planes(n, stride, offsets)``, a fetch of
+        this law's uniform planes from a stream or from rows of seeds."""
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        u = uniform(self._words_per_value * int(n))
-        return self._quantile(u) if self._transform is None else self._transform(u)
+        u = planes(int(n), self._words_per_value, self._word_offsets)
+        return self._quantile(u[0]) if self._transform is None else self._transform(u)
 
     def extremal_semideviation(self, alpha: float) -> float:
         """Exact expected exceedance above the mean in the worst alpha fraction.
@@ -171,16 +179,16 @@ def _t5_quantile(p):
 
 
 def _t5_from_uniforms(u):
-    # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from six
-    # consecutive uniforms per value.  Box-Muller would turn the pairs
-    # (u0, u1), (u2, u3), (u4, u5) into six normals z0..z5; the squares of
-    # a pair sum to -2 log of its first uniform (cos^2 + sin^2 = 1), so
-    # only z0 and z1 need trig, and u3 and u5 are drawn but unused.
-    u = u.reshape(*u.shape[:-1], -1, 6)
-    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
-    angle = (2.0 * np.pi) * u[..., 1]
+    # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from a
+    # group of six uniforms w0..w5 per value.  Box-Muller would turn the
+    # pairs (w0, w1), (w2, w3), (w4, w5) into six normals z0..z5; the
+    # squares of a pair sum to -2 log of its first uniform (cos^2 + sin^2
+    # = 1), so only z0 and z1 need trig, and w3 and w5 are never hashed.
+    # ``u`` holds the planes of w0, w1, w2 and w4.
+    radius = np.sqrt(-2.0 * np.log(u[0]))
+    angle = (2.0 * np.pi) * u[1]
     z1 = np.sin(angle) * radius
-    chi2_5 = z1 * z1 - 2.0 * np.log(u[..., 2]) - 2.0 * np.log(u[..., 4])
+    chi2_5 = z1 * z1 - 2.0 * np.log(u[2]) - 2.0 * np.log(u[3])
     return np.cos(angle) * radius / np.sqrt(chi2_5 / 5.0)
 
 
@@ -262,6 +270,7 @@ TSTUDENT5 = Distribution(
     _quantile=_t5_quantile,
     _tail_semidev=_t5_tail_semidev,
     _words_per_value=6,
+    _word_offsets=(0, 1, 2, 4),
     _transform=_t5_from_uniforms,
 )
 

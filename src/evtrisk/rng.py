@@ -93,27 +93,38 @@ def derive_seeds(prefix: tuple, indices) -> np.ndarray:
     return _mix64_array(h ^ np.asarray(indices, dtype=np.uint64))
 
 
-def _counter_words(seeds, start: int, n: int) -> np.ndarray:
-    """Words ``start + 1 .. start + n`` of the stream of each seed.
+def _counter_words(seeds, first: int, n: int, stride: int = 1) -> np.ndarray:
+    """Words ``first, first + stride, ...`` (``n`` of them, 0-based) of the
+    stream of each seed.
 
     ``seeds`` is a uint64 scalar or array; the result has shape
     ``np.shape(seeds) + (n,)``.
     """
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    return _mix64_array(np.asarray(seeds, dtype=np.uint64)[..., None] + idx * _U64_GOLDEN)
+    idx = np.arange(first + 1, first + 1 + stride * n, stride, dtype=np.uint64)
+    idx *= _U64_GOLDEN
+    return _mix64_array(np.asarray(seeds, dtype=np.uint64)[..., None] + idx)
 
 
-def _to_unit(words: np.ndarray) -> np.ndarray:
-    """Open-interval uniforms from the top 53 bits of each word."""
-    u = (words >> _SHIFT_11).astype(np.float64)
-    u += 0.5
-    u *= _TO_UNIT
-    return u
+def uniform_planes(seeds, start: int, n: int, stride: int = 1,
+                   offsets: tuple[int, ...] = (0,)) -> np.ndarray:
+    """Uniforms of ``n`` groups of ``stride`` words from word ``start`` on,
+    keeping the words at ``offsets`` within each group.
 
-
-def uniform_rows(seeds, n: int) -> np.ndarray:
-    """Row ``i`` holds ``RandomStream(seeds[i]).uniform(n)``."""
-    return _to_unit(_counter_words(seeds, 0, n))
+    Plane ``j`` of seed ``s`` holds, at ``v``, element ``stride * v +
+    offsets[j]`` of ``RandomStream(s, start).uniform(stride * n)``; the
+    shape is ``(len(offsets),) + np.shape(seeds) + (n,)``, so every plane
+    is contiguous.  Words at other offsets are never hashed.  A uniform is
+    the top 53 bits of its word, offset by half an ulp.
+    """
+    out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
+    for plane, offset in zip(out, offsets):
+        # One plane at a time, so the hash's temporaries stay a plane in size.
+        words = _counter_words(seeds, start + offset, n, stride)
+        words >>= _SHIFT_11
+        plane[...] = words
+        plane += 0.5
+        plane *= _TO_UNIT
+    return out
 
 
 class RandomStream:
@@ -162,4 +173,15 @@ class RandomStream:
 
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1)."""
-        return _to_unit(self.words(n))
+        return self.uniform_planes(n)[0]
+
+    def uniform_planes(self, n: int, stride: int = 1,
+                       offsets: tuple[int, ...] = (0,)) -> np.ndarray:
+        """The next ``n`` groups of ``stride`` uniforms as planes, one per
+        offset kept (see :func:`uniform_planes`); the counter advances by
+        ``stride * n`` whichever offsets are kept."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        u = uniform_planes(self._seed, self._counter, n, stride, offsets)
+        self._counter += stride * n
+        return u

@@ -1,8 +1,10 @@
 """Tests for the benchmark harness: determinism, grid shape, summaries."""
 
+import ast
 import concurrent.futures
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,25 @@ class TestConfigValidation:
         # and a repeated m to write two identical rows.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "master_seed: 2.5 is not an integer"),
+        ("7", "master_seed: '7' is not an integer"),
+        (-1, "master_seed: -1 is outside [0, 2**64)"),
+        (2**64, "master_seed: 18446744073709551616 is outside [0, 2**64)"),
+    ])
+    def test_rejects_master_seed_outside_uint64(self, seed, message):
+        # 2.5 used to run as seed 2, "7" to hash as a string, and -1 and
+        # 2**64 to alias the seeds 2**64 - 1 and 0.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(master_seed=seed)
+
+    def test_master_seed_bounds_and_integer_likes(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(33)):
+            cfg = small_config(master_seed=seed)
+            assert type(cfg.master_seed) is int and cfg.master_seed == int(seed)
+        assert run_experiment(small_config(master_seed=np.int64(33))) == run_experiment(
+            small_config())
 
     def test_integer_like_sizes_become_ints(self):
         cfg = small_config(m_values=(np.int64(20), np.int32(25)), trials=np.int64(12))
@@ -155,6 +176,36 @@ class TestSummarize:
         assert s.q25_typical <= s.q75_typical
         assert s.q25_evt <= s.q75_evt
         assert 0.0 <= s.evt_valid_fraction <= 1.0
+
+
+class TestQuartiles:
+    """The cell quartiles from one partition equal ``np.quantile`` bit for bit."""
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(25)
+        for n in (*range(1, 601), 2_000, 10_000):
+            yield rng.normal(size=n)
+            yield rng.integers(-2, 3, size=n) * 0.1                   # heavy ties
+            yield rng.choice([0.0, -0.0, 1.5, -1.5], size=n)          # signed zeros
+            yield rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+
+    def test_bit_identical_to_np_quantile(self):
+        for errors in self.arrays():
+            got = np.array(benchmark._quartiles(errors))
+            want = np.quantile(errors, [0.25, 0.75])
+            assert got.tobytes() == want.tobytes(), (errors.size, got, want)
+
+    def test_src_makes_no_np_quantile_call(self):
+        calls = []
+        for path in Path(benchmark.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("quantile", "percentile")
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in ("np", "numpy")):
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
 
 class TestRunExperiment:

@@ -133,6 +133,23 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="'200000' brings the sample sizes to 100,001"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("line, message", [
+        ("master_seed = -1", "master_seed: -1 is outside [0, 2**64)"),
+        ("master_seed = 18446744073709551616",
+         "master_seed: 18446744073709551616 is outside [0, 2**64)"),
+        ("m_values = 20, 30, 20", "m_values: sample size 20 is repeated"),
+    ])
+    def test_rejected_value_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"distributions = pareto2\n{line}\ntrials = 5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 2: {message}')}$"):
+            load_config(str(path))
+
+    def test_largest_master_seed_loads(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("distributions = pareto2\nmaster_seed = 18446744073709551615\n")
+        assert load_config(str(path)).master_seed == 2**64 - 1
+
     def test_missing_distributions(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("trials = 5\n")

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, get_distribution
 from evtrisk.distributions import _SAMPLE_BLOCK, _T5_COEF
+from evtrisk.rng import derive_seeds
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
 
@@ -194,9 +195,16 @@ class TestBlockedSampling:
 
     @staticmethod
     def one_pass(dist, n, stream):
-        if dist.name == "tstudent5":
-            return dist._transform(stream.uniform(6 * n))
-        return dist._quantile(stream.uniform(n))
+        if dist.name != "tstudent5":
+            return dist._quantile(stream.uniform(n))
+        # Six uniforms per value from one pass of the stream; the sampler's
+        # arithmetic on columns 0, 1, 2 and 4 (3 and 5 are counted, unused).
+        u = stream.uniform(6 * n).reshape(n, 6)
+        radius = np.sqrt(-2.0 * np.log(u[:, 0]))
+        angle = (2.0 * np.pi) * u[:, 1]
+        z1 = np.sin(angle) * radius
+        chi2_5 = z1 * z1 - 2.0 * np.log(u[:, 2]) - 2.0 * np.log(u[:, 4])
+        return np.cos(angle) * radius / np.sqrt(chi2_5 / 5.0)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     @pytest.mark.parametrize("n", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
@@ -208,6 +216,15 @@ class TestBlockedSampling:
             np.testing.assert_array_equal(dist.sample(n, blocked),
                                           self.one_pass(dist, n, whole))
             assert blocked.counter == whole.counter
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_rows_equal_one_pass(self, name):
+        dist = get_distribution(name)
+        seeds = derive_seeds((11, name), np.arange(300))
+        for m in (20, 57, 99):
+            rows = dist.sample_rows(seeds, m)
+            for seed, row in zip(seeds, rows):
+                np.testing.assert_array_equal(row, self.one_pass(dist, m, RandomStream(seed)))
 
 
 class TestTStudentConstruction:

@@ -7,7 +7,7 @@ same algorithm, and its statistical output against textbook properties.
 import numpy as np
 import pytest
 
-from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, uniform_rows
+from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, uniform_planes
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -102,11 +102,26 @@ class TestBatchedStreams:
         want = [derive_seed(1729, "gumbel", 35, t) for t in range(50)]
         assert [int(s) for s in got] == want
 
-    def test_uniform_rows(self):
-        rows = uniform_rows(self.SEEDS, 33)
-        assert rows.shape == (len(self.SEEDS), 33)
-        for seed, row in zip(self.SEEDS, rows):
+    def test_uniform_planes(self):
+        rows = uniform_planes(self.SEEDS, 0, 33)
+        assert rows.shape == (1, len(self.SEEDS), 33)
+        for seed, row in zip(self.SEEDS, rows[0]):
             np.testing.assert_array_equal(row, RandomStream(seed).uniform(33))
+        # Kept offsets of each group of six words, from word 4 on: one
+        # contiguous plane per offset.
+        planes = uniform_planes(self.SEEDS, 4, 33, 6, (0, 1, 2, 4))
+        assert planes.shape == (4, len(self.SEEDS), 33)
+        assert all(plane.flags.c_contiguous for plane in planes)
+        for seed, groups in zip(self.SEEDS, planes.transpose(1, 2, 0)):
+            want = RandomStream(seed, counter=4).uniform(6 * 33).reshape(33, 6)
+            np.testing.assert_array_equal(groups, want[:, [0, 1, 2, 4]])
+
+    def test_stream_planes_advance_by_whole_groups(self):
+        stream = RandomStream(5, counter=3)
+        planes = stream.uniform_planes(10, 6, (0, 4))
+        assert stream.counter == 63
+        np.testing.assert_array_equal(planes, uniform_planes(5, 3, 10, 6, (0, 4)))
+        np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=63).uniform(2))
 
 
 class TestValidation:
@@ -117,3 +132,5 @@ class TestValidation:
     def test_negative_count(self):
         with pytest.raises(ValueError):
             RandomStream(1).words(-1)
+        with pytest.raises(ValueError):
+            RandomStream(1).uniform_planes(-1, 6, (0,))
