@@ -13,24 +13,19 @@ change a single bit of it.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, get_distribution
+from .distributions import BLOCK, Distribution, _integer, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import THRESHOLD_QUANTILE, min_sample_size
 from .rng import RandomStream, derive_seed, derive_seeds
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
-# Trials per kernel call: bounds the (trials x m) working set of a cell
-# (Student-t hashes four words per value into four planes) without
-# changing any result.
-_CHUNK_TRIALS = 2_048
 
 
 @dataclass(frozen=True)
@@ -41,6 +36,12 @@ class ExperimentConfig:
     size may appear only once, and the seed lies in ``[0, 2**64)``, so no
     two seeds fold to the same trial streams.  ``trials`` defaults to a
     desk-scale 2,000; raise it to 10,000 to match full-scale runs.
+
+    A cell draws and fits ``max(1, BLOCK // m)`` trials per pass
+    (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials).
+    One row of ``m`` values is the floor, so a cell needs O(m) memory, and
+    ``m`` has no upper bound.  Each trial costs a fixed number of bytes,
+    which is why ``trials`` has no upper bound either.
     """
 
     distributions: tuple[str, ...]
@@ -68,24 +69,13 @@ class ExperimentConfig:
                 "exceedances, so every tail fit would fail"
             )
         object.__setattr__(self, "m_values", m_values)
-        object.__setattr__(self, "trials", _integer("trials", self.trials))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         seed = _integer("master_seed", self.master_seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"master_seed: {seed} is outside [0, 2**64)")
         object.__setattr__(self, "master_seed", seed)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; a ``ValueError`` naming it if it is not
-    an integer (so 20.5 is never truncated to 20)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}: {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -212,14 +202,16 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
 
 
 def _run_cell(args) -> SeriesSummary:
-    """Worker body: all trials of one (distribution, m) cell as array passes."""
+    """Worker body: all trials of one (distribution, m) cell as array passes
+    of ``BLOCK // m`` rows (at least one); the errors are concatenated in
+    trial order, so the pass size changes no bit."""
     config, dist_name, m, true_value = args
     dist = get_distribution(dist_name)
     seeds = derive_seeds((config.master_seed, dist_name, m), np.arange(config.trials))
+    rows = max(1, BLOCK // m)
     err_typ, err_evt = [], []
-    for start in range(0, config.trials, _CHUNK_TRIALS):
-        est = estimate_rows(dist.sample_rows(seeds[start:start + _CHUNK_TRIALS], m),
-                            config.alpha)
+    for start in range(0, config.trials, rows):
+        est = estimate_rows(dist.sample_rows(seeds[start:start + rows], m), config.alpha)
         err_typ.append(est.rho_typical - true_value)
         err_evt.append(est.rho_evt[est.evt_valid] - true_value)
     return _summarize(dist_name, m, np.concatenate(err_typ), np.concatenate(err_evt))

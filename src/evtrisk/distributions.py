@@ -19,6 +19,7 @@ estimator benchmark is scored against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -33,10 +34,25 @@ EULER_GAMMA = float(np.euler_gamma)
 # Gamma(3) / (sqrt(5*pi) * Gamma(5/2)) = 8 / (3*pi*sqrt(5)).
 _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
-# Values per block of a large sample: small enough that a block's words
-# stay in cache.  Student-t counts six words per value and hashes four;
-# blocks are whole values, so its groups never straddle a cut.
-_SAMPLE_BLOCK = 8192
+# Values per pass over draws, the one rule for every caller: a sample
+# fills blocks of ``BLOCK`` values, and a grid cell draws ``BLOCK // m``
+# rows of ``m`` (at least one) per pass, so a pass's words and
+# temporaries stay this size whatever ``n``, ``m`` or the trial count.
+# Student-t counts six words per value and hashes four; blocks are whole
+# values, so its groups never straddle a cut.
+BLOCK = 2**16
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; a ``ValueError`` naming it if it is not
+    an integer (so 20.5 is never truncated to 20) or is below ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,18 +114,16 @@ class Distribution:
         5 d.o.f. (see ``_t5_from_uniforms``).  The stream's counter
         advances by six words per value all the same.
 
-        A sample larger than one block is filled in blocks of
-        ``_SAMPLE_BLOCK`` values, so no intermediate array grows with
-        ``n``.  The blocks splice exactly: every word is a function of its
-        counter alone, and blocks are whole values, so a Student-t group
-        of six words never straddles a cut.  The values and the stream's
-        counter are those of one pass.
+        The sample is filled in blocks of ``BLOCK`` values, so no
+        intermediate array grows with ``n``.  The blocks splice exactly:
+        every word is a function of its counter alone, and blocks are whole
+        values, so a Student-t group of six words never straddles a cut.
+        The values and the stream's counter are those of one pass.  ``n``
+        must be an integer >= 1 (``operator.index``), else ``ValueError``.
         """
-        if n <= _SAMPLE_BLOCK:
-            return self._draw(n, stream.uniform_planes)
-        out = np.empty(int(n))
-        for start in range(0, out.size, _SAMPLE_BLOCK):
-            block = out[start:start + _SAMPLE_BLOCK]
+        out = np.empty(_integer("n", n, 1))
+        for start in range(0, out.size, BLOCK):
+            block = out[start:start + BLOCK]
             block[...] = self._draw(block.size, stream.uniform_planes)
         return out
 
@@ -118,16 +132,15 @@ class Distribution:
 
         Row ``i`` equals ``sample(n, RandomStream(seeds[i]))``: the counter-
         based stream makes every row a pure function of its seed, so a
-        whole batch is drawn with one array pass.
+        whole batch is drawn with one array pass.  ``n`` is checked as in
+        :meth:`sample`; callers bound the batch (see ``BLOCK``).
         """
-        return self._draw(n, partial(uniform_planes, seeds, 0))
+        return self._draw(_integer("n", n, 1), partial(uniform_planes, seeds, 0))
 
     def _draw(self, n, planes) -> np.ndarray:
         """``n`` values from ``planes(n, stride, offsets)``, a fetch of
         this law's uniform planes from a stream or from rows of seeds."""
-        if n < 1:
-            raise ValueError(f"sample size must be >= 1, got {n}")
-        u = planes(int(n), self._words_per_value, self._word_offsets)
+        u = planes(n, self._words_per_value, self._word_offsets)
         return self._quantile(u[0]) if self._transform is None else self._transform(u)
 
     def extremal_semideviation(self, alpha: float) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _integer
 from .fitting import (
     RowFits,
     SortedSample,
@@ -219,9 +219,10 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
                               stream: RandomStream) -> tuple[float, float]:
     """Monte Carlo ground truth for the extremal upper-semideviation.
 
-    Draws ``n`` samples, plugs in the empirical mean and the empirical
-    ``(1 - alpha)``-quantile of the same draw, and averages
-    ``max(y - mean, 0)`` over the samples at or above the quantile.
+    Draws ``n`` samples (an integer >= 10^4, else ``ValueError``), plugs
+    in the empirical mean and the empirical ``(1 - alpha)``-quantile of
+    the same draw, and averages ``max(y - mean, 0)`` over the samples at
+    or above the quantile.
 
     Returns
     -------
@@ -231,8 +232,7 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
         is large (or infinite at tail index 2), so treat the error bar as
         indicative rather than exact there.
     """
-    if n < 10_000:
-        raise ValueError(f"need at least 10^4 samples for the oracle, got {n}")
+    n = _integer("n", n, 10_000)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     y = dist.sample(n, stream)

@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from evtrisk import (
     typical_semideviation,
 )
 from evtrisk.cli import summary_row
+from evtrisk.distributions import BLOCK
 from evtrisk.estimators import estimate_rows
 
 
@@ -253,12 +255,15 @@ def reference_trial(values, alpha=0.01):
 
 
 class TestBatchKernel:
-    """A cell's one array pass against its batch-of-one views and a loop."""
+    """A cell's array passes against its batch-of-one views and a loop."""
 
-    @pytest.mark.parametrize("m", [20, 50, 99])
+    # (m, trials): one pass each, then passes of 32, 32 and 6 rows.
+    CELLS = [(20, 200), (50, 200), (99, 200), (2000, 70)]
+
+    @pytest.mark.parametrize("m, trials", CELLS, ids=[str(m) for m, _ in CELLS])
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-    def test_cell_matches_batch_of_one(self, name, m):
-        trials, alpha, seed = 200, 0.01, 11
+    def test_cell_matches_batch_of_one(self, name, m, trials):
+        alpha, seed = 0.01, 11
         cfg = ExperimentConfig(distributions=(name,), m_values=(m,), trials=trials,
                                master_seed=seed)
         dist = get_distribution(name)
@@ -327,6 +332,26 @@ class TestBatchKernel:
                                        est.rho_evt[est.evt_valid] - truth)
         assert summary.trials_completed == 5
         assert summary.evt_valid_fraction == 0.6
+
+
+class TestCellMemory:
+    """A cell draws BLOCK values per pass, so its peak does not grow with m."""
+
+    @pytest.mark.parametrize("m", [20, 1_000, 4_000])
+    def test_peak_bounded_by_block_and_trials(self, m):
+        trials = 300
+        cfg = ExperimentConfig(distributions=("tstudent5",), m_values=(m,), trials=trials)
+        # Imports scipy.special, which the traced cell must not count.
+        truth = ground_truth_value(cfg, get_distribution("tstudent5"))
+        tracemalloc.start()
+        try:
+            benchmark._run_cell((cfg, "tstudent5", m, truth))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 96 bytes a block value: four 8-byte planes plus the
+        # transform, sort and fit temporaries.
+        assert peak <= 128 * BLOCK + 64 * trials, peak / BLOCK
 
 
 class TestWorkerClamp:

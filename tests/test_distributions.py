@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, get_distribution
-from evtrisk.distributions import _SAMPLE_BLOCK, _T5_COEF
+from evtrisk.distributions import BLOCK, _T5_COEF
 from evtrisk.rng import derive_seeds
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
@@ -174,6 +174,23 @@ class TestSampling:
     def test_sample_size_validation(self):
         with pytest.raises(ValueError):
             get_distribution("gumbel").sample(0, RandomStream(1))
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            get_distribution("gumbel").sample_rows([1, 2], 0)
+
+    def test_sample_size_not_integer(self):
+        with pytest.raises(ValueError, match=r"^n: 2\.5 is not an integer$"):
+            get_distribution("pareto2").sample(2.5, RandomStream(1))
+
+    def test_sample_rows_size_not_integer(self):
+        with pytest.raises(ValueError, match=r"^n: 20\.0 is not an integer$"):
+            get_distribution("tstudent5").sample_rows([1, 2], 20.0)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_numpy_integer_size(self, name):
+        dist = get_distribution(name)
+        want = dist.sample(7, RandomStream(3))
+        np.testing.assert_array_equal(dist.sample(np.int64(7), RandomStream(3)), want)
+        np.testing.assert_array_equal(dist.sample_rows([3], np.int64(7))[0], want)
 
     def test_determinism(self):
         d = get_distribution("tstudent5")
@@ -207,8 +224,9 @@ class TestBlockedSampling:
         return np.cos(angle) * radius / np.sqrt(chi2_5 / 5.0)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
-    @pytest.mark.parametrize("n", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
-                                   3 * _SAMPLE_BLOCK + 5])
+    # Sizes inside one block, then around its cuts, ending with a short block.
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 24581,
+                                   BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_blocks_equal_one_pass(self, name, n):
         dist = get_distribution(name)
         for seed in (0, 2**64 - 1):

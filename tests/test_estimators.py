@@ -261,6 +261,16 @@ class TestMonteCarloOracle:
             monte_carlo_semideviation(get_distribution("gumbel"), 0.01, 999,
                                       RandomStream(1))
 
+    def test_sample_size_not_integer(self):
+        with pytest.raises(ValueError, match=r"^n: 10000\.7 is not an integer$"):
+            monte_carlo_semideviation(get_distribution("gumbel"), 0.01, 10000.7,
+                                      RandomStream(1))
+
+    def test_numpy_integer_sample_size(self):
+        dist = get_distribution("gumbel")
+        assert (monte_carlo_semideviation(dist, 0.01, np.int64(10_000), RandomStream(1))
+                == monte_carlo_semideviation(dist, 0.01, 10_000, RandomStream(1)))
+
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_peak_memory_about_two_arrays(self, name):
         # The draw is generated in blocks and the summand built in place,
