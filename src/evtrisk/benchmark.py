@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK, Distribution, _integer, get_distribution
+from .distributions import BLOCK, Distribution, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import THRESHOLD_QUANTILE, min_sample_size
-from .rng import RandomStream, derive_seed, derive_seeds
+from .rng import RandomStream, _integer, derive_seed, derive_seeds
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
@@ -207,11 +207,14 @@ def _run_cell(args) -> SeriesSummary:
     trial order, so the pass size changes no bit."""
     config, dist_name, m, true_value = args
     dist = get_distribution(dist_name)
-    seeds = derive_seeds((config.master_seed, dist_name, m), np.arange(config.trials))
+    prefix = (config.master_seed, dist_name, m)
     rows = max(1, BLOCK // m)
     err_typ, err_evt = [], []
     for start in range(0, config.trials, rows):
-        est = estimate_rows(dist.sample_rows(seeds[start:start + rows], m), config.alpha)
+        # A seed is a function of its trial index alone, so each pass
+        # derives only its own.
+        seeds = derive_seeds(prefix, np.arange(start, min(start + rows, config.trials)))
+        est = estimate_rows(dist.sample_rows(seeds, m), config.alpha)
         err_typ.append(est.rho_typical - true_value)
         err_evt.append(est.rho_evt[est.evt_valid] - true_value)
     return _summarize(dist_name, m, np.concatenate(err_typ), np.concatenate(err_evt))

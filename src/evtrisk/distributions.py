@@ -19,14 +19,13 @@ estimator benchmark is scored against.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .rng import RandomStream, uniform_planes
+from .rng import RandomStream, _integer, uniform_planes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -35,24 +34,13 @@ EULER_GAMMA = float(np.euler_gamma)
 _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
 # Values per pass over draws, the one rule for every caller: a sample
-# fills blocks of ``BLOCK`` values, and a grid cell draws ``BLOCK // m``
-# rows of ``m`` (at least one) per pass, so a pass's words and
-# temporaries stay this size whatever ``n``, ``m`` or the trial count.
+# fills blocks of ``BLOCK`` values, the Monte Carlo oracle streams them,
+# and a grid cell draws ``BLOCK // m`` rows of ``m`` (at least one) per
+# pass, so a pass's words and temporaries stay this size whatever ``n``,
+# ``m`` or the trial count.
 # Student-t counts six words per value and hashes four; blocks are whole
 # values, so its groups never straddle a cut.
 BLOCK = 2**16
-
-
-def _integer(name: str, value, least: int | None = None) -> int:
-    """``value`` as a Python int; a ``ValueError`` naming it if it is not
-    an integer (so 20.5 is never truncated to 20) or is below ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}: {value!r} is not an integer") from None
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution, _integer
+from .distributions import BLOCK, Distribution
 from .fitting import (
     RowFits,
     SortedSample,
@@ -34,7 +34,7 @@ from .fitting import (
     _tie_warnings,
     fit_rows,
 )
-from .rng import RandomStream
+from .rng import RandomStream, _integer
 from .tail_model import (
     GAMMA_NEAR_ZERO,
     AssumptionViolation,
@@ -220,9 +220,22 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     """Monte Carlo ground truth for the extremal upper-semideviation.
 
     Draws ``n`` samples (an integer >= 10^4, else ``ValueError``), plugs
-    in the empirical mean and the empirical ``(1 - alpha)``-quantile of
-    the same draw, and averages ``max(y - mean, 0)`` over the samples at
-    or above the quantile.
+    in the empirical mean and the empirical ``(1 - alpha)``-quantile ``v``
+    of the same draw, and averages ``max(y - mean, 0)`` over the samples
+    at or above ``v``.
+
+    The draw is one streaming pass of ``dist.sample`` blocks of at most
+    ``BLOCK`` values; blocks splice exactly, so the draws and the stream's
+    final counter are those of ``dist.sample(n, stream)``.  The summand is
+    zero below ``v``, the ``top``-th largest draw, so the pass keeps only
+    the running sum and the draws at or above a cut.  Whenever the kept
+    set reaches ``2 * top + BLOCK`` values, the cut rises to its
+    ``top``-th largest value and what falls below it is dropped.  That
+    value is the ``top``-th largest of a prefix of the draw, so the cut
+    never exceeds ``v``, and values equal to the cut are kept: every draw
+    at or above ``v``, ties at ``v`` included, survives to the end.
+    Memory is O(``BLOCK`` + ``alpha * n``) for a law without atoms; draws
+    tied at the cut are all kept, so an atom at ``v`` adds its count.
 
     Returns
     -------
@@ -235,20 +248,39 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     n = _integer("n", n, 10_000)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    y = dist.sample(n, stream)
-    mu = float(y.mean())
-    idx = _ceil_scaled((1.0 - alpha) * n)          # 1-based order statistic
-    v = float(np.partition(y, idx - 1)[idx - 1])
-    # The summand is built in place on y, so the peak holds about two
-    # arrays of n doubles (y and the partition copy, or y and std's
-    # deviations) plus the mask.
-    below = y < v
-    y -= mu
-    np.maximum(y, 0.0, out=y)
-    y[below] = 0.0
-    estimate = float(y.mean())
-    std_error = float(y.std(ddof=1) / np.sqrt(n))
-    return estimate, std_error
+    top = n - _ceil_scaled((1.0 - alpha) * n) + 1   # v is the top-th largest
+    total, cut, size = 0.0, -np.inf, 0
+    kept = np.empty(min(n, 2 * top + 2 * BLOCK))
+    for start in range(0, n, BLOCK):
+        y = dist.sample(min(BLOCK, n - start), stream)
+        total += np.add.reduce(y)
+        y = y[y >= cut]
+        if size + y.size > kept.size:       # only with ties at the cut
+            kept = np.resize(kept, 2 * (size + y.size))
+        kept[size:size + y.size] = y
+        size += y.size
+        if size >= 2 * top + BLOCK:
+            cut, size = _raise_cut(kept, size, top)
+    _, size = _raise_cut(kept, size, top)       # the cut is now v
+    s = kept[:size]
+    s -= total / n
+    np.maximum(s, 0.0, out=s)
+    # The summand is s on these draws and 0 on the other n - size.
+    estimate = np.add.reduce(s) / n
+    s -= estimate
+    variance = (np.add.reduce(s * s) + (n - size) * estimate**2) / (n - 1)
+    return float(estimate), float(np.sqrt(variance) / np.sqrt(n))
+
+
+def _raise_cut(kept: np.ndarray, size: int, top: int) -> tuple[float, int]:
+    """Move the values of ``kept[:size]`` at or above its ``top``-th
+    largest to the front, ties included; return that value and their count."""
+    live = kept[:size]
+    live.partition(size - top)
+    cut = live[size - top]
+    above = live[live >= cut]
+    kept[:above.size] = above
+    return cut, above.size
 
 
 def semideviation_by_quadrature(params: TailParams, alpha: float,

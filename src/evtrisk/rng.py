@@ -17,6 +17,8 @@ bits, offset by half an ulp so that results lie strictly inside (0, 1).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -34,6 +36,18 @@ _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 _TO_UNIT = 2.0 ** -53
+
+
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int; a ``ValueError`` naming it if it is not
+    an integer (so 20.5 is never truncated to 20) or is below ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -114,7 +128,9 @@ def uniform_planes(seeds, start: int, n: int, stride: int = 1,
     offsets[j]`` of ``RandomStream(s, start).uniform(stride * n)``; the
     shape is ``(len(offsets),) + np.shape(seeds) + (n,)``, so every plane
     is contiguous.  Words at other offsets are never hashed.  A uniform is
-    the top 53 bits of its word, offset by half an ulp.
+    the top 53 bits of its word, offset by half an ulp.  Nothing is
+    validated here: this is the grid's per-pass fetch, and its callers
+    pass sizes they have checked.
     """
     out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
     for plane, offset in zip(out, offsets):
@@ -140,16 +156,19 @@ class RandomStream:
     seed : int
         Any integer; reduced modulo 2**64.
     counter : int, optional
-        Word offset to resume from (default 0).
+        Word offset to resume from (default 0), an integer >= 0.
+
+    The seed, the counter and every size ``n`` are integers in the
+    ``operator.index`` sense: a float such as 2.5 raises ``ValueError``
+    naming the argument instead of being truncated or leaving a
+    fractional counter behind.
     """
 
     __slots__ = ("_seed", "_counter")
 
     def __init__(self, seed: int, counter: int = 0):
-        self._seed = int(seed) & _MASK64
-        if counter < 0:
-            raise ValueError("counter must be non-negative")
-        self._counter = int(counter)
+        self._seed = _integer("seed", seed) & _MASK64
+        self._counter = _integer("counter", counter, 0)
 
     @property
     def seed(self) -> int:
@@ -165,8 +184,7 @@ class RandomStream:
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = _integer("n", n, 0)
         words = _counter_words(self._seed, self._counter, n)
         self._counter += n
         return words
@@ -180,8 +198,7 @@ class RandomStream:
         """The next ``n`` groups of ``stride`` uniforms as planes, one per
         offset kept (see :func:`uniform_planes`); the counter advances by
         ``stride * n`` whichever offsets are kept."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = _integer("n", n, 0)
         u = uniform_planes(self._seed, self._counter, n, stride, offsets)
         self._counter += stride * n
         return u

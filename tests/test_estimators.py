@@ -26,7 +26,7 @@ from evtrisk import (
     typical_semideviation,
     value_at_risk,
 )
-from evtrisk.distributions import DISTRIBUTIONS
+from evtrisk.distributions import BLOCK, DISTRIBUTIONS, Distribution
 from evtrisk.estimators import estimate_rows
 from evtrisk.fitting import _ceil_scaled, fit_rows, pwm_fit, select_threshold
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
@@ -271,20 +271,68 @@ class TestMonteCarloOracle:
         assert (monte_carlo_semideviation(dist, 0.01, np.int64(10_000), RandomStream(1))
                 == monte_carlo_semideviation(dist, 0.01, 10_000, RandomStream(1)))
 
+    @staticmethod
+    def reference(dist, alpha, n, stream):
+        """The oracle's formula on the whole draw at once: the mean, the
+        empirical quantile by one partition, the ``y >= v`` mask and
+        ``std``."""
+        y = dist.sample(n, stream)
+        idx = _ceil_scaled((1.0 - alpha) * n)
+        v = np.partition(y, idx - 1)[idx - 1]
+        summand = np.where(y >= v, np.maximum(y - y.mean(), 0.0), 0.0)
+        return summand.mean(), summand.std(ddof=1) / np.sqrt(n), v, y
+
+    def assert_matches_reference(self, dist, alpha, n):
+        streamed, whole = RandomStream(9), RandomStream(9)
+        got = monte_carlo_semideviation(dist, alpha, n, streamed)
+        want = self.reference(dist, alpha, n, whole)
+        # The sums run block by block instead of pairwise over n, so only
+        # the last bits may move.
+        assert got == pytest.approx(want[:2], rel=1e-12, abs=0.0)
+        assert streamed.counter == whole.counter
+        return want
+
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-    def test_peak_memory_about_two_arrays(self, name):
-        # The draw is generated in blocks and the summand built in place,
-        # so the traced peak is about two arrays of n doubles plus a mask,
-        # whatever the law, however many words a value consumes.
-        n = 10**6
-        dist = get_distribution(name)
+    @pytest.mark.parametrize("n", [10**4, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5, 2 * 10**5])
+    @pytest.mark.parametrize("alpha", [0.01, 0.5])
+    def test_streaming_matches_whole_draw(self, name, n, alpha):
+        self.assert_matches_reference(get_distribution(name), alpha, n)
+
+    @pytest.mark.parametrize("levels", [2, 50])
+    @pytest.mark.parametrize("n", [10**4, 3 * BLOCK + 5, 10**6])
+    @pytest.mark.parametrize("alpha", [0.01, 0.5])
+    def test_ties_at_the_quantile_all_count(self, levels, n, alpha):
+        # Atoms 0, 1, ..., levels - 1 of equal mass, so hundreds of draws
+        # equal v (at 2 levels, half of them).  At alpha = 0.01 the cut
+        # lands on the atom at v, and at 2 levels and n = 10**6 its draws
+        # outgrow the kept set's first allocation.
+        steps = Distribution(name=f"steps{levels}", gamma_ref=-math.inf,
+                             right_endpoint=levels - 1.0, mean=(levels - 1) / 2,
+                             _cdf=None, _quantile=lambda p: np.floor(levels * p),
+                             _tail_semidev=None)
+        _, _, v, y = self.assert_matches_reference(steps, alpha, n)
+        top = n - _ceil_scaled((1.0 - alpha) * n) + 1
+        assert np.count_nonzero(y == v) > 100 and np.count_nonzero(y >= v) > top
+
+    @staticmethod
+    def traced_peak(dist, alpha, n):
         tracemalloc.start()
         try:
-            monte_carlo_semideviation(dist, 0.01, n, RandomStream(5))
-            _, peak = tracemalloc.get_traced_memory()
+            monte_carlo_semideviation(dist, alpha, n, RandomStream(5))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n, peak / (8 * n)
+
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+    def test_peak_memory_blocks_plus_tail(self, name):
+        # One block's draws and their words (Student-t: four planes plus
+        # its transform) and a kept set of at most 2 * (alpha * n + BLOCK)
+        # values; nothing grows with n itself.
+        dist = get_distribution(name)
+        peak = self.traced_peak(dist, 0.01, 10**6)
+        assert peak <= 20 * 8 * BLOCK + 4 * 8 * 0.01 * 10**6, peak / (8 * BLOCK)
+        # Ten times the draws at the same alpha * n: the same peak.
+        assert self.traced_peak(dist, 0.001, 10**7) <= 1.1 * peak
 
 
 class TestQuadratureOracle:

@@ -126,7 +126,7 @@ class TestBatchedStreams:
 
 class TestValidation:
     def test_negative_counter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^counter must be >= 0, got -1$"):
             RandomStream(1, counter=-1)
 
     def test_negative_count(self):
@@ -134,3 +134,37 @@ class TestValidation:
             RandomStream(1).words(-1)
         with pytest.raises(ValueError):
             RandomStream(1).uniform_planes(-1, 6, (0,))
+
+    # A float would be truncated (seed, counter) or leave a fractional
+    # counter behind (a size); each is refused by name instead.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: RandomStream(2.7), r"^seed: 2\.7 is not an integer$"),
+        (lambda: RandomStream(1, counter=2.5), r"^counter: 2\.5 is not an integer$"),
+        (lambda: RandomStream(1, counter="3"), r"^counter: '3' is not an integer$"),
+    ])
+    def test_seed_and_counter_must_be_integers(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("draw", [
+        lambda stream, n: stream.words(n),
+        lambda stream, n: stream.uniform(n),
+        lambda stream, n: stream.uniform_planes(n, 6, (0, 4)),
+    ])
+    def test_sizes_must_be_integers(self, draw):
+        stream = RandomStream(1, counter=5)
+        for n, message in ((2.5, r"^n: 2\.5 is not an integer$"),
+                           (3.0, r"^n: 3\.0 is not an integer$"),
+                           (-1, r"^n must be >= 0, got -1$")):
+            with pytest.raises(ValueError, match=message):
+                draw(stream, n)
+        assert stream.counter == 5
+
+    def test_integer_likes_are_accepted(self):
+        stream = RandomStream(np.uint64(7), counter=np.int64(3))
+        assert (stream.seed, stream.counter) == (7, 3)
+        np.testing.assert_array_equal(stream.words(np.int32(4)), RandomStream(7, 3).words(4))
+        assert stream.counter == 7
+        # Any integer seed, reduced modulo 2**64.
+        assert RandomStream(-1).seed == MASK
+        assert RandomStream(2**64 + 5).seed == 5
