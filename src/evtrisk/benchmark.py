@@ -39,9 +39,11 @@ class ExperimentConfig:
 
     A cell draws and fits ``max(1, BLOCK // m)`` trials per pass
     (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials).
-    One row of ``m`` values is the floor, so a cell needs O(m) memory, and
-    ``m`` has no upper bound.  Each trial costs a fixed number of bytes,
-    which is why ``trials`` has no upper bound either.
+    That rule counts values for every law; only ``Distribution.sample``
+    tiles by hashed words (see ``BLOCK``).  One row of ``m`` values is the
+    floor, so a cell needs O(m) memory, and ``m`` has no upper bound.
+    Each trial costs a fixed number of bytes, which is why ``trials`` has
+    no upper bound either.
     """
 
     distributions: tuple[str, ...]
@@ -204,7 +206,11 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
 def _run_cell(args) -> SeriesSummary:
     """Worker body: all trials of one (distribution, m) cell as array passes
     of ``BLOCK // m`` rows (at least one); the errors are concatenated in
-    trial order, so the pass size changes no bit."""
+    trial order, so the pass size changes no bit.
+
+    Rows count values, not hashed words, so a Student-t pass hashes four
+    times the words of a ``sample`` tile; the word rule gains the grid
+    nothing (see ``distributions.BLOCK``)."""
     config, dist_name, m, true_value = args
     dist = get_distribution(dist_name)
     prefix = (config.master_seed, dist_name, m)

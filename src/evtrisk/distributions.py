@@ -33,13 +33,22 @@ EULER_GAMMA = float(np.euler_gamma)
 # Gamma(3) / (sqrt(5*pi) * Gamma(5/2)) = 8 / (3*pi*sqrt(5)).
 _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
-# Values per pass over draws, the one rule for every caller: a sample
-# fills blocks of ``BLOCK`` values, the Monte Carlo oracle streams them,
-# and a grid cell draws ``BLOCK // m`` rows of ``m`` (at least one) per
-# pass, so a pass's words and temporaries stay this size whatever ``n``,
-# ``m`` or the trial count.
-# Student-t counts six words per value and hashes four; blocks are whole
-# values, so its groups never straddle a cut.
+# The size of a pass over draws, under two rules:
+# - a sample is filled in tiles of ``BLOCK`` hashed words, so Student-t,
+#   which counts six words per value and hashes four, fills tiles of
+#   ``BLOCK // 4`` values; the Monte Carlo oracle still streams
+#   ``BLOCK``-value samples;
+# - a grid cell draws ``BLOCK // m`` rows of ``m`` values (at least one)
+#   per pass, whatever the law.
+# So a pass's planes and temporaries stay a few ``BLOCK``s in size
+# whatever ``n``, ``m`` or the trial count.  Tiles and rows are whole
+# values, so a Student-t group never straddles a cut.  The grid stays on
+# the value rule: on the word rule its Student-t passes stop making the
+# 2 MiB frees that raise glibc's mmap threshold for the laws drawn after
+# them.  One measurement of the paper grid on the word rule saw its page
+# faults go from 218–238k to 481–490k and its time from 2.4–3.2 s to
+# 3.2–3.6 s; a later one saw no clear change (3.39 against 3.46 s, 10
+# pairs), so the word rule gains the grid nothing.
 BLOCK = 2**16
 
 
@@ -102,17 +111,21 @@ class Distribution:
         5 d.o.f. (see ``_t5_from_uniforms``).  The stream's counter
         advances by six words per value all the same.
 
-        The sample is filled in blocks of ``BLOCK`` values, so no
-        intermediate array grows with ``n``.  The blocks splice exactly:
-        every word is a function of its counter alone, and blocks are whole
-        values, so a Student-t group of six words never straddles a cut.
-        The values and the stream's counter are those of one pass.  ``n``
-        must be an integer >= 1 (``operator.index``), else ``ValueError``.
+        The sample is filled in tiles of ``BLOCK`` hashed words, that is
+        ``BLOCK // len(_word_offsets)`` values (16,384 for Student-t,
+        ``BLOCK`` for the others), so a tile's planes and temporaries are
+        the same size for every law and none grows with ``n``.  The tiles
+        splice exactly: every word is a function of its counter alone, and
+        tiles are whole values, so a Student-t group of six words never
+        straddles a cut.  The values and the stream's counter are those of
+        one pass.  ``n`` must be an integer >= 1 (``operator.index``), else
+        ``ValueError``.
         """
         out = np.empty(_integer("n", n, 1))
-        for start in range(0, out.size, BLOCK):
-            block = out[start:start + BLOCK]
-            block[...] = self._draw(block.size, stream.uniform_planes)
+        size = BLOCK // len(self._word_offsets)
+        for start in range(0, out.size, size):
+            tile = out[start:start + size]
+            tile[...] = self._draw(tile.size, stream.uniform_planes)
         return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:

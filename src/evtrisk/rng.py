@@ -130,7 +130,8 @@ def uniform_planes(seeds, start: int, n: int, stride: int = 1,
     is contiguous.  Words at other offsets are never hashed.  A uniform is
     the top 53 bits of its word, offset by half an ulp.  Nothing is
     validated here: this is the grid's per-pass fetch, and its callers
-    pass sizes they have checked.
+    pass sizes they have checked (:meth:`RandomStream.uniform_planes`
+    checks its own).
     """
     out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
     for plane, offset in zip(out, offsets):
@@ -158,10 +159,10 @@ class RandomStream:
     counter : int, optional
         Word offset to resume from (default 0), an integer >= 0.
 
-    The seed, the counter and every size ``n`` are integers in the
-    ``operator.index`` sense: a float such as 2.5 raises ``ValueError``
-    naming the argument instead of being truncated or leaving a
-    fractional counter behind.
+    The seed, the counter, every size ``n`` and every ``stride`` are
+    integers in the ``operator.index`` sense: a float such as 2.5 raises
+    ``ValueError`` naming the argument instead of being truncated or
+    leaving a fractional counter behind.
     """
 
     __slots__ = ("_seed", "_counter")
@@ -197,8 +198,19 @@ class RandomStream:
                        offsets: tuple[int, ...] = (0,)) -> np.ndarray:
         """The next ``n`` groups of ``stride`` uniforms as planes, one per
         offset kept (see :func:`uniform_planes`); the counter advances by
-        ``stride * n`` whichever offsets are kept."""
+        ``stride * n`` whichever offsets are kept.
+
+        ``stride`` is an integer >= 1 and ``offsets`` a non-empty tuple of
+        integers in ``[0, stride)``, so a group never reads a word of its
+        neighbours; anything else raises ``ValueError`` naming the argument.
+        """
         n = _integer("n", n, 0)
+        stride = _integer("stride", stride, 1)
+        if not isinstance(offsets, tuple) or not offsets:
+            raise ValueError(f"offsets: {offsets!r} is not a non-empty tuple")
+        for offset in offsets:
+            if not 0 <= _integer("offsets", offset) < stride:
+                raise ValueError(f"offsets: {offset} is outside [0, {stride})")
         u = uniform_planes(self._seed, self._counter, n, stride, offsets)
         self._counter += stride * n
         return u

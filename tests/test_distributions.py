@@ -6,6 +6,7 @@ checked against the exact CDFs by Kolmogorov-Smirnov distance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,9 +225,13 @@ class TestBlockedSampling:
         return np.cos(angle) * radius / np.sqrt(chi2_5 / 5.0)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
-    # Sizes inside one block, then around its cuts, ending with a short block.
+    # Sizes inside one tile, then around the cuts of Student-t's tiles of
+    # BLOCK // 4 values and the one-word laws' tiles of BLOCK values,
+    # ending with a short tile.
     @pytest.mark.parametrize("n", [8191, 8192, 8193, 24581,
-                                   BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+                                   BLOCK // 4 - 1, BLOCK // 4, BLOCK // 4 + 1,
+                                   BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK // 4 + 3,
+                                   3 * BLOCK + 5])
     def test_blocks_equal_one_pass(self, name, n):
         dist = get_distribution(name)
         for seed in (0, 2**64 - 1):
@@ -243,6 +248,20 @@ class TestBlockedSampling:
             rows = dist.sample_rows(seeds, m)
             for seed, row in zip(seeds, rows):
                 np.testing.assert_array_equal(row, self.one_pass(dist, m, RandomStream(seed)))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_peak_memory_one_tile_past_the_output(self, name):
+        # Beyond the n-value output, one tile of BLOCK hashed words: its
+        # planes, the hash's temporaries and the transform's, the same
+        # for every law (Student-t's four planes too), whatever n.
+        n = 10**6
+        tracemalloc.start()
+        try:
+            get_distribution(name).sample(n, RandomStream(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n <= 5 * 8 * BLOCK, (peak - 8 * n) / (8 * BLOCK)
 
 
 class TestTStudentConstruction:

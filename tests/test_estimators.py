@@ -325,12 +325,13 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_peak_memory_blocks_plus_tail(self, name):
-        # One block's draws and their words (Student-t: four planes plus
-        # its transform) and a kept set of at most 2 * (alpha * n + BLOCK)
-        # values; nothing grows with n itself.
+        # One block of BLOCK draws, one sample tile of BLOCK hashed words
+        # (its planes and temporaries, the same size for every law) and a
+        # kept set of at most 2 * (alpha * n + BLOCK) values; nothing grows
+        # with n itself.
         dist = get_distribution(name)
         peak = self.traced_peak(dist, 0.01, 10**6)
-        assert peak <= 20 * 8 * BLOCK + 4 * 8 * 0.01 * 10**6, peak / (8 * BLOCK)
+        assert peak <= 10 * 8 * BLOCK + 4 * 8 * 0.01 * 10**6, peak / (8 * BLOCK)
         # Ten times the draws at the same alpha * n: the same peak.
         assert self.traced_peak(dist, 0.001, 10**7) <= 1.1 * peak
 

@@ -160,6 +160,26 @@ class TestValidation:
                 draw(stream, n)
         assert stream.counter == 5
 
+    # A fractional stride leaves a fractional counter, a zero stride
+    # divides by zero, and an offset outside [0, stride) reads a word of
+    # the next or the previous group; each is refused by name instead.
+    @pytest.mark.parametrize("stride, offsets, message", [
+        (1.5, (0,), r"^stride: 1\.5 is not an integer$"),
+        (0, (0,), r"^stride must be >= 1, got 0$"),
+        (-2, (0,), r"^stride must be >= 1, got -2$"),
+        (2, (5,), r"^offsets: 5 is outside \[0, 2\)$"),
+        (2, (0, 2), r"^offsets: 2 is outside \[0, 2\)$"),
+        (2, (-1,), r"^offsets: -1 is outside \[0, 2\)$"),
+        (6, (0, 1.0), r"^offsets: 1\.0 is not an integer$"),
+        (6, (), r"^offsets: \(\) is not a non-empty tuple$"),
+        (6, [0, 4], r"^offsets: \[0, 4\] is not a non-empty tuple$"),
+    ])
+    def test_planes_stride_and_offsets(self, stride, offsets, message):
+        stream = RandomStream(1, counter=5)
+        with pytest.raises(ValueError, match=message):
+            stream.uniform_planes(4, stride, offsets)
+        assert stream.counter == 5
+
     def test_integer_likes_are_accepted(self):
         stream = RandomStream(np.uint64(7), counter=np.int64(3))
         assert (stream.seed, stream.counter) == (7, 3)
