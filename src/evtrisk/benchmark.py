@@ -39,11 +39,9 @@ class ExperimentConfig:
 
     A cell draws and fits ``max(1, BLOCK // m)`` trials per pass
     (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials).
-    That rule counts values for every law; only ``Distribution.sample``
-    tiles by hashed words (see ``BLOCK``).  One row of ``m`` values is the
-    floor, so a cell needs O(m) memory, and ``m`` has no upper bound.
-    Each trial costs a fixed number of bytes, which is why ``trials`` has
-    no upper bound either.
+    One row of ``m`` values is the floor, so a cell needs O(m) memory, and
+    ``m`` has no upper bound.  Each trial costs a fixed number of bytes,
+    which is why ``trials`` has no upper bound either.
     """
 
     distributions: tuple[str, ...]
@@ -121,8 +119,13 @@ class SeriesSummary:
 
 
 def trial_seed(master_seed: int, dist_name: str, m: int, trial_index: int) -> int:
-    """Stream seed for one trial, independent of execution order."""
-    return derive_seed(master_seed, dist_name, m, trial_index)
+    """Stream seed for one trial, independent of execution order.
+
+    ``master_seed``, ``m`` and ``trial_index`` are integers
+    (``operator.index``), else ``ValueError`` naming the argument.
+    """
+    return derive_seed(_integer("master_seed", master_seed), dist_name,
+                       _integer("m", m), _integer("trial_index", trial_index))
 
 
 def ground_truth_value(config: ExperimentConfig, dist: Distribution) -> float:
@@ -139,8 +142,10 @@ def run_trial(dist: Distribution, m: int, alpha: float, seed: int,
     evaluated (on the top ``k + 1`` order statistics, as on every trial)
     and the record is flagged where
     :func:`~evtrisk.estimators.evt_estimate` would raise.  An ``alpha``
-    outside (0, 1) raises ``ValueError``.
+    outside (0, 1) or a ``trial_index`` that is not an integer
+    (``operator.index``) raises ``ValueError``.
     """
+    trial_index = _integer("trial_index", trial_index)
     est = estimate_rows(dist.sample(m, RandomStream(seed)), alpha)
     failed = bool(est.fits.failed)
     return TrialRecord(
@@ -206,11 +211,8 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
 def _run_cell(args) -> SeriesSummary:
     """Worker body: all trials of one (distribution, m) cell as array passes
     of ``BLOCK // m`` rows (at least one); the errors are concatenated in
-    trial order, so the pass size changes no bit.
-
-    Rows count values, not hashed words, so a Student-t pass hashes four
-    times the words of a ``sample`` tile; the word rule gains the grid
-    nothing (see ``distributions.BLOCK``)."""
+    trial order, so the pass size changes no bit (see
+    ``distributions.BLOCK``)."""
     config, dist_name, m, true_value = args
     dist = get_distribution(dist_name)
     prefix = (config.master_seed, dist_name, m)

@@ -20,7 +20,6 @@ estimator benchmark is scored against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,19 +35,14 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 # The size of a pass over draws, under two rules:
 # - a sample is filled in tiles of ``BLOCK`` hashed words, so Student-t,
 #   which counts six words per value and hashes four, fills tiles of
-#   ``BLOCK // 4`` values; the Monte Carlo oracle still streams
+#   ``BLOCK // 4`` values; the Monte Carlo oracle streams
 #   ``BLOCK``-value samples;
 # - a grid cell draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law.
 # So a pass's planes and temporaries stay a few ``BLOCK``s in size
 # whatever ``n``, ``m`` or the trial count.  Tiles and rows are whole
 # values, so a Student-t group never straddles a cut.  The grid stays on
-# the value rule: on the word rule its Student-t passes stop making the
-# 2 MiB frees that raise glibc's mmap threshold for the laws drawn after
-# them.  One measurement of the paper grid on the word rule saw its page
-# faults go from 218–238k to 481–490k and its time from 2.4–3.2 s to
-# 3.2–3.6 s; a later one saw no clear change (3.39 against 3.46 s, 10
-# pairs), so the word rule gains the grid nothing.
+# the value rule because the word rule measured no faster there.
 BLOCK = 2**16
 
 
@@ -119,13 +113,16 @@ class Distribution:
         tiles are whole values, so a Student-t group of six words never
         straddles a cut.  The values and the stream's counter are those of
         one pass.  ``n`` must be an integer >= 1 (``operator.index``), else
-        ``ValueError``.
+        ``ValueError``; it is checked once, and the sample's words are
+        reserved on ``stream`` at once, before any tile is filled.
         """
         out = np.empty(_integer("n", n, 1))
+        first = stream.take(self._words_per_value * out.size)
         size = BLOCK // len(self._word_offsets)
         for start in range(0, out.size, size):
             tile = out[start:start + size]
-            tile[...] = self._draw(tile.size, stream.uniform_planes)
+            tile[...] = self._draw(stream.seed, first + self._words_per_value * start,
+                                   tile.size)
         return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:
@@ -136,12 +133,12 @@ class Distribution:
         whole batch is drawn with one array pass.  ``n`` is checked as in
         :meth:`sample`; callers bound the batch (see ``BLOCK``).
         """
-        return self._draw(_integer("n", n, 1), partial(uniform_planes, seeds, 0))
+        return self._draw(seeds, 0, _integer("n", n, 1))
 
-    def _draw(self, n, planes) -> np.ndarray:
-        """``n`` values from ``planes(n, stride, offsets)``, a fetch of
-        this law's uniform planes from a stream or from rows of seeds."""
-        u = planes(n, self._words_per_value, self._word_offsets)
+    def _draw(self, seeds, start: int, n: int) -> np.ndarray:
+        """``n`` values of the stream of each seed (a scalar or an array),
+        from word ``start`` on: the one fetch of this law's uniform planes."""
+        u = uniform_planes(seeds, start, n, self._words_per_value, self._word_offsets)
         return self._quantile(u[0]) if self._transform is None else self._transform(u)
 
     def extremal_semideviation(self, alpha: float) -> float:

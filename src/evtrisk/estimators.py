@@ -167,9 +167,12 @@ def typical_semideviation(sample: SortedSample, alpha: float,
     defaults to ``m - ceil((1 - alpha) * m)``, which makes the smallest
     order statistic entering the sum the standard empirical
     ``(1 - alpha)``-quantile; for ``alpha = 0.01`` and fewer than 100
-    points that default degenerates to the sample maximum alone.  The
-    estimation pipeline instead passes the tail-fit exceedance count here,
-    so that both estimators share one ``k`` (see :func:`evt_estimate`).
+    points that default degenerates to the sample maximum alone.  A given
+    ``n_top`` is an integer (``operator.index``) in ``[0, m)``, else
+    ``ValueError``.  The estimation pipeline (:func:`estimate_rows`) does
+    not call this function: it evaluates the same sum with
+    :func:`typical_rows` at the tail-fit exceedance count, so that both
+    estimators share one ``k``; ``n_top=k`` reproduces that value here.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -178,6 +181,7 @@ def typical_semideviation(sample: SortedSample, alpha: float,
         raise ValueError("need at least 2 points")
     if n_top is None:
         n_top = m - _ceil_scaled((1.0 - alpha) * m)
+    n_top = _integer("n_top", n_top)
     if not 0 <= n_top < m:
         raise ValueError(f"n_top must be in [0, m), got {n_top}")
     return float(typical_rows(sample.values, np.float64(sample.mean), np.int64(n_top)))

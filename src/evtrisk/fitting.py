@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import _integer
 from .tail_model import TailParams
 
 THRESHOLD_QUANTILE = 0.90
@@ -297,8 +298,9 @@ def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
     The top ``n_exceed`` order statistics must all exceed ``threshold``
     strictly (as produced by :func:`select_threshold`); fewer than 2 of
     them, or a fit that rounding made unusable, raise a :class:`FitError`.
+    ``n_exceed`` is an integer (``operator.index``), else ``ValueError``.
     """
-    k, m = int(n_exceed), sample.m
+    k, m = _integer("n_exceed", n_exceed), sample.m
     if not 0 <= k < m:
         raise ValueError(f"exceedance count {k} must be in [0, m) for a sample of m = {m}")
     if not np.all(sample.values[m - k:] > threshold):

@@ -85,14 +85,16 @@ def derive_seed(*parts: int | str) -> int:
 
     The derivation is order-sensitive and platform-independent; it is used
     to give every benchmark trial its own stream so that results do not
-    depend on execution order or worker count.
+    depend on execution order or worker count.  A part that is not a
+    string is an integer (``operator.index``, reduced modulo 2**64), so
+    2.7 raises ``ValueError`` naming its position instead of folding as 2.
     """
     h = _GOLDEN
-    for part in parts:
+    for i, part in enumerate(parts):
         if isinstance(part, str):
             w = _fnv1a(part)
         else:
-            w = int(part) & _MASK64
+            w = _integer(f"parts[{i}]", part) & _MASK64
         h = mix64((h + _GOLDEN) ^ w)
     return h
 
@@ -129,9 +131,9 @@ def uniform_planes(seeds, start: int, n: int, stride: int = 1,
     shape is ``(len(offsets),) + np.shape(seeds) + (n,)``, so every plane
     is contiguous.  Words at other offsets are never hashed.  A uniform is
     the top 53 bits of its word, offset by half an ulp.  Nothing is
-    validated here: this is the grid's per-pass fetch, and its callers
-    pass sizes they have checked (:meth:`RandomStream.uniform_planes`
-    checks its own).
+    validated here: this is the one fetch behind every draw, and its
+    callers pass sizes they have checked (a stream reserves its words
+    with :meth:`RandomStream.take`).
     """
     out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
     for plane, offset in zip(out, offsets):
@@ -159,10 +161,14 @@ class RandomStream:
     counter : int, optional
         Word offset to resume from (default 0), an integer >= 0.
 
-    The seed, the counter, every size ``n`` and every ``stride`` are
-    integers in the ``operator.index`` sense: a float such as 2.5 raises
-    ``ValueError`` naming the argument instead of being truncated or
-    leaving a fractional counter behind.
+    The seed, the counter and every size ``n`` are integers in the
+    ``operator.index`` sense: a float such as 2.5 raises ``ValueError``
+    naming the argument instead of being truncated or leaving a fractional
+    counter behind.
+
+    :meth:`words` and :meth:`uniform` read the next ``n`` words;
+    :meth:`take` only reserves them, for a caller that fetches them itself
+    (with :func:`uniform_planes` at the returned counter).
     """
 
     __slots__ = ("_seed", "_counter")
@@ -183,34 +189,19 @@ class RandomStream:
     def __repr__(self) -> str:
         return f"RandomStream(seed={self._seed:#018x}, counter={self._counter})"
 
+    def take(self, n: int) -> int:
+        """Reserve the next ``n`` words: advance the counter by ``n`` and
+        return its value before, where the reserved words start."""
+        first = self._counter
+        self._counter += _integer("n", n, 0)
+        return first
+
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        n = _integer("n", n, 0)
-        words = _counter_words(self._seed, self._counter, n)
-        self._counter += n
-        return words
+        first = self.take(n)
+        return _counter_words(self._seed, first, self._counter - first)
 
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1)."""
-        return self.uniform_planes(n)[0]
-
-    def uniform_planes(self, n: int, stride: int = 1,
-                       offsets: tuple[int, ...] = (0,)) -> np.ndarray:
-        """The next ``n`` groups of ``stride`` uniforms as planes, one per
-        offset kept (see :func:`uniform_planes`); the counter advances by
-        ``stride * n`` whichever offsets are kept.
-
-        ``stride`` is an integer >= 1 and ``offsets`` a non-empty tuple of
-        integers in ``[0, stride)``, so a group never reads a word of its
-        neighbours; anything else raises ``ValueError`` naming the argument.
-        """
-        n = _integer("n", n, 0)
-        stride = _integer("stride", stride, 1)
-        if not isinstance(offsets, tuple) or not offsets:
-            raise ValueError(f"offsets: {offsets!r} is not a non-empty tuple")
-        for offset in offsets:
-            if not 0 <= _integer("offsets", offset) < stride:
-                raise ValueError(f"offsets: {offset} is outside [0, {stride})")
-        u = uniform_planes(self._seed, self._counter, n, stride, offsets)
-        self._counter += stride * n
-        return u
+        first = self.take(n)
+        return uniform_planes(self._seed, first, self._counter - first)[0]

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rng import _integer
+
 # Below this magnitude the shape parameter is treated as exactly zero:
 # the stable expm1/log1p forms still cancel catastrophically when the
 # exponent 1/shape overflows the working precision.
@@ -104,6 +106,9 @@ class TailParams:
         weighted-moment fit degenerates to shape 1 when k = 1).
     m : int
         Total sample count, strictly greater than ``k``.
+
+    ``k`` and ``m`` are integers (``operator.index``, stored as ``int``);
+    a float such as 2.5 raises ``ValueError`` naming the field.
     gamma : float
         Fitted shape (extreme value index); must be < 1 so the model is
         integrable and its CVaR exists.
@@ -120,6 +125,8 @@ class TailParams:
     scale: float
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer("k", self.k))
+        object.__setattr__(self, "m", _integer("m", self.m))
         if not 2 <= self.k < self.m:
             raise ValueError(f"need 2 <= k < m, got k={self.k}, m={self.m}")
         if not self.scale > 0.0:

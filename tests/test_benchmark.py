@@ -136,6 +136,39 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             run_trial(get_distribution("pareto2"), 20, alpha, seed=3, true_value=0.18)
 
+    # A float index would be recorded as given (2.5); it is refused by
+    # name instead, and integer likes are recorded as int.
+    @pytest.mark.parametrize("index, message", [
+        (2.5, r"^trial_index: 2\.5 is not an integer$"),
+        (2.0, r"^trial_index: 2\.0 is not an integer$"),
+        (np.int64(2), None),
+    ])
+    def test_trial_index_must_be_an_integer(self, index, message):
+        args = (get_distribution("pareto2"), 20, 0.01, 3, 0.18)
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                run_trial(*args, trial_index=index)
+        else:
+            rec = run_trial(*args, trial_index=index)
+            assert rec == run_trial(*args, trial_index=2)
+            assert type(rec.trial_index) is int
+
+    # A float size or index would fold as its integer part (m = 20.9
+    # would give m = 20's seed); it is refused by name instead.  Integer
+    # likes keep every seed.
+    @pytest.mark.parametrize("args, message", [
+        ((1, "pareto2", 20.9, 0), r"^m: 20\.9 is not an integer$"),
+        ((1, "pareto2", 20, 0.5), r"^trial_index: 0\.5 is not an integer$"),
+        ((1.0, "pareto2", 20, 0), r"^master_seed: 1\.0 is not an integer$"),
+        ((np.uint64(1), "pareto2", np.int64(20), np.int32(0)), None),
+    ])
+    def test_seed_coordinates_must_be_integers(self, args, message):
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                trial_seed(*args)
+        else:
+            assert trial_seed(*args) == trial_seed(1, "pareto2", 20, 0)
+
     def test_seed_depends_on_all_coordinates(self):
         base = trial_seed(33, "pareto2", 20, 5)
         assert trial_seed(34, "pareto2", 20, 5) != base

@@ -241,6 +241,19 @@ class TestBlockedSampling:
             assert blocked.counter == whole.counter
 
     @pytest.mark.parametrize("name", ALL_NAMES)
+    # A stream resumed mid-way, also past six of Student-t's tiles of words
+    # and at a counter that is not a whole number of its values.
+    @pytest.mark.parametrize("counter", [1, 5, 6 * BLOCK + 3])
+    @pytest.mark.parametrize("n", [7, BLOCK // 4 + 1, BLOCK + 1])
+    def test_resumed_stream_equals_one_pass(self, name, counter, n):
+        dist = get_distribution(name)
+        for seed in (0, 2**64 - 1):
+            blocked, whole = RandomStream(seed, counter), RandomStream(seed, counter)
+            np.testing.assert_array_equal(dist.sample(n, blocked),
+                                          self.one_pass(dist, n, whole))
+            assert blocked.counter == whole.counter
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
     def test_rows_equal_one_pass(self, name):
         dist = get_distribution(name)
         seeds = derive_seeds((11, name), np.arange(300))

@@ -67,6 +67,23 @@ class TestTypicalEstimator:
             s = sort_and_summarize(rng.normal(size=30))
             assert typical_semideviation(s, rng.uniform(0.01, 0.9)) >= 0.0
 
+    # A float count would be truncated (2.9 would use 2); it is refused
+    # by name instead, and integer likes give the same value.
+    @pytest.mark.parametrize("n_top, message", [
+        (2.9, r"^n_top: 2\.9 is not an integer$"),
+        (2.0, r"^n_top: 2\.0 is not an integer$"),
+        (np.int32(2), None),
+        (np.int64(2), None),
+    ])
+    def test_top_count_must_be_an_integer(self, n_top, message):
+        s = sort_and_summarize(np.arange(1.0, 21.0))
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                typical_semideviation(s, 0.01, n_top=n_top)
+        else:
+            assert (typical_semideviation(s, 0.01, n_top=n_top)
+                    == typical_semideviation(s, 0.01, n_top=2))
+
     def test_validation(self):
         s = sort_and_summarize(np.arange(1.0, 21.0))
         with pytest.raises(ValueError):

@@ -187,6 +187,25 @@ class TestPwmFit:
         with pytest.raises(ValueError, match=r"must be in \[0, m\)"):
             pwm_fit(s, 0.5, k)
 
+    # A float count would be truncated (3.7 would fit k = 3); it is
+    # refused by name instead, and integer likes fit the same tail.
+    @pytest.mark.parametrize("k, message", [
+        (3.7, r"^n_exceed: 3\.7 is not an integer$"),
+        (3.0, r"^n_exceed: 3\.0 is not an integer$"),
+        ("3", r"^n_exceed: '3' is not an integer$"),
+        (np.int64(3), None),
+        (np.uint8(3), None),
+    ])
+    def test_count_must_be_an_integer(self, k, message):
+        s = sort_and_summarize(np.arange(1.0, 31.0))
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                pwm_fit(s, 27.0, k)
+        else:
+            report = pwm_fit(s, 27.0, k)
+            assert report == pwm_fit(s, 27.0, 3)
+            assert type(report.params.k) is int
+
     @pytest.mark.parametrize("data, cause", [
         (np.r_[np.zeros(18), 1.0, 1e20], "shape rounds to 1.0"),
     ])

@@ -7,6 +7,7 @@ same algorithm, and its statistical output against textbook properties.
 import numpy as np
 import pytest
 
+from evtrisk.distributions import TSTUDENT5
 from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, uniform_planes
 
 MASK = (1 << 64) - 1
@@ -91,6 +92,24 @@ class TestSeedDerivation:
     def test_part_types_do_not_collide(self):
         assert derive_seed("12") != derive_seed(12)
 
+    # A float part would fold as its integer part (2.7 would give the seed
+    # of 2); it is refused by its position instead, and integer likes
+    # fold as their value.
+    @pytest.mark.parametrize("parts, message", [
+        ((1, 2.7), r"^parts\[1\]: 2\.7 is not an integer$"),
+        ((2.0, "x"), r"^parts\[0\]: 2\.0 is not an integer$"),
+        ((1, None), r"^parts\[1\]: None is not an integer$"),
+        ((1, np.int64(2)), None),
+        ((1, np.uint64(2)), None),
+        ((1, True), None),
+    ])
+    def test_parts_must_be_integers_or_strings(self, parts, message):
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                derive_seed(*parts)
+        else:
+            assert derive_seed(*parts) == derive_seed(*(int(p) for p in parts))
+
 
 class TestBatchedStreams:
     """Row i of a batched draw is the stream of seed i, bit for bit."""
@@ -117,11 +136,21 @@ class TestBatchedStreams:
             np.testing.assert_array_equal(groups, want[:, [0, 1, 2, 4]])
 
     def test_stream_planes_advance_by_whole_groups(self):
+        # Student-t reserves six words per value on the stream and reads
+        # its planes at the stream's counter, whatever the counter.
         stream = RandomStream(5, counter=3)
-        planes = stream.uniform_planes(10, 6, (0, 4))
+        got = TSTUDENT5.sample(10, stream)
         assert stream.counter == 63
-        np.testing.assert_array_equal(planes, uniform_planes(5, 3, 10, 6, (0, 4)))
+        planes = uniform_planes(5, 3, 10, 6, TSTUDENT5._word_offsets)
+        np.testing.assert_array_equal(got, TSTUDENT5._transform(planes))
         np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=63).uniform(2))
+
+    def test_take_reserves_words(self):
+        stream = RandomStream(5, counter=3)
+        assert stream.take(10) == 3
+        assert stream.take(0) == 13
+        assert stream.counter == 13
+        np.testing.assert_array_equal(stream.words(2), RandomStream(5, counter=13).words(2))
 
 
 class TestValidation:
@@ -133,7 +162,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             RandomStream(1).words(-1)
         with pytest.raises(ValueError):
-            RandomStream(1).uniform_planes(-1, 6, (0,))
+            RandomStream(1).take(-1)
 
     # A float would be truncated (seed, counter) or leave a fractional
     # counter behind (a size); each is refused by name instead.
@@ -149,7 +178,7 @@ class TestValidation:
     @pytest.mark.parametrize("draw", [
         lambda stream, n: stream.words(n),
         lambda stream, n: stream.uniform(n),
-        lambda stream, n: stream.uniform_planes(n, 6, (0, 4)),
+        lambda stream, n: stream.take(n),
     ])
     def test_sizes_must_be_integers(self, draw):
         stream = RandomStream(1, counter=5)
@@ -158,26 +187,6 @@ class TestValidation:
                            (-1, r"^n must be >= 0, got -1$")):
             with pytest.raises(ValueError, match=message):
                 draw(stream, n)
-        assert stream.counter == 5
-
-    # A fractional stride leaves a fractional counter, a zero stride
-    # divides by zero, and an offset outside [0, stride) reads a word of
-    # the next or the previous group; each is refused by name instead.
-    @pytest.mark.parametrize("stride, offsets, message", [
-        (1.5, (0,), r"^stride: 1\.5 is not an integer$"),
-        (0, (0,), r"^stride must be >= 1, got 0$"),
-        (-2, (0,), r"^stride must be >= 1, got -2$"),
-        (2, (5,), r"^offsets: 5 is outside \[0, 2\)$"),
-        (2, (0, 2), r"^offsets: 2 is outside \[0, 2\)$"),
-        (2, (-1,), r"^offsets: -1 is outside \[0, 2\)$"),
-        (6, (0, 1.0), r"^offsets: 1\.0 is not an integer$"),
-        (6, (), r"^offsets: \(\) is not a non-empty tuple$"),
-        (6, [0, 4], r"^offsets: \[0, 4\] is not a non-empty tuple$"),
-    ])
-    def test_planes_stride_and_offsets(self, stride, offsets, message):
-        stream = RandomStream(1, counter=5)
-        with pytest.raises(ValueError, match=message):
-            stream.uniform_planes(4, stride, offsets)
         assert stream.counter == 5
 
     def test_integer_likes_are_accepted(self):

@@ -105,6 +105,25 @@ class TestTailParamsValidation:
         with pytest.raises(ValueError):
             TailParams(k=2, m=10, gamma=1.0, threshold=0.0, scale=1.0)
 
+    # A fractional count would be kept and used by every closed form; it
+    # is refused by name instead, and integer likes are stored as int.
+    @pytest.mark.parametrize("k, m, message", [
+        (2.5, 20, r"^k: 2\.5 is not an integer$"),
+        (2, 20.7, r"^m: 20\.7 is not an integer$"),
+        (2.0, 20, r"^k: 2\.0 is not an integer$"),
+        (2, "20", r"^m: '20' is not an integer$"),
+        (np.int64(2), np.int32(20), None),
+    ])
+    def test_counts_must_be_integers(self, k, m, message):
+        fields = dict(gamma=0.3, threshold=1.0, scale=2.0)
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                TailParams(k=k, m=m, **fields)
+        else:
+            p = TailParams(k=k, m=m, **fields)
+            assert (type(p.k), type(p.m)) == (int, int)
+            assert p == TailParams(k=2, m=20, **fields)
+
     def test_support_interval(self):
         p = TailParams(k=2, m=10, gamma=-0.5, threshold=1.0, scale=2.0)
         assert p.support == (1.0, 5.0)
