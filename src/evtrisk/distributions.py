@@ -7,8 +7,8 @@ value index: Pareto(2) and Student-t (5 d.o.f.) are heavy-tailed
 (index -1 and -0.5).
 
 Every distribution exposes seedable sampling, an exact CDF and quantile
-function, and a closed-form (or special-function) evaluation of the
-extremal upper-semideviation
+function, and a closed-form (or rapidly convergent series) evaluation of
+the extremal upper-semideviation
 
     semidev(alpha) = integral of (y - mean) over {y >= q(1 - alpha)},
 
@@ -19,6 +19,7 @@ estimator benchmark is scored against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,7 +69,8 @@ class Distribution:
     right_endpoint: float
     mean: float
     _cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    # Elementwise on arrays too: sampling maps open-interval uniforms
+    # Called on scalars by ``quantile``; elementwise on arrays too only for
+    # the laws sampled through it, which map open-interval uniforms
     # through it.
     _quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _tail_semidev: Callable[[float], float] = field(repr=False)
@@ -171,7 +173,8 @@ def _pareto2_tail_semidev(w):
 
 # ---------------------------------------------------------------------------
 # Student-t, 5 degrees of freedom: symmetric, mean 0, extreme value index
-# 1/5; CDF via the regularized incomplete beta function.
+# 1/5; CDF via the regularized incomplete beta function, quantile from the
+# elementary CDF of odd degrees of freedom (Abramowitz & Stegun 26.7.3).
 # ---------------------------------------------------------------------------
 
 
@@ -183,10 +186,46 @@ def _t5_cdf(z):
     return np.where(z >= 0.0, 1.0 - half_tail, half_tail)
 
 
-def _t5_quantile(p):
-    from scipy.special import stdtrit
+# Taylor coefficients of g(phi) below, phi**5 to phi**33: the terms of
+# phi**1 and phi**3 cancel, and at phi < 1 the next would be under 1e-20.
+_T5_TAIL_SERIES = tuple(
+    (-1) ** n * 2 ** (2 * n + 1) * (2 ** (2 * n + 1) - 8) / (12 * math.factorial(2 * n + 1))
+    for n in range(2, 17)
+)
 
-    return stdtrit(5.0, p)
+
+def _t5_tail_angle(phi):
+    # pi times the survival at |t| = sqrt(5) / tan(phi):
+    #   g(phi) = phi - (2/3) sin 2phi + (1/12) sin 4phi,  g' = (8/3) sin^4 phi.
+    # Below phi = 1 the trig form cancels (g ~ 8/15 phi^5), so sum the series.
+    if phi >= 1.0:
+        return phi - (2.0 / 3.0) * math.sin(2.0 * phi) + math.sin(4.0 * phi) / 12.0
+    x = phi * phi
+    series = 0.0
+    for c in reversed(_T5_TAIL_SERIES):
+        series = series * x + c
+    return series * x * x * phi
+
+
+def _t5_quantile(p):
+    # Solve g(phi) = pi * min(p, 1 - p) by Newton's method from the small-
+    # angle asymptote g ~ (8/15) phi^5, which lies above g, so the start is
+    # left of the root.  g is convex on (0, pi/2] and g(pi/2) = pi/2, so
+    # the first step, capped at pi/2, lands right of the root and the rest
+    # descend to it.  1 - p is exact for p > 1/2, so quantile(p) ==
+    # -quantile(1 - p) there, bit for bit.
+    tail = min(p, 1.0 - p)
+    if tail == 0.5:
+        return 0.0
+    target = math.pi * tail
+    phi = (1.875 * target) ** 0.2
+    for _ in range(64):
+        step = (_t5_tail_angle(phi) - target) / ((8.0 / 3.0) * math.sin(phi) ** 4)
+        phi = min(phi - step, 0.5 * math.pi)
+        if abs(step) <= 4e-16 * phi:
+            break
+    t = math.sqrt(5.0) / math.tan(phi)
+    return t if p > 0.5 else -t
 
 
 def _t5_from_uniforms(u):
@@ -224,17 +263,27 @@ def _exp1_tail_semidev(w):
 
 # ---------------------------------------------------------------------------
 # Gumbel (location 0, scale 1): F(z) = exp(-exp(-z)), mean Euler-Mascheroni,
-# index 0.  Tail semideviation needs the exponential integral E1.
+# index 0.  Tail semideviation from the power series of the exponential
+# integral E1 (Abramowitz & Stegun 5.1.11).
 # ---------------------------------------------------------------------------
+
+# (-1)^(k+1) / (k k!) for k = 1..18: at a <= exp(-euler) < 0.562 the next
+# term is under 1e-22.
+_E1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 19))
 
 
 def _gumbel_tail_semidev(w):
     # With a = exp(-w):  integral of (y - euler) dF over [w, inf)
-    #   = exp(-a) * (euler - w) + E1(a)
-    from scipy.special import exp1
-
-    a = np.exp(-w)
-    return np.exp(-a) * (EULER_GAMMA - w) + exp1(a)
+    #   = exp(-a) (euler - w) + E1(a),
+    # and E1(a) = -euler + w + sum_k (-1)^(k+1) a^k / (k k!), so the
+    # euler - w terms cancel exactly:
+    #   = (w - euler) (1 - exp(-a)) + sum_k (-1)^(k+1) a^k / (k k!).
+    # w >= mean keeps a <= exp(-euler), where the series converges fast.
+    a = math.exp(-w)
+    series = 0.0
+    for c in reversed(_E1_SERIES):
+        series = series * a + c
+    return (w - EULER_GAMMA) * -math.expm1(-a) + a * series
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,11 @@ def _threshold_rule(ordered: np.ndarray, q: float):
 
     The threshold of an ascending sample of size ``m`` is its order
     statistic ``ceil(q * m)`` (1-based), and ``k`` counts the values
-    strictly above it.
+    strictly above it; rows ascend, so only the columns after it can be.
     """
     idx = _ceil_scaled(q * ordered.shape[-1])
     threshold = ordered[..., idx - 1]
-    k = np.add.reduce(ordered > threshold[..., None], axis=-1)
+    k = np.add.reduce(ordered[..., idx:] > threshold[..., None], axis=-1)
     return threshold, k
 
 

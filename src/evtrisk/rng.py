@@ -104,9 +104,15 @@ def derive_seeds(prefix: tuple, indices) -> np.ndarray:
 
     The last fold of :func:`derive_seed` depends only on ``i``, so the
     seeds of a whole index array come from one vectorized finalizer call.
+    ``indices`` must have an integer dtype, else ``ValueError`` (so 2.7
+    is refused, not folded as 2); negatives fold modulo 2**64, as in
+    :func:`derive_seed`.
     """
+    indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"indices: dtype {indices.dtype} is not an integer dtype")
     h = np.uint64((derive_seed(*prefix) + _GOLDEN) & _MASK64)
-    return _mix64_array(h ^ np.asarray(indices, dtype=np.uint64))
+    return _mix64_array(h ^ indices.astype(np.uint64))
 
 
 def _counter_words(seeds, first: int, n: int, stride: int = 1) -> np.ndarray:

@@ -374,7 +374,7 @@ class TestCellMemory:
     def test_peak_bounded_by_block_and_trials(self, m):
         trials = 300
         cfg = ExperimentConfig(distributions=("tstudent5",), m_values=(m,), trials=trials)
-        # Imports scipy.special, which the traced cell must not count.
+        # Computed once per law outside the cells, as run_experiment does.
         truth = ground_truth_value(cfg, get_distribution("tstudent5"))
         tracemalloc.start()
         try:

@@ -7,6 +7,7 @@ checked against the exact CDFs by Kolmogorov-Smirnov distance.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,77 @@ class TestTStudentCdf:
         for z in (-2.0, 0.7, 3.5):
             want, _ = quad(density, -np.inf, z, epsabs=1e-14)
             assert dist.cdf(z) == pytest.approx(want, abs=1e-12)
+
+
+def relative_error(got: float, want: str) -> float:
+    """|got - want| / |want|, exact in rational arithmetic."""
+    want = Fraction(want)
+    return float(abs(Fraction(got) - want) / abs(want))
+
+
+class TestGroundTruthAccuracy:
+    """The Student-t quantile and the two truths that once needed special
+    functions, against 50-digit values at the level the library evaluates,
+    ``1 - alpha`` rounded to a double (its tail ``1 - float(1 - alpha)`` is
+    exact).  The references were computed with mpmath: the Student-t
+    quantile by root-finding on its regularized incomplete beta survival,
+    the truths by their closed forms with ``mpmath.e1`` for Gumbel.
+    """
+
+    # alpha, then tstudent5 quantile(1 - alpha), tstudent5 and gumbel truths.
+    REFERENCE = [
+        (1e-10, "156.825590113280687844", "1.9603769695420422954e-8",
+         "2.3448637122422330805e-9"),
+        (1e-08, "62.4045060481847609717", "7.80199370299382200593e-7",
+         "1.88434651662099492268e-7"),
+        (1e-06, "24.7710297203724885639", "0.0000309997757988722517507",
+         "0.0000142382946434433477514"),
+        (0.0001, "9.67756630088281416421", "0.00121882998046857647555",
+         "0.000963309970637922338316"),
+        (0.01, "3.36492999890721777874", "0.0445242911181797339288",
+         "0.0502544754521670497464"),
+        (0.1, "1.47588404882448125163", "0.230222989535554159145",
+         "0.269964187253703716206"),
+        (0.3, "0.559429644469360609791", "0.420252723852465101239",
+         "0.463346539765527584672"),
+        (0.45, "0.132175175231687381796", "0.471209743661360185739",
+         "0.491534282441267261969"),
+    ]
+
+    @pytest.mark.parametrize("alpha, quantile, tstudent5, gumbel", REFERENCE)
+    def test_against_fifty_digits(self, alpha, quantile, tstudent5, gumbel):
+        t5 = get_distribution("tstudent5")
+        assert relative_error(t5.quantile(1.0 - alpha), quantile) <= 2e-15
+        assert relative_error(t5.extremal_semideviation(alpha), tstudent5) <= 5e-15
+        truth = get_distribution("gumbel").extremal_semideviation(alpha)
+        assert relative_error(truth, gumbel) <= 5e-15
+
+    def test_quantile_matches_stdtrit(self):
+        # stdtrit overflows to inf below about p = 1e-270 (scipy 1.17), so
+        # the grid stops well above that, at 1e-100; the 50-digit and
+        # monotonicity tests cover the far tail.
+        from scipy.special import stdtrit
+
+        t5 = get_distribution("tstudent5")
+        tails = np.geomspace(1e-100, 0.5, 1500)[:-1]
+        upper = 1.0 - tails
+        for p in [*tails, *upper[upper < 1.0], 1.0 - 2.0**-53]:
+            want = stdtrit(5.0, p)
+            assert abs(t5.quantile(p) - want) <= 1e-14 * abs(want), p
+
+    def test_quantile_symmetric_finite_and_monotone(self):
+        t5 = get_distribution("tstudent5")
+        assert t5.quantile(0.5) == 0.0
+        tails = np.geomspace(1e-300, 0.5, 2250)[:-1]
+        upper = 1.0 - tails
+        upper = upper[upper < 1.0]
+        for p in upper:
+            # 1 - p is exact for p > 1/2, so both calls see the same tail.
+            assert t5.quantile(p) == -t5.quantile(1.0 - p), p
+        levels = np.unique([*tails, 0.5, *upper, 1.0 - 2.0**-53])
+        q = np.array([t5.quantile(p) for p in levels])
+        assert np.all(np.isfinite(q))
+        assert np.all(np.diff(q) >= 0.0)
 
 
 class TestSampling:

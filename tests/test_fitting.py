@@ -12,7 +12,7 @@ from evtrisk import (
     select_threshold,
     sort_and_summarize,
 )
-from evtrisk.fitting import _tie_warnings, fit_rows, min_sample_size
+from evtrisk.fitting import _threshold_rule, _tie_warnings, fit_rows, min_sample_size
 
 
 class TestSortAndSummarize:
@@ -77,6 +77,23 @@ class TestSelectThreshold:
         want_idx = -(-9 * m // 10)  # exact ceil(0.9 m) in integer arithmetic
         assert threshold == float(want_idx)
         assert k == m - want_idx
+
+    @pytest.mark.parametrize("levels", [None, 3, 12])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
+    def test_counts_equal_the_full_row_count(self, levels, q):
+        # The rule counts only the columns after the threshold's; on
+        # ascending rows, tied (values on a few levels) or not, that is
+        # the count over the whole row.
+        rng = np.random.default_rng(4)
+        for m in (20, 21, 57, 99):
+            values = rng.exponential(size=(200, m))
+            if levels is not None:
+                values = np.floor(levels * values)
+            ordered = np.sort(values, axis=-1)
+            threshold, k = _threshold_rule(ordered, q)
+            np.testing.assert_array_equal(k, np.sum(ordered > threshold[:, None], axis=-1))
+            one_threshold, one_k = _threshold_rule(ordered[0], q)
+            assert (one_threshold, one_k) == (threshold[0], k[0])
 
 
 class TestMinSampleSize:

@@ -8,10 +8,9 @@ from helpers import run_python
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy is only needed by code that imports it on use (the Student-t
-    # CDF and quantile, the Gumbel ground truth, the quadrature oracle),
-    # and the process pool, which pulls in multiprocessing, only by a
-    # benchmark run with more than one worker; loading the package must
-    # pay for neither.
+    # CDF, the quadrature oracle), and the process pool, which pulls in
+    # multiprocessing, only by a benchmark run with more than one worker;
+    # loading the package must pay for neither.
     code = ("import sys, evtrisk\n"
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('scipy', 'multiprocessing')"
@@ -19,6 +18,38 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_ground_truths_grid_and_oracle_load_no_scipy(tmp_path):
+    # The truths, quantiles, grid and Monte Carlo oracle are pure math and
+    # numpy, through the API and the CLI; only the Student-t CDF loads
+    # scipy.special.
+    code = """
+import sys
+from evtrisk import (DISTRIBUTIONS, ExperimentConfig, RandomStream, cli,
+                     monte_carlo_semideviation, run_experiment)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for dist in DISTRIBUTIONS.values():
+    dist.extremal_semideviation(0.01)
+    monte_carlo_semideviation(dist, 0.01, 10_000, RandomStream(1))
+run_experiment(ExperimentConfig(distributions=sorted(DISTRIBUTIONS),
+                                m_values=(20, 21), trials=5))
+config, out = sys.argv[1:]
+assert cli.main(["benchmark", "--config", config, "--out", out]) == 0
+assert cli.main(["oracle", "--dist", "gumbel", "--samples", "10000"]) == 0
+assert scipy_modules() == [], scipy_modules()
+assert DISTRIBUTIONS["tstudent5"].cdf(0.0) == 0.5
+assert "scipy.special" in scipy_modules()
+"""
+    config = tmp_path / "bench.cfg"
+    config.write_text("distributions = pareto2, tstudent5, gumbel\n"
+                      "m_values = 20..21\ntrials = 5\n", encoding="utf-8")
+    proc = run_python("-W", "error", "-c", code, str(config), str(tmp_path / "out.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8").count("\n") == 7
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():

@@ -121,6 +121,24 @@ class TestBatchedStreams:
         want = [derive_seed(1729, "gumbel", 35, t) for t in range(50)]
         assert [int(s) for s in got] == want
 
+    @pytest.mark.parametrize("indices", [
+        [-1, 0, 3, 2**63 - 1],
+        np.array([-1, 0, 3, 2**63 - 1]),
+        np.array([-1, 0, 3], dtype=np.int8),
+        np.array([2**64 - 1, 0, 3], dtype=np.uint64),
+        np.arange(3, dtype=np.uint32),
+    ])
+    def test_derive_seeds_folds_any_integer_dtype(self, indices):
+        # Negatives fold modulo 2**64, as in derive_seed.
+        got = derive_seeds((1, "pareto2", 20), indices)
+        want = [derive_seed(1, "pareto2", 20, int(i)) for i in indices]
+        assert [int(s) for s in got] == want
+
+    @pytest.mark.parametrize("indices", [[2.7], np.array([2.0]), [True], []])
+    def test_derive_seeds_refuses_non_integer_dtypes(self, indices):
+        with pytest.raises(ValueError, match=r"^indices: dtype \w+ is not an integer dtype$"):
+            derive_seeds((1, "pareto2", 20), indices)
+
     def test_uniform_planes(self):
         rows = uniform_planes(self.SEEDS, 0, 33)
         assert rows.shape == (1, len(self.SEEDS), 33)
