@@ -173,17 +173,9 @@ def _pareto2_tail_semidev(w):
 
 # ---------------------------------------------------------------------------
 # Student-t, 5 degrees of freedom: symmetric, mean 0, extreme value index
-# 1/5; CDF via the regularized incomplete beta function, quantile from the
-# elementary CDF of odd degrees of freedom (Abramowitz & Stegun 26.7.3).
+# 1/5; CDF and quantile from the elementary CDF of odd degrees of freedom
+# (Abramowitz & Stegun 26.7.3) in the tail angle phi = arctan(sqrt(5)/|t|).
 # ---------------------------------------------------------------------------
-
-
-def _t5_cdf(z):
-    from scipy.special import betainc
-
-    x = 5.0 / (5.0 + z * z)
-    half_tail = 0.5 * betainc(2.5, 0.5, x)
-    return np.where(z >= 0.0, 1.0 - half_tail, half_tail)
 
 
 # Taylor coefficients of g(phi) below, phi**5 to phi**33: the terms of
@@ -195,16 +187,22 @@ _T5_TAIL_SERIES = tuple(
 
 
 def _t5_tail_angle(phi):
-    # pi times the survival at |t| = sqrt(5) / tan(phi):
+    # pi times the survival at |t| = sqrt(5) / tan(phi), elementwise:
     #   g(phi) = phi - (2/3) sin 2phi + (1/12) sin 4phi,  g' = (8/3) sin^4 phi.
     # Below phi = 1 the trig form cancels (g ~ 8/15 phi^5), so sum the series.
-    if phi >= 1.0:
-        return phi - (2.0 / 3.0) * math.sin(2.0 * phi) + math.sin(4.0 * phi) / 12.0
     x = phi * phi
     series = 0.0
     for c in reversed(_T5_TAIL_SERIES):
         series = series * x + c
-    return series * x * x * phi
+    trig = phi - (2.0 / 3.0) * np.sin(2.0 * phi) + np.sin(4.0 * phi) / 12.0
+    return np.where(phi >= 1.0, trig, series * x * x * phi)
+
+
+def _t5_cdf(z):
+    # The angle keeps full precision at every |z|: near 0, where
+    # 5 / (5 + z^2) rounds to 1, and past 1e154, where z^2 overflows.
+    tail = _t5_tail_angle(np.arctan2(math.sqrt(5.0), np.abs(z))) / math.pi
+    return np.where(z >= 0.0, 1.0 - tail, tail)
 
 
 def _t5_quantile(p):

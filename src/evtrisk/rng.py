@@ -172,9 +172,9 @@ class RandomStream:
     naming the argument instead of being truncated or leaving a fractional
     counter behind.
 
-    :meth:`words` and :meth:`uniform` read the next ``n`` words;
-    :meth:`take` only reserves them, for a caller that fetches them itself
-    (with :func:`uniform_planes` at the returned counter).
+    :meth:`uniform` reads the next ``n`` words; :meth:`take` only reserves
+    them, for a caller that fetches them itself (with
+    :func:`uniform_planes` at the returned counter).
     """
 
     __slots__ = ("_seed", "_counter")
@@ -201,11 +201,6 @@ class RandomStream:
         first = self._counter
         self._counter += _integer("n", n, 0)
         return first
-
-    def words(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words as a uint64 array."""
-        first = self.take(n)
-        return _counter_words(self._seed, first, self._counter - first)
 
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1)."""

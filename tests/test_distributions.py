@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, get_distribution
@@ -144,6 +144,42 @@ class TestTStudentCdf:
         for z in (-2.0, 0.7, 3.5):
             want, _ = quad(density, -np.inf, z, epsabs=1e-14)
             assert dist.cdf(z) == pytest.approx(want, abs=1e-12)
+
+    def test_near_zero_against_thirty_digits(self):
+        # 5 / (5 + z^2) rounds to 1 for |z| below about 2.4e-8, so a CDF
+        # through that argument returns exactly 0.5 here; the references
+        # are mpmath's incomplete beta.
+        t5 = get_distribution("tstudent5")
+        assert relative_error(t5.cdf(-2.05e-8), "0.499999992218062858638864212303") <= 2**-53
+        assert relative_error(t5.cdf(2.05e-8), "0.500000007781937141361135787697") <= 2**-53
+
+    def test_symmetric_bit_for_bit(self):
+        z = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 6001)])
+        t5 = get_distribution("tstudent5")
+        np.testing.assert_array_equal(t5.cdf(z), 1.0 - t5.cdf(-z))
+
+    def test_monotone_from_minus_to_plus_1e300(self):
+        side = np.geomspace(1e-300, 1e300, 6001)
+        z = np.concatenate([-side[::-1], [0.0], side])
+        cdf = get_distribution("tstudent5").cdf(z)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+    def test_against_betainc(self):
+        # The CDF is 1/2 + sign(z) I_y(1/2, 5/2) / 2 with y = z^2 / (5 + z^2);
+        # that argument keeps full precision near 0, where 1 - y does not.
+        side = np.geomspace(1e-2, 1e150, 3000)
+        z = np.concatenate([-side, side])
+        half = 0.5 * special.betainc(0.5, 2.5, z * z / (5.0 + z * z))
+        want = np.where(z >= 0.0, 0.5 + half, 0.5 - half)
+        got = get_distribution("tstudent5").cdf(z)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # The lower tail to a few ulp relative, where I_x(5/2, 1/2) with
+        # x = 5 / (5 + z^2) is accurate.
+        z = np.geomspace(1.0, 1e50, 3000)
+        tail = 0.5 * special.betainc(2.5, 0.5, 5.0 / (5.0 + z * z))
+        got = get_distribution("tstudent5").cdf(-z)
+        assert np.max(np.abs(got - tail) / tail) <= 4e-15
 
 
 def relative_error(got: float, want: str) -> float:

@@ -391,6 +391,51 @@ class TestQuadratureOracle:
         got = semideviation_by_quadrature(p, 0.05, mean)
         assert got == pytest.approx(extremal_semideviation(p, 0.05, mean), rel=1e-8)
 
+    # Shapes near 1 decay like z^(-1/gamma), too slowly for an adaptive rule
+    # on [v, inf) to see; gamma = -50 has its endpoint 0.03 above the
+    # threshold.
+    @pytest.mark.parametrize("gamma", [0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-8, -50.0])
+    def test_matches_closed_form_at_extreme_shapes(self, gamma):
+        p = TailParams(k=5, m=40, gamma=gamma, threshold=2.0, scale=1.5)
+        mean = value_at_risk(p, 0.05) - 1.0
+        got = semideviation_by_quadrature(p, 0.05, mean)
+        assert got == pytest.approx(extremal_semideviation(p, 0.05, mean), rel=1e-8)
+
+    def test_matches_adaptive_quadrature(self):
+        # QUADPACK on the density in z, over criterion 1's draws: a reference
+        # that shares neither the coordinate nor the rule.
+        from scipy.integrate import IntegrationWarning, quad
+
+        rng = np.random.default_rng(20_01)
+        for _ in range(1_000):
+            p = random_params(rng, gamma_range=(-2.0, 0.95))
+            alpha = rng.uniform(1e-4, p.tail_fraction * 0.99)
+            mean = value_at_risk(p, alpha) - abs(rng.normal()) * p.scale
+            v = value_at_risk(p, alpha)
+            gamma, s, scale = p.gamma, p.threshold, p.scale
+
+            def integrand(z):
+                x = (z - s) / scale
+                if abs(gamma) < GAMMA_NEAR_ZERO:
+                    log_density = -x
+                else:
+                    log_density = (-1.0 / gamma - 1.0) * np.log1p(gamma * x)
+                return (z - v) * p.tail_fraction / scale * np.exp(log_density)
+
+            upper, points = p.support.upper, None
+            if upper < np.inf:
+                # Breakpoints keep the subdivision near the mass of a finite
+                # but enormous support (tiny |gamma|).
+                points = [v + scale * 2.0**j for j in range(48)
+                          if v + scale * 2.0**j < upper] or None
+            with warnings.catch_warnings():
+                # The tolerance sits near roundoff for some shapes.
+                warnings.simplefilter("ignore", IntegrationWarning)
+                excess, _ = quad(integrand, v, upper, epsabs=0.0, epsrel=1e-10,
+                                 limit=400, points=points)
+            want = excess + alpha * (v - mean)
+            assert semideviation_by_quadrature(p, alpha, mean) == pytest.approx(want, rel=1e-8)
+
 
 class TestTailApproximationError:
     def test_exponential_tail_is_exact(self):

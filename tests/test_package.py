@@ -1,16 +1,18 @@
 """Tests of the package as a whole: what importing it costs, how it runs."""
 
+from pathlib import Path
+
 import numpy
 import pytest
 
+import evtrisk
 from helpers import run_python
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy is only needed by code that imports it on use (the Student-t
-    # CDF, the quadrature oracle), and the process pool, which pulls in
-    # multiprocessing, only by a benchmark run with more than one worker;
-    # loading the package must pay for neither.
+    # The package needs no scipy, and the process pool, which pulls in
+    # multiprocessing, is needed only by a benchmark run with more than one
+    # worker; loading the package must pay for neither.
     code = ("import sys, evtrisk\n"
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('scipy', 'multiprocessing')"
@@ -20,29 +22,57 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_module_names_scipy():
+    src = Path(evtrisk.__file__).parent
+    named = [path.name for path in sorted(src.rglob("*.py"))
+             if "scipy" in path.read_text(encoding="utf-8")]
+    assert named == []
+
+
 def test_ground_truths_grid_and_oracle_load_no_scipy(tmp_path):
-    # The truths, quantiles, grid and Monte Carlo oracle are pure math and
-    # numpy, through the API and the CLI; only the Student-t CDF loads
-    # scipy.special.
+    # With scipy unimportable, the functions that once used it or reach
+    # code that did (the CDFs, the quadrature check, the tail-approximation
+    # probe) run, and so do the truths, quantiles, both oracles, the grid
+    # and the three CLI commands.
     code = """
 import sys
-from evtrisk import (DISTRIBUTIONS, ExperimentConfig, RandomStream, cli,
-                     monte_carlo_semideviation, run_experiment)
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no module named {name!r} here")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy imported")
+
+import numpy as np
+from evtrisk import (DISTRIBUTIONS, ExperimentConfig, RandomStream, TailParams, cli,
+                     monte_carlo_semideviation, run_experiment,
+                     semideviation_by_quadrature, synthetic_overflow_path,
+                     tail_approximation_error, value_at_risk)
 
 for dist in DISTRIBUTIONS.values():
     dist.extremal_semideviation(0.01)
+    dist.cdf(np.linspace(-3.0, 3.0, 7))
+    dist.cdf(dist.quantile(0.99))
     monte_carlo_semideviation(dist, 0.01, 10_000, RandomStream(1))
 run_experiment(ExperimentConfig(distributions=sorted(DISTRIBUTIONS),
                                 m_values=(20, 21), trials=5))
+for gamma in (-2.0, 0.0, 0.5):
+    p = TailParams(k=5, m=40, gamma=gamma, threshold=2.0, scale=1.5)
+    semideviation_by_quadrature(p, 0.05, value_at_risk(p, 0.05) - 1.0)
+p = TailParams(k=5, m=40, gamma=0.2, threshold=2.0, scale=0.4)
+tail_approximation_error(DISTRIBUTIONS["tstudent5"], p, np.linspace(2.0, 9.0, 8))
 config, out = sys.argv[1:]
+assert cli.main(["estimate", "--input", str(synthetic_overflow_path())]) == 0
 assert cli.main(["benchmark", "--config", config, "--out", out]) == 0
 assert cli.main(["oracle", "--dist", "gumbel", "--samples", "10000"]) == 0
-assert scipy_modules() == [], scipy_modules()
-assert DISTRIBUTIONS["tstudent5"].cdf(0.0) == 0.5
-assert "scipy.special" in scipy_modules()
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
     config = tmp_path / "bench.cfg"
     config.write_text("distributions = pareto2, tstudent5, gumbel\n"

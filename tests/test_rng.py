@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from evtrisk.distributions import TSTUDENT5
-from evtrisk.rng import RandomStream, derive_seed, derive_seeds, mix64, uniform_planes
+from evtrisk.rng import (RandomStream, _counter_words, derive_seed, derive_seeds, mix64,
+                         uniform_planes)
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -32,10 +33,15 @@ def reference_mix64(z):
 
 class TestWordGeneration:
     def test_matches_scalar_reference(self):
-        stream = RandomStream(123456789)
-        got = stream.words(64)
-        want = reference_words(123456789, 0, 64)
-        assert [int(w) for w in got] == want
+        got = _counter_words(123456789, 0, 64)
+        assert [int(w) for w in got] == reference_words(123456789, 0, 64)
+        # Every third word from word 7 on, for two seeds at once.
+        seeds = np.array([123456789, (1 << 64) - 1], dtype=np.uint64)
+        got = _counter_words(seeds, 7, 20, 3)
+        assert got.shape == (2, 20)
+        for seed, row in zip(seeds, got):
+            want = reference_words(int(seed), 7, 58)[::3]
+            assert [int(w) for w in row] == want
 
     def test_mix64_against_longhand(self):
         for z in (0, 1, GOLDEN, MASK, 0xDEADBEEF):
@@ -59,8 +65,8 @@ class TestWordGeneration:
         np.testing.assert_array_equal(stream.uniform(8), resumed.uniform(8))
 
     def test_different_seeds_differ(self):
-        a = RandomStream(1).words(16)
-        b = RandomStream(2).words(16)
+        a = _counter_words(1, 0, 16)
+        b = _counter_words(2, 0, 16)
         assert not np.array_equal(a, b)
 
 
@@ -168,7 +174,7 @@ class TestBatchedStreams:
         assert stream.take(10) == 3
         assert stream.take(0) == 13
         assert stream.counter == 13
-        np.testing.assert_array_equal(stream.words(2), RandomStream(5, counter=13).words(2))
+        np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=13).uniform(2))
 
 
 class TestValidation:
@@ -178,7 +184,7 @@ class TestValidation:
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
-            RandomStream(1).words(-1)
+            RandomStream(1).uniform(-1)
         with pytest.raises(ValueError):
             RandomStream(1).take(-1)
 
@@ -194,7 +200,6 @@ class TestValidation:
             call()
 
     @pytest.mark.parametrize("draw", [
-        lambda stream, n: stream.words(n),
         lambda stream, n: stream.uniform(n),
         lambda stream, n: stream.take(n),
     ])
@@ -210,7 +215,7 @@ class TestValidation:
     def test_integer_likes_are_accepted(self):
         stream = RandomStream(np.uint64(7), counter=np.int64(3))
         assert (stream.seed, stream.counter) == (7, 3)
-        np.testing.assert_array_equal(stream.words(np.int32(4)), RandomStream(7, 3).words(4))
+        np.testing.assert_array_equal(stream.uniform(np.int32(4)), RandomStream(7, 3).uniform(4))
         assert stream.counter == 7
         # Any integer seed, reduced modulo 2**64.
         assert RandomStream(-1).seed == MASK
