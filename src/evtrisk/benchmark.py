@@ -21,8 +21,8 @@ import numpy as np
 
 from .distributions import BLOCK, Distribution, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
-from .fitting import THRESHOLD_QUANTILE, min_sample_size
-from .rng import RandomStream, _integer, derive_seed, derive_seeds
+from .fitting import _fit_error, min_sample_size
+from .rng import RandomStream, _integer, _level, derive_seed, derive_seeds
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
@@ -35,7 +35,9 @@ class ExperimentConfig:
     Sizes and ``master_seed`` are integers (``operator.index``); a sample
     size may appear only once, and the seed lies in ``[0, 2**64)``, so no
     two seeds fold to the same trial streams.  ``trials`` defaults to a
-    desk-scale 2,000; raise it to 10,000 to match full-scale runs.
+    desk-scale 2,000; raise it to 10,000 to match full-scale runs.  Every
+    ``ValueError`` it raises starts with the name of the field at fault,
+    so :func:`~evtrisk.cli.load_config` can name that field's line.
 
     A cell draws and fits ``max(1, BLOCK // m)`` trials per pass
     (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials).
@@ -52,26 +54,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.distributions:
-            raise ValueError("at least one distribution is required")
-        object.__setattr__(self, "distributions",
-                           tuple(get_distribution(n).name for n in self.distributions))
+            raise ValueError("distributions: at least one distribution is required")
+        try:
+            names = tuple(get_distribution(n).name for n in self.distributions)
+        except ValueError as exc:
+            raise ValueError(f"distributions: {exc}") from None
+        object.__setattr__(self, "distributions", names)
         m_values = tuple(_integer("m_values", m) for m in self.m_values)
         if not m_values:
-            raise ValueError("at least one sample size is required")
+            raise ValueError("m_values: at least one sample size is required")
         repeated = [m for m, count in Counter(m_values).items() if count > 1]
         if repeated:
             raise ValueError(f"m_values: sample size {repeated[0]} is repeated")
-        least = min_sample_size(THRESHOLD_QUANTILE)
-        if min(m_values) < least:
-            raise ValueError(
-                f"all sample sizes must be >= {least}: below that the "
-                f"{THRESHOLD_QUANTILE:g}-quantile threshold leaves fewer than 2 "
-                "exceedances, so every tail fit would fail"
-            )
+        if min(m_values) < min_sample_size():
+            # Every fit of such a cell fails, for the reason _fit_error gives.
+            raise ValueError(f"m_values: {_fit_error(min(m_values), 0)}")
         object.__setattr__(self, "m_values", m_values)
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _level("alpha", self.alpha)
         seed = _integer("master_seed", self.master_seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"master_seed: {seed} is outside [0, 2**64)")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -159,8 +159,9 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:
-        # An error that names one key ("master_seed: ...") names its line.
-        key = str(exc).partition(":")[0]
+        # An error that starts with a key ("master_seed: ...", "trials
+        # must be >= 1") names that key's line.
+        key = str(exc).split()[0].rstrip(":")
         where = f"line {line_of[key]}: " if key in line_of else ""
         raise ValueError(f"{path}: {where}{exc}") from None
 
@@ -171,18 +172,9 @@ def format_float(x: float) -> str:
 
 
 def summary_row(s: SeriesSummary) -> str:
-    return ",".join([
-        s.dist,
-        str(s.m),
-        str(s.trials_completed),
-        format_float(s.evt_valid_fraction),
-        format_float(s.mean_err_typical),
-        format_float(s.q25_typical),
-        format_float(s.q75_typical),
-        format_float(s.mean_err_evt),
-        format_float(s.q25_evt),
-        format_float(s.q75_evt),
-    ])
+    """One CSV row: the fields of ``s`` in order, as ``CSV_HEADER`` names them."""
+    dist, m, trials, *stats = astuple(s)
+    return ",".join([dist, str(m), str(trials), *map(format_float, stats)])
 
 
 def write_summaries_csv(summaries, path: str) -> None:
@@ -205,11 +197,7 @@ def _report_to_json(report, warnings_extra=()) -> dict:
         "cvar_theta": report.cvar_tail,
         "rho_evt": report.rho_evt,
         "rho_typical": report.rho_typical,
-        "assumptions": {
-            "alpha_lt_k_over_m": report.assumptions.alpha_lt_k_over_m,
-            "var_ge_mean": report.assumptions.var_ge_mean,
-            "gamma_lt_1": report.assumptions.gamma_lt_1,
-        },
+        "assumptions": asdict(report.assumptions),
         "warnings": list(report.warnings) + list(warnings_extra),
     }
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import RandomStream, _integer, uniform_planes
+from .rng import RandomStream, _integer, _level, _like, uniform_planes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -85,16 +85,11 @@ class Distribution:
 
     def cdf(self, z):
         """Exact distribution function F(z); accepts scalars or arrays."""
-        arr = np.asarray(z, dtype=float)
-        out = self._cdf(arr)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return _like(z, self._cdf(np.asarray(z, dtype=float)))
 
     def quantile(self, p: float) -> float:
         """Generalized inverse inf{z : F(z) >= p} for p in (0, 1)."""
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {p}")
+        _level("quantile level", p)
         return float(self._quantile(float(p)))
 
     def sample(self, n: int, stream: RandomStream) -> np.ndarray:
@@ -150,8 +145,7 @@ class Distribution:
         ``max(quantile(1 - alpha), mean)`` to the right endpoint, using the
         closed form attached to each law.
         """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        _level("alpha", alpha)
         w = max(self.quantile(1.0 - alpha), self.mean)
         return float(self._tail_semidev(w))
 

@@ -27,22 +27,21 @@ from .fitting import (
     RowFits,
     SortedSample,
     _as_sample,
-    _ceil_scaled,
-    _fit_error,
+    _fit_report,
+    _floor_scaled,
     _per_group,
-    _tie_warnings,
+    _sort_rows,
     fit_rows,
 )
-from .rng import RandomStream, _integer
+from .rng import RandomStream, _inside, _integer, _level
 from .tail_model import (
     GAMMA_NEAR_ZERO,
-    AssumptionViolation,
     TailParams,
     _cvar,
     _semideviation,
     _survival_unchecked,
     _var,
-    value_at_risk,
+    _var_at_least_mean,
 )
 
 
@@ -128,11 +127,9 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     closed forms elementwise.  ``alpha`` is checked here, once for both;
     the samples are not validated.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    ordered = np.sort(samples, axis=-1)
+    _level("alpha", alpha)
+    ordered, mean = _sort_rows(samples)
     m = ordered.shape[-1]
-    mean = np.add.reduce(ordered, axis=-1) / m
     fits = fit_rows(ordered)
     # Failed rows carry NaN or unusable parameters (and k = 0 divides by
     # zero); their closed forms are masked by evt_valid.
@@ -172,13 +169,12 @@ def typical_semideviation(sample: SortedSample, alpha: float,
     :func:`typical_rows` at the tail-fit exceedance count, so that both
     estimators share one ``k``; ``n_top=k`` reproduces that value here.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _level("alpha", alpha)
     m = sample.m
     if m < 2:
         raise ValueError("need at least 2 points")
     if n_top is None:
-        n_top = m - _ceil_scaled((1.0 - alpha) * m)
+        n_top = _floor_scaled(alpha * m)
     n_top = _integer("n_top", n_top)
     if not 0 <= n_top < m:
         raise ValueError(f"n_top must be in [0, m), got {n_top}")
@@ -198,11 +194,7 @@ def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
     """
     values = _as_sample(data)
     est = estimate_rows(values, alpha)
-    fits = est.fits
-    if fits.failed:
-        raise _fit_error(values.size, int(fits.k), float(fits.gamma), float(fits.scale))
-    params = TailParams(k=int(fits.k), m=values.size, gamma=float(fits.gamma),
-                        threshold=float(fits.threshold), scale=float(fits.scale))
+    params, warnings = _fit_report(values, est.fits)
     return EstimateReport(
         alpha=alpha,
         params=params,
@@ -213,7 +205,7 @@ def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
         rho_evt=float(est.rho_evt) if est.evt_valid else None,
         assumptions=AssumptionChecks(alpha_lt_k_over_m=bool(est.alpha_ok),
                                      var_ge_mean=bool(est.evt_valid)),
-        warnings=_tie_warnings(values, fits.threshold),
+        warnings=warnings,
     )
 
 
@@ -248,9 +240,8 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
         indicative rather than exact there.
     """
     n = _integer("n", n, 10_000)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    top = n - _ceil_scaled((1.0 - alpha) * n) + 1   # v is the top-th largest
+    _level("alpha", alpha)
+    top = _floor_scaled(alpha * n) + 1      # v is the top-th largest
     total, cut, size = 0.0, -np.inf, 0
     kept = np.empty(min(n, 2 * top + 2 * BLOCK))
     for start in range(0, n, BLOCK):
@@ -312,12 +303,8 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
     alpha / k``.  One exp-sinh rule, scaled by ``1 / (1 - gamma)``,
     integrates it, bounded support or not.
     """
-    v = value_at_risk(params, alpha)            # validates alpha
-    if v < sample_mean:
-        raise AssumptionViolation(
-            f"value-at-risk {v} is below the sample mean {sample_mean}; "
-            "the integral check has the same hypothesis as the closed form"
-        )
+    v = _var_at_least_mean(params, alpha, sample_mean,
+                           "the integral check has the same hypothesis as the closed form")
     gamma = params.gamma
     # With u = t - t_v and r = e^-t_v,
     #   (z - v) e^-t = scale r^(1 - gamma) e^-u expm1(gamma u) / gamma.
@@ -349,7 +336,7 @@ def tail_approximation_error(dist: Distribution, params: TailParams,
     """
     grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     lower, upper = params.support
-    if np.any(grid < lower) or np.any(grid >= upper):
+    if not _inside(grid, lower, upper):
         raise ValueError("grid points must lie inside the model support")
     survival_exact = 1.0 - dist.cdf(grid)
     survival_at_s = 1.0 - dist.cdf(lower)

@@ -44,10 +44,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _integer
+from .rng import _integer, _level
 from .tail_model import TailParams
 
 THRESHOLD_QUANTILE = 0.90
+# Half the largest double: a margin for rounding in the bound on a sum.
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 class FitError(ValueError):
@@ -55,11 +57,26 @@ class FitError(ValueError):
 
 
 def _ceil_scaled(x: float) -> int:
-    """``ceil(x)`` with snapping for products like 0.9*m that should be integral."""
+    """``ceil(x)`` for a product ``x`` of a decimal level and a count.
+
+    A product within 4 ulps of an integer is taken as that integer: there
+    the exact decimal product is whole, and only the rounding of the level
+    and of the product moved it.  The snap is relative, so it holds at any
+    count.
+    """
     nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(x))
+    return nearest if abs(x - nearest) <= 4.0 * math.ulp(x) else math.ceil(x)
+
+
+def _floor_scaled(x: float) -> int:
+    """``floor(x)``, snapped as :func:`_ceil_scaled` snaps.
+
+    ``floor(alpha * n)`` counts the values above the empirical ``(1 -
+    alpha)``-quantile of ``n``, ``n - ceil((1 - alpha) n)``, without
+    forming ``1 - alpha``: its rounding error is relative to ``alpha``, so
+    at large ``n`` it moves the product by many ulps.
+    """
+    return -_ceil_scaled(-x)
 
 
 def min_sample_size(q: float = THRESHOLD_QUANTILE) -> int:
@@ -68,8 +85,7 @@ def min_sample_size(q: float = THRESHOLD_QUANTILE) -> int:
     Below it the threshold rule admits at most one exceedance whatever the
     data, so every fit fails; at the default ``q = 0.90`` it is 20.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {q}")
+    _level("quantile level", q)
     # m - ceil(q m) <= (1 - q) m, so no smaller m can leave 2 points.
     m = max(2, int(1.99 / (1.0 - q)))
     while m - _ceil_scaled(q * m) < 2:
@@ -252,11 +268,56 @@ def _fit_above(ordered, threshold, k) -> RowFits:
     return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, failed=failed)
 
 
+def _sort_rows(samples: np.ndarray):
+    """Each sample (row, along the last axis) in ascending order, and its mean.
+
+    No partial sum of a row exceeds ``m`` times its largest magnitude, so
+    rows are summed as they are unless one is that close to the top of
+    the double range.  Then a row whose sum is not finite is summed a
+    second time, divided by ``2**e`` with ``e`` the binary exponent of its
+    largest magnitude, and its mean multiplied back, as in :func:`_pwm`.
+    Powers of two scale exactly, so that mean is bit for bit the unscaled
+    formula's on data small enough for it.
+    """
+    ordered = np.sort(samples, axis=-1)
+    m = ordered.shape[-1]
+    lo, hi = ((ordered[0], ordered[-1]) if ordered.ndim == 1
+              else (ordered[..., 0].min(), ordered[..., -1].max()))
+    if max(-lo, hi) < _HALF_MAX / m:
+        return ordered, np.add.reduce(ordered, axis=-1) / m
+    rows = ordered.reshape(-1, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(rows, axis=-1) / m
+    for i in np.flatnonzero(~np.isfinite(mean)):
+        e = np.frexp(max(-rows[i, 0], rows[i, -1]))[1]
+        mean[i] = np.ldexp(np.add.reduce(np.ldexp(rows[i], -e)) / m, e)
+    return ordered, mean.reshape(ordered.shape[:-1])[()]
+
+
+def _fit_report(values: np.ndarray, fits: RowFits, q: float | None = THRESHOLD_QUANTILE):
+    """The one fit in ``fits``, of the sample ``values``, as public values.
+
+    A usable fit becomes its :class:`TailParams` and the sample's tie
+    warnings (the fields of a :class:`FitReport`); an unusable one raises
+    the :class:`FitError` that :func:`_fit_error` words for it, with the
+    threshold level ``q``.
+    """
+    m, k = values.size, int(fits.k)
+    if fits.failed:
+        raise _fit_error(m, k, float(fits.gamma), float(fits.scale), q=q)
+    params = TailParams(k=k, m=m, gamma=float(fits.gamma),
+                        threshold=float(fits.threshold), scale=float(fits.scale))
+    return params, _tie_warnings(values, fits.threshold)
+
+
 def sort_and_summarize(data) -> SortedSample:
-    """Sort a raw data sequence ascending and attach its mean."""
-    ordered = np.sort(_as_sample(data))
+    """Sort a raw data sequence ascending and attach its mean.
+
+    The mean is finite for any finite data (see :func:`_sort_rows`).
+    """
+    ordered, mean = _sort_rows(_as_sample(data))
     ordered.setflags(write=False)
-    return SortedSample(values=ordered, mean=float(ordered.mean()))
+    return SortedSample(values=ordered, mean=float(mean))
 
 
 def select_threshold(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> tuple[float, int]:
@@ -284,8 +345,7 @@ def select_threshold(sample: SortedSample, q: float = THRESHOLD_QUANTILE) -> tup
         If fewer than 2 values exceed the threshold (the moment fit is
         degenerate below that, and impossible with none).
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {q}")
+    _level("quantile level", q)
     threshold, k = _threshold_rule(sample.values, q)
     if k < 2:
         raise _fit_error(sample.m, int(k), q=q)
@@ -306,8 +366,4 @@ def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
     if not np.all(sample.values[m - k:] > threshold):
         raise ValueError("the top n_exceed values must exceed the threshold strictly")
     fits = _fit_above(sample.values, np.float64(threshold), np.int64(k))
-    if fits.failed:
-        raise _fit_error(m, k, float(fits.gamma), float(fits.scale), q=None)
-    params = TailParams(k=k, m=m, gamma=float(fits.gamma), threshold=threshold,
-                        scale=float(fits.scale))
-    return FitReport(params=params, warnings=_tie_warnings(sample.values, threshold))
+    return FitReport(*_fit_report(sample.values, fits, q=None))

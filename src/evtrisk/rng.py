@@ -50,6 +50,25 @@ def _integer(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def _level(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` lies in the
+    open interval (0, 1), as a probability level must; NaN does not."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
+def _inside(values, lower, upper) -> bool:
+    """Whether every entry of ``values`` lies in ``[lower, upper)``; NaN
+    lies in no interval."""
+    return bool(np.all((lower <= values) & (values < upper)))
+
+
+def _like(z, out):
+    """``out`` as a Python float if ``z`` is a scalar, else unchanged: a
+    vectorized function answers a scalar with a scalar."""
+    return float(out) if np.ndim(z) == 0 else out
+
+
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (wraparound is intentional).
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _integer
+from .rng import _inside, _integer, _like
 
 # Below this magnitude the shape parameter is treated as exactly zero:
 # the stable expm1/log1p forms still cancel catastrophically when the
@@ -63,7 +63,8 @@ def gpd_survival(gamma: float, z):
         Shape parameter (extreme value index).
     z : float or array
         Points in the survival function's domain: ``z >= 0`` and, for
-        shapes at or below ``-GAMMA_NEAR_ZERO``, ``z < -1/gamma``.
+        shapes at or below ``-GAMMA_NEAR_ZERO``, ``z < -1/gamma``.  NaN
+        is in neither, and raises ``ValueError`` as they do.
 
     Returns
     -------
@@ -73,16 +74,14 @@ def gpd_survival(gamma: float, z):
         shapes arbitrarily close to zero.
     """
     arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0.0):
+    # Closed at +inf, where an unbounded shape's survival is 0; NaN fails.
+    if not np.all(arr >= 0.0):
         raise ValueError("gpd_survival requires z >= 0")
-    if _bounded(gamma) and np.any(arr >= -1.0 / gamma):
+    if _bounded(gamma) and not _inside(arr, 0.0, -1.0 / gamma):
         raise ValueError(
             f"z outside the survival domain [0, {-1.0 / gamma}) for shape {gamma}"
         )
-    out = _survival_unchecked(gamma, arr)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    return _like(z, _survival_unchecked(gamma, arr))
 
 
 def _survival_unchecked(gamma: float, x):
@@ -164,10 +163,7 @@ def tail_cdf(params: TailParams, z):
     inside = np.clip(x, 0.0, np.nextafter(x_upper, 0.0))
     out = 1.0 - params.tail_fraction * _survival_unchecked(params.gamma, inside)
     out = np.where(x >= x_upper, 1.0, out)
-    out = np.where(x < 0.0, 0.0, out)
-    if np.ndim(z) == 0:
-        return float(out)
-    return out
+    return _like(z, np.where(x < 0.0, 0.0, out))
 
 
 def tail_quantile(params: TailParams, u):
@@ -181,14 +177,11 @@ def tail_quantile(params: TailParams, u):
     levels take ``r = 1``, where it gives the threshold exactly.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not _inside(arr, 0.0, 1.0):
         raise ValueError("quantile level must satisfy 0 <= u < 1")
     r = np.where(arr > 1.0 - params.tail_fraction,
                  (1.0 - arr) / params.tail_fraction, 1.0)
-    out = _var(params.threshold, params.scale, params.gamma, r)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    return _like(u, _var(params.threshold, params.scale, params.gamma, r))
 
 
 def _var(threshold, scale, gamma, r):
@@ -224,7 +217,10 @@ def value_at_risk(params: TailParams, alpha: float) -> float:
     the continuous tail branch (where the closed form is exact and the
     result lies in the interior of the support).
     """
-    _check_alpha(params, alpha)
+    if not 0.0 < alpha < params.tail_fraction:
+        raise ValueError(
+            f"alpha must be in (0, k/m) = (0, {params.tail_fraction}), got {alpha}"
+        )
     return float(_var(params.threshold, params.scale, params.gamma,
                       params.m * alpha / params.k))
 
@@ -256,18 +252,19 @@ def extremal_semideviation(params: TailParams, alpha: float,
         not abort (e.g. the benchmark harness) check the hypothesis first
         and record a flag instead.
     """
-    v = value_at_risk(params, alpha)
-    if v < sample_mean:
-        raise AssumptionViolation(
-            f"value-at-risk {v} is below the sample mean {sample_mean}; "
-            "the closed form does not apply"
-        )
+    v = _var_at_least_mean(params, alpha, sample_mean, "the closed form does not apply")
     c = _cvar(v, params.threshold, params.scale, params.gamma)
     return float(_semideviation(c, sample_mean, alpha))
 
 
-def _check_alpha(params: TailParams, alpha: float) -> None:
-    if not 0.0 < alpha < params.tail_fraction:
-        raise ValueError(
-            f"alpha must be in (0, k/m) = (0, {params.tail_fraction}), got {alpha}"
+def _var_at_least_mean(params: TailParams, alpha: float, sample_mean: float,
+                       consequence: str) -> float:
+    """The model value-at-risk, or :class:`AssumptionViolation` ending in
+    ``consequence`` if it is below ``sample_mean``: the hypothesis of the
+    closed form and of every check of it."""
+    v = value_at_risk(params, alpha)
+    if v < sample_mean:
+        raise AssumptionViolation(
+            f"value-at-risk {v} is below the sample mean {sample_mean}; {consequence}"
         )
+    return v

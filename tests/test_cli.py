@@ -176,7 +176,25 @@ class TestLoadConfig:
     def test_rejected_config_names_file(self, tmp_path):
         path = tmp_path / "bench.cfg"
         path.write_text("distributions = pareto2\ntrials = 0\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: trials must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: line 2: trials must be >= 1"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("lines, message", [
+        (["distributions = gumbel", "alpha = 2"], "line 3: alpha must be in (0, 1), got 2.0"),
+        (["distributions = gumbel", "trials = 0"], "line 3: trials must be >= 1, got 0"),
+        (["distributions = pareto2, nope"], "line 2: distributions: unknown distribution 'nope'"),
+        (["distributions = ,"], "line 2: distributions: at least one distribution is required"),
+        (["distributions = gumbel", "m_values = 5..19"],
+         "line 3: m_values: 5 points leave at most 0 above the 0.9-quantile threshold, "
+         "and the fit needs 2 exceedances: at least 20 points are required"),
+    ], ids=["alpha", "trials", "unknown-law", "no-law", "below-20"])
+    def test_every_rejected_value_names_its_line(self, tmp_path, lines, message):
+        # ExperimentConfig words each value it rejects under the value's
+        # key, and the loader names that key's line.
+        path = tmp_path / "bench.cfg"
+        path.write_text("\n".join(["# grid", *lines]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_config(str(path))
 
     def test_distribution_names_are_case_insensitive(self, tmp_path):
@@ -246,11 +264,11 @@ class TestLoaderFuzz:
         errors = [self.error(load_config, tmp_path / "bench.cfg", self.config_bytes(rng))
                   for _ in range(300)]
         by_line = [e for e in errors if e is not None and re.match(r"line \d+: ", e)]
-        # The rest either parsed or are faults of the whole config: lines
-        # that each parse, but no distributions or values ExperimentConfig
-        # rejects.  All three outcomes occur.
-        whole = [e for e in errors if e is not None and e not in by_line]
-        assert by_line and whole and None in errors
+        # Every other config parsed, or lacks distributions: a value that
+        # ExperimentConfig rejects is the fault of its line, and names it.
+        assert all(e in by_line or e == "missing required key 'distributions'"
+                   for e in errors if e is not None), errors
+        assert by_line and None in errors
         assert any("not UTF-8" in e for e in by_line)
 
 

@@ -100,6 +100,19 @@ class TestPipeline:
         assert report.assumptions.all_hold()
         assert report.rho_evt == pytest.approx(0.18, rel=0.3)
 
+    def test_mean_of_data_whose_sum_overflows(self):
+        # Finite data near the top of the double range: the sum overflows,
+        # but every field is the scaled data's, times the power of two.
+        data = (np.random.default_rng(0).pareto(2, 40) + 1.0) * 3e306
+        big, small = evt_estimate(data), evt_estimate(data * 2.0**-600)
+        assert math.isfinite(sort_and_summarize(data).mean)
+        for field in ("sample_mean", "rho_typical", "rho_evt"):
+            assert getattr(big, field) == getattr(small, field) * 2.0**600, field
+        assert big.params.threshold == small.params.threshold * 2.0**600
+        assert big.params.scale == small.params.scale * 2.0**600
+        assert (big.params.gamma, big.params.k) == (small.params.gamma, small.params.k)
+        assert big.assumptions == small.assumptions and big.assumptions.all_hold()
+
     def test_constant_data_raises_fit_error(self):
         with pytest.raises(FitError):
             evt_estimate(np.full(20, 1.0), alpha=0.01)
@@ -224,6 +237,21 @@ class TestRowIndependence:
                             or np.isnan(got[key]) and np.isnan(want[key])), key
         # The inputs reach the per-k scatter path and the failed fits.
         assert low_k > 0 and mixed > 0
+
+    def test_rows_whose_sum_overflows(self):
+        # One row's sum overflows, so the whole pass takes the checked sum;
+        # only that row is summed again, and every row is its own result.
+        rng = np.random.default_rng(4)
+        big = (rng.pareto(2.0, 40) + 1.0) * 3e306
+        matrix = np.stack([rng.exponential(1.0, 40), big, 2.5e306 + rng.random(40) * 1e305,
+                           -big])
+        est = estimate_rows(matrix, 0.01)
+        assert np.isfinite(est.mean).all()
+        for i, row in enumerate(matrix):
+            got, want = self.fields(est, i), self.fields(estimate_rows(row, 0.01))
+            for key in want:
+                assert (got[key].tobytes() == want[key].tobytes()
+                        or np.isnan(got[key]) and np.isnan(want[key])), (i, key)
 
     def test_fit_rows_matches_scalar_fit(self):
         for matrix in random_matrices():
@@ -473,3 +501,10 @@ class TestTailApproximationError:
             tail_approximation_error(dist, p, [0.5])
         with pytest.raises(ValueError):
             tail_approximation_error(dist, p, [1.0])
+
+    @pytest.mark.parametrize("grid", [math.nan, [4.5, math.nan]])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_rejects_nan(self, gamma, grid):
+        p = TailParams(k=2, m=20, gamma=gamma, threshold=4.0, scale=1.0)
+        with pytest.raises(ValueError, match="inside the model support"):
+            tail_approximation_error(get_distribution("gumbel"), p, grid)

@@ -1,5 +1,8 @@
 """Tests for threshold selection and the probability-weighted-moment fit."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,40 @@ from evtrisk import (
     select_threshold,
     sort_and_summarize,
 )
-from evtrisk.fitting import _threshold_rule, _tie_warnings, fit_rows, min_sample_size
+from evtrisk.fitting import (
+    _ceil_scaled,
+    _floor_scaled,
+    _threshold_rule,
+    _tie_warnings,
+    fit_rows,
+    min_sample_size,
+)
+
+
+class TestScaledCounts:
+    """Counts of a decimal level times a sample size, against exact decimals."""
+
+    ALPHAS = (1e-6, 1e-4, 0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5,
+              0.7, 0.75, 0.9, 0.95, 0.99, 0.999)
+    SIZES = sorted({c * 10**j for j in range(4, 12) for c in (1, 2, 3, 5, 7, 9)}
+                   | {10_001, 65_535, 3 * 65_536 + 5, 123_456_789})
+
+    def test_alpha_counts_match_exact_decimals(self):
+        # floor(alpha n) = n - ceil((1 - alpha) n).  Forming 1 - alpha in
+        # binary first would make 3e7 - ceil((1 - 0.95) * 3e7) one short,
+        # since (1.0 - 0.95) * 3e7 is 1500000.0000000014.
+        for alpha in self.ALPHAS:
+            exact = Fraction(str(alpha))
+            for n in self.SIZES:
+                assert _floor_scaled(alpha * n) == math.floor(exact * n), (alpha, n)
+        assert _floor_scaled(0.95 * 3e7) == 28_500_000
+
+    def test_threshold_index_to_a_million(self):
+        # ceil(0.9 m) for every sample size the grid could use, so no
+        # pinned threshold moves.
+        for m in range(1, 10**6 + 1):
+            if _ceil_scaled(0.9 * m) != (9 * m + 9) // 10:
+                pytest.fail(f"m = {m}")
 
 
 class TestSortAndSummarize:
@@ -35,6 +71,12 @@ class TestSortAndSummarize:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sort_and_summarize([])
+
+    def test_mean_when_the_sum_overflows(self):
+        data = np.array([1.5e308, 1.7e308, -1e308, 1.6e308, 2.0])
+        s = sort_and_summarize(data)
+        assert s.mean == sort_and_summarize(data * 2.0**-600).mean * 2.0**600
+        assert s.mean == pytest.approx(float(sum(map(Fraction, data)) / 5), rel=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,18 @@ class TestGpdSurvival:
         with pytest.raises(ValueError):
             gpd_survival(-0.5, 2.0)  # domain is [0, 2)
 
+    @pytest.mark.parametrize("z", [math.nan, [1.0, math.nan]])
+    @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.5])
+    def test_nan_is_refused(self, gamma, z):
+        # NaN compares false with both ends: only a check that every point
+        # lies inside refuses it.
+        with pytest.raises(ValueError, match="z >= 0"):
+            gpd_survival(gamma, z)
+
+    def test_infinity_on_an_unbounded_shape(self):
+        assert gpd_survival(0.5, math.inf) == 0.0
+        assert gpd_survival(0.0, [1.0, math.inf])[1] == 0.0
+
 
 class TestNearZeroEdge:
     """Support, survival domain and CDF agree on which shapes are bounded."""
@@ -190,6 +202,14 @@ class TestTailQuantile:
         p = TailParams(k=2, m=10, gamma=0.0, threshold=0.0, scale=1.0)
         with pytest.raises(ValueError):
             tail_quantile(p, 1.0)
+
+    @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan]])
+    def test_rejects_nan(self, u):
+        # NaN fails every comparison, so unchecked it would take the atom
+        # branch and return the threshold.
+        p = TailParams(k=2, m=10, gamma=0.3, threshold=1.0, scale=1.0)
+        with pytest.raises(ValueError, match="0 <= u < 1"):
+            tail_quantile(p, u)
 
     def test_inverse_of_cdf(self):
         rng = np.random.default_rng(7)
