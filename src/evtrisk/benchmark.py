@@ -28,22 +28,37 @@ DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
 
 
+def _entries(name: str, value) -> tuple:
+    """The entries of the sequence ``value``; a ``ValueError`` naming
+    ``name`` if it is a bare string or cannot be iterated."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: expected a sequence such as a tuple, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Benchmark grid definition.
 
-    Sizes and ``master_seed`` are integers (``operator.index``); a sample
-    size may appear only once, and the seed lies in ``[0, 2**64)``, so no
-    two seeds fold to the same trial streams.  ``trials`` defaults to a
-    desk-scale 2,000; raise it to 10,000 to match full-scale runs.  Every
-    ``ValueError`` it raises starts with the name of the field at fault,
-    so :func:`~evtrisk.cli.load_config` can name that field's line.
+    ``distributions`` and ``m_values`` are sequences such as tuples or
+    lists; a bare string or number is refused, so ``"pareto2"`` is never
+    read as seven one-letter names.  Sizes and ``master_seed`` are
+    integers (``operator.index``); a sample size may appear only once,
+    and the seed lies in ``[0, 2**64)``, so no two seeds fold to the same
+    trial streams.  ``trials`` defaults to a desk-scale 2,000; raise it
+    to 10,000 to match full-scale runs.  Every ``ValueError`` it raises
+    starts with the name of the field at fault, so
+    :func:`~evtrisk.cli.load_config` can name that field's line.
 
-    A cell draws and fits ``max(1, BLOCK // m)`` trials per pass
-    (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials).
-    One row of ``m`` values is the floor, so a cell needs O(m) memory, and
-    ``m`` has no upper bound.  Each trial costs a fixed number of bytes,
-    which is why ``trials`` has no upper bound either.
+    The grid runs one sample size at a time, every law's trials in turn,
+    and draws and fits ``max(1, BLOCK // m)`` of them per pass
+    (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials ×
+    laws).  One row of ``m`` values is the floor, so a pass needs O(m)
+    memory, and ``m`` has no upper bound.  Each trial costs a fixed
+    number of bytes, which is why ``trials`` has no upper bound either.
     """
 
     distributions: tuple[str, ...]
@@ -53,14 +68,15 @@ class ExperimentConfig:
     master_seed: int = 1729
 
     def __post_init__(self):
-        if not self.distributions:
+        names = _entries("distributions", self.distributions)
+        if not names:
             raise ValueError("distributions: at least one distribution is required")
         try:
-            names = tuple(get_distribution(n).name for n in self.distributions)
+            names = tuple(get_distribution(n).name for n in names)
         except ValueError as exc:
             raise ValueError(f"distributions: {exc}") from None
         object.__setattr__(self, "distributions", names)
-        m_values = tuple(_integer("m_values", m) for m in self.m_values)
+        m_values = tuple(_integer("m_values", m) for m in _entries("m_values", self.m_values))
         if not m_values:
             raise ValueError("m_values: at least one sample size is required")
         repeated = [m for m, count in Counter(m_values).items() if count > 1]
@@ -195,60 +211,65 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
     else:
         mean_e = q25_e = q75_e = math.nan
     return SeriesSummary(
-        dist=dist,
-        m=m,
-        trials_completed=err_typical.size,
+        dist=dist, m=m, trials_completed=err_typical.size,
         evt_valid_fraction=err_evt.size / err_typical.size,
-        mean_err_typical=float(err_typical.mean()),
-        q25_typical=q25_t,
-        q75_typical=q75_t,
-        mean_err_evt=mean_e,
-        q25_evt=q25_e,
-        q75_evt=q75_e,
-    )
+        mean_err_typical=float(err_typical.mean()), q25_typical=q25_t, q75_typical=q75_t,
+        mean_err_evt=mean_e, q25_evt=q25_e, q75_evt=q75_e)
 
 
-def _run_cell(args) -> SeriesSummary:
-    """Worker body: all trials of one (distribution, m) cell as array passes
-    of ``BLOCK // m`` rows (at least one); the errors are concatenated in
-    trial order, so the pass size changes no bit (see
-    ``distributions.BLOCK``)."""
-    config, dist_name, m, true_value = args
-    dist = get_distribution(dist_name)
-    prefix = (config.master_seed, dist_name, m)
+def _run_column(args) -> list[SeriesSummary]:
+    """Worker body: every law's trials at one sample size ``m``.
+
+    The column's rows run law-major, in ``config.distributions`` order,
+    as array passes of ``max(1, BLOCK // m)`` rows (see
+    ``distributions.BLOCK``).  A pass may straddle laws: each law draws
+    its own rows into the pass's one matrix, and ``estimate_rows`` runs
+    on it once.  Every row is a pure function of its seed, so the pass
+    size and the neighbouring laws change no bit of a cell.
+    """
+    config, m, truths = args
+    names, trials = config.distributions, config.trials
+    seeds = np.concatenate([derive_seeds((config.master_seed, name, m), np.arange(trials))
+                            for name in names])
+    typ, evt, valid = np.empty(seeds.size), np.empty(seeds.size), np.empty(seeds.size, bool)
     rows = max(1, BLOCK // m)
-    err_typ, err_evt = [], []
-    for start in range(0, config.trials, rows):
-        # A seed is a function of its trial index alone, so each pass
-        # derives only its own.
-        seeds = derive_seeds(prefix, np.arange(start, min(start + rows, config.trials)))
-        est = estimate_rows(dist.sample_rows(seeds, m), config.alpha)
-        err_typ.append(est.rho_typical - true_value)
-        err_evt.append(est.rho_evt[est.evt_valid] - true_value)
-    return _summarize(dist_name, m, np.concatenate(err_typ), np.concatenate(err_evt))
+    for start in range(0, seeds.size, rows):
+        stop = min(start + rows, seeds.size)
+        # Law i owns rows [i * trials, (i + 1) * trials): cut the pass there.
+        cuts = [start, *range(start - start % trials + trials, stop, trials), stop]
+        est = estimate_rows(np.concatenate([
+            get_distribution(names[a // trials]).sample_rows(seeds[a:b], m)
+            for a, b in zip(cuts, cuts[1:])]), config.alpha)
+        typ[start:stop], evt[start:stop], valid[start:stop] = (
+            est.rho_typical, est.rho_evt, est.evt_valid)
+        # Free the pass's estimates, a dozen arrays of ``rows`` values,
+        # before the next pass draws.
+        del est
+    typ, evt, valid = (v.reshape(len(names), trials) for v in (typ, evt, valid))
+    return [_summarize(name, m, typ[i] - truth, evt[i][valid[i]] - truth)
+            for i, (name, truth) in enumerate(zip(names, truths))]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSummary]:
     """Run the full benchmark grid and return summaries sorted by (dist, m).
 
-    ``workers`` only controls how cells are distributed over processes;
-    it is clamped to the number of cells and of CPUs.  Per-trial seeds
-    are derived from the configuration, and ground truth is computed once
-    per distribution up front, so output is byte-for-byte identical for
-    any worker count.
+    ``workers`` only controls how the sample sizes (each with every law)
+    are distributed over processes; it is clamped to the number of sample
+    sizes and of CPUs.  Per-trial seeds are derived from the
+    configuration, and ground truth is computed once per distribution up
+    front, so output is byte-for-byte identical for any worker count.
     """
-    truths = {name: ground_truth_value(config, get_distribution(name))
-              for name in config.distributions}
-    cells = [(config, name, m, truths[name])
-             for name in config.distributions for m in config.m_values]
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    truths = tuple(ground_truth_value(config, get_distribution(name))
+                   for name in config.distributions)
+    columns = [(config, m, truths) for m in config.m_values]
+    workers = min(workers, len(columns), os.cpu_count() or 1)
     if workers <= 1:
-        summaries = [_run_cell(cell) for cell in cells]
+        results = map(_run_column, columns)
     else:
         # Imported here: it loads multiprocessing, which a single-process
         # run never needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_cell, cells))
-    return sorted(summaries, key=lambda s: (s.dist, s.m))
+            results = list(pool.map(_run_column, columns))
+    return sorted((s for column in results for s in column), key=lambda s: (s.dist, s.m))

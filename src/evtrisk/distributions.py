@@ -38,8 +38,9 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 #   which counts six words per value and hashes four, fills tiles of
 #   ``BLOCK // 4`` values; the Monte Carlo oracle streams
 #   ``BLOCK``-value samples;
-# - a grid cell draws ``BLOCK // m`` rows of ``m`` values (at least one)
-#   per pass, whatever the law.
+# - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
+#   per pass, whatever the law: one sample size at a time, every law's
+#   trials in turn, so a pass may hold rows of two or more laws.
 # So a pass's planes and temporaries stay a few ``BLOCK``s in size
 # whatever ``n``, ``m`` or the trial count.  Tiles and rows are whole
 # values, so a Student-t group never straddles a cut.  The grid stays on

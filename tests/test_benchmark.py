@@ -101,6 +101,25 @@ class TestConfigValidation:
         assert run_experiment(small_config(master_seed=np.int64(33))) == run_experiment(
             small_config())
 
+    # A bare string used to be split into one-letter names, and a bare
+    # number to raise a TypeError that named no field.
+    @pytest.mark.parametrize("field, value", [
+        ("distributions", "pareto2"),
+        ("m_values", 20),
+        ("m_values", "20"),
+        ("m_values", np.array(20)),
+    ])
+    def test_rejects_a_bare_string_or_number(self, field, value):
+        message = f"{field}: expected a sequence such as a tuple, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
+
+    def test_lists_and_ranges_keep_their_bytes(self):
+        cfg = small_config(distributions=["uniform01", "exponential1"], m_values=range(20, 30, 5))
+        assert cfg.distributions == ("uniform01", "exponential1")
+        assert cfg.m_values == (20, 25)
+        assert run_experiment(cfg) == run_experiment(small_config())
+
     def test_integer_like_sizes_become_ints(self):
         cfg = small_config(m_values=(np.int64(20), np.int32(25)), trials=np.int64(12))
         assert cfg.m_values == (20, 25) and cfg.trials == 12
@@ -368,28 +387,59 @@ class TestBatchKernel:
         assert summary.evt_valid_fraction == 0.6
 
 
+class TestColumnKernel:
+    """Every law at one m shares each pass's matrix, and no cell sees the
+    laws beside it."""
+
+    @pytest.mark.parametrize("trials", [25, 37])
+    def test_laws_batched_equal_laws_alone(self, trials):
+        # Passes of BLOCK // m rows: a whole column at m = 20 and 57, 16
+        # rows at m = 4,000 and 3 at m = 20,000, so passes straddle laws.
+        assert (BLOCK // 4_000, BLOCK // 20_000) == (16, 3)
+        laws = tuple(sorted(DISTRIBUTIONS))
+        fields = dict(m_values=(20, 57, 4_000, 20_000), trials=trials, master_seed=7)
+        alone = [s for name in laws
+                 for s in run_experiment(ExperimentConfig(distributions=(name,), **fields))]
+        for order in (laws, laws[::-1]):
+            batched = run_experiment(ExperimentConfig(distributions=order, **fields))
+            # repr, not ==: it shows every bit, and NaN fields compare equal.
+            assert list(map(repr, batched)) == list(map(repr, alone))
+
+
 class TestCellMemory:
-    """A cell draws BLOCK values per pass, so its peak does not grow with m."""
+    """A column draws BLOCK values per pass, so its peak does not grow with m."""
+
+    @staticmethod
+    def peak(laws, m, trials):
+        cfg = ExperimentConfig(distributions=laws, m_values=(m,), trials=trials)
+        # Computed once per law outside the columns, as run_experiment does.
+        truths = tuple(ground_truth_value(cfg, get_distribution(name)) for name in laws)
+        tracemalloc.start()
+        try:
+            benchmark._run_column((cfg, m, truths))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("m", [20, 1_000, 4_000])
     def test_peak_bounded_by_block_and_trials(self, m):
         trials = 300
-        cfg = ExperimentConfig(distributions=("tstudent5",), m_values=(m,), trials=trials)
-        # Computed once per law outside the cells, as run_experiment does.
-        truth = ground_truth_value(cfg, get_distribution("tstudent5"))
-        tracemalloc.start()
-        try:
-            benchmark._run_cell((cfg, "tstudent5", m, truth))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = self.peak(("tstudent5",), m, trials)
         # About 96 bytes a block value: four 8-byte planes plus the
         # transform, sort and fit temporaries.
         assert peak <= 128 * BLOCK + 64 * trials, peak / BLOCK
 
+    @pytest.mark.parametrize("m", [20, 1_000, 4_000])
+    def test_six_laws_share_the_bound(self, m):
+        # Passes straddle laws, and the column keeps a seed, two estimates
+        # and a flag per trial of every law.
+        laws, trials = tuple(sorted(DISTRIBUTIONS)), 300
+        peak = self.peak(laws, m, trials)
+        assert peak <= 128 * BLOCK + 64 * trials * len(laws), peak / BLOCK
+
 
 class TestWorkerClamp:
-    """--workers is clamped to the cell count and the CPU count."""
+    """--workers is clamped to the sample-size count and the CPU count."""
 
     class RecordingPool:
         created = []
@@ -407,10 +457,10 @@ class TestWorkerClamp:
             return map(fn, items)
 
     @pytest.mark.parametrize("workers, cpus, want", [
-        (5000, 64, 4),      # 2 laws x 2 sizes: never more workers than cells
+        (5000, 64, 4),      # 2 laws x 4 sizes: never more workers than sizes
         (5000, 3, 3),
         (2, 64, 2),
-        (5000, 1, None),    # a single CPU runs the cells in-process
+        (5000, 1, None),    # a single CPU runs the columns in-process
         (1, 64, None),
     ])
     def test_pool_size(self, monkeypatch, workers, cpus, want):
@@ -418,6 +468,6 @@ class TestWorkerClamp:
         monkeypatch.setattr(self.RecordingPool, "created", created)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
         monkeypatch.setattr(benchmark.os, "cpu_count", lambda: cpus)
-        cfg = small_config(trials=3)
+        cfg = small_config(m_values=(20, 25, 30, 35), trials=3)
         assert run_experiment(cfg, workers=workers) == run_experiment(cfg)
         assert created == ([] if want is None else [want])
