@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK, Distribution, get_distribution
+from .distributions import BLOCK, DISTRIBUTIONS, Distribution, _buffers, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import _fit_error, min_sample_size
-from .rng import RandomStream, _integer, _level, derive_seed, derive_seeds
+from .rng import RandomStream, _fold, _integer, _level, derive_seed
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
@@ -217,29 +218,70 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
         mean_err_evt=mean_e, q25_evt=q25_e, q75_evt=q75_e)
 
 
+# Each thread's grid workspace, kept from run to run (see _workspace).
+_KEPT = threading.local()
+# The pass matrix and the most planes any law draws (Student-t's four).
+_PLANES = 1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values())
+
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's buffers for passes of at most ``size`` values: the pass
+    matrix (float plane 0), a law's planes of uniforms (the other float
+    planes) and the hash's two uint64 planes.
+
+    Each thread allocates one workspace of ``BLOCK`` values, which holds
+    every pass of ``m <= BLOCK`` (see ``distributions.BLOCK``), on its
+    first pass, and keeps it for every later pass and run.  Passes that
+    allocate and free their arrays make glibc map and unmap them, with a
+    zeroing and a page fault a page, or keep them only as its dynamic
+    mmap threshold happens to allow.  A pass of more than ``BLOCK`` values
+    (one row of ``m > BLOCK``) gets a workspace of its own, not kept.
+    """
+    if size > BLOCK:
+        return _buffers(size, _PLANES)
+    if not hasattr(_KEPT, "workspace"):
+        _KEPT.workspace = _buffers(BLOCK, _PLANES)
+    return _KEPT.workspace
+
+
+def _column_seeds(heads: np.ndarray, m: int, trials: int) -> np.ndarray:
+    """Every law's trial seeds at sample size ``m``, one row per law.
+
+    Row ``i`` is ``derive_seeds((master_seed, name, m), np.arange(trials))``
+    of the law whose ``derive_seed(master_seed, name)`` is ``heads[i]``,
+    bit for bit: the folds of ``m`` and of the trial index, each one
+    vectorized call for every law at once.
+    """
+    return _fold(_fold(heads, np.uint64(m))[:, None], np.arange(trials, dtype=np.uint64))
+
+
 def _run_column(args) -> list[SeriesSummary]:
     """Worker body: every law's trials at one sample size ``m``.
 
     The column's rows run law-major, in ``config.distributions`` order,
     as array passes of ``max(1, BLOCK // m)`` rows (see
     ``distributions.BLOCK``).  A pass may straddle laws: each law draws
-    its own rows into the pass's one matrix, and ``estimate_rows`` runs
-    on it once.  Every row is a pure function of its seed, so the pass
-    size and the neighbouring laws change no bit of a cell.
+    its own rows straight into the pass's one matrix, and
+    ``estimate_rows`` sorts and fits it in place, once.  Every row is a
+    pure function of its seed, so the pass size and the neighbouring laws
+    change no bit of a cell.  ``heads`` holds each law's
+    ``derive_seed(master_seed, name)`` (see :func:`_column_seeds`).
     """
-    config, m, truths = args
+    config, m, truths, heads = args
     names, trials = config.distributions, config.trials
-    seeds = np.concatenate([derive_seeds((config.master_seed, name, m), np.arange(trials))
-                            for name in names])
+    seeds = _column_seeds(heads, m, trials).ravel()
     typ, evt, valid = np.empty(seeds.size), np.empty(seeds.size), np.empty(seeds.size, bool)
     rows = max(1, BLOCK // m)
+    planes, words = _workspace(min(rows, seeds.size) * m)
     for start in range(0, seeds.size, rows):
         stop = min(start + rows, seeds.size)
+        matrix = planes[0, :(stop - start) * m].reshape(stop - start, m)
         # Law i owns rows [i * trials, (i + 1) * trials): cut the pass there.
         cuts = [start, *range(start - start % trials + trials, stop, trials), stop]
-        est = estimate_rows(np.concatenate([
-            get_distribution(names[a // trials]).sample_rows(seeds[a:b], m)
-            for a, b in zip(cuts, cuts[1:])]), config.alpha)
+        for a, b in zip(cuts, cuts[1:]):
+            get_distribution(names[a // trials])._draw(
+                seeds[a:b], 0, matrix[a - start:b - start], planes[1:], words)
+        est = estimate_rows(matrix, config.alpha)
         typ[start:stop], evt[start:stop], valid[start:stop] = (
             est.rho_typical, est.rho_evt, est.evt_valid)
         # Free the pass's estimates, a dozen arrays of ``rows`` values,
@@ -254,14 +296,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSum
     """Run the full benchmark grid and return summaries sorted by (dist, m).
 
     ``workers`` only controls how the sample sizes (each with every law)
-    are distributed over processes; it is clamped to the number of sample
-    sizes and of CPUs.  Per-trial seeds are derived from the
-    configuration, and ground truth is computed once per distribution up
-    front, so output is byte-for-byte identical for any worker count.
+    are distributed over processes; it is an integer >= 1
+    (``operator.index``), else ``ValueError`` naming it, and is clamped
+    to the number of sample sizes and of CPUs.  Per-trial seeds are
+    derived from the configuration, and ground truth and each law's seed
+    prefix are computed once per distribution up front, so output is
+    byte-for-byte identical for any worker count.
     """
+    workers = _integer("workers", workers, 1)
     truths = tuple(ground_truth_value(config, get_distribution(name))
                    for name in config.distributions)
-    columns = [(config, m, truths) for m in config.m_values]
+    heads = np.array([derive_seed(config.master_seed, name) for name in config.distributions],
+                     dtype=np.uint64)
+    columns = [(config, m, truths, heads) for m in config.m_values]
     workers = min(workers, len(columns), os.cpu_count() or 1)
     if workers <= 1:
         results = map(_run_column, columns)

@@ -41,11 +41,29 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
-# So a pass's planes and temporaries stay a few ``BLOCK``s in size
-# whatever ``n``, ``m`` or the trial count.  Tiles and rows are whole
-# values, so a Student-t group never straddles a cut.  The grid stays on
-# the value rule because the word rule measured no faster there.
+# Every pass-sized array comes from a workspace (``_buffers``): a draw
+# hashes in its two uint64 planes and writes its values in place, so a
+# pass allocates nothing of its size.  A sample holds one workspace for
+# all of its tiles; the grid keeps one per thread from run to run (see
+# ``benchmark._workspace``), so its passes reuse the same pages and glibc
+# never maps or unmaps one.  Tiles and rows are whole values, so a
+# Student-t group never straddles a cut.  The grid stays on the value
+# rule because the word rule measured no faster there.
 BLOCK = 2**16
+
+
+def _buffers(size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers a draw of at most ``size`` values reuses: ``count``
+    float64 planes (the uniforms of a law with a transform, and for the
+    grid its pass matrix) and the hash's two uint64 planes, each of
+    ``size`` values."""
+    return np.empty((count, size)), np.empty((2, size), np.uint64)
+
+
+def _leading(buffers: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first ``prod(shape)`` values of each row of ``buffers``, each
+    shaped ``shape``; a view, since each row's slice is contiguous."""
+    return buffers[:, :math.prod(shape)].reshape((len(buffers),) + shape)
 
 
 @dataclass(frozen=True)
@@ -70,19 +88,22 @@ class Distribution:
     right_endpoint: float
     mean: float
     _cdf: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    # Called on scalars by ``quantile``; elementwise on arrays too only for
-    # the laws sampled through it, which map open-interval uniforms
-    # through it.
-    _quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    # Called on scalars by ``quantile``, and, for the laws sampled through
+    # it, on arrays of open-interval uniforms with ``out=`` the array
+    # itself, so the draw is mapped in place: ``_quantile(p, out=None)``
+    # writes each step to ``out`` when one is given.
+    _quantile: Callable[..., np.ndarray] = field(repr=False)
     _tail_semidev: Callable[[float], float] = field(repr=False)
     # A value takes ``_words_per_value`` words of the stream, of which the
     # uniforms at ``_word_offsets`` are drawn, one contiguous plane each.
     # A law sampled through ``_quantile`` uses the one plane of offset 0;
-    # otherwise ``_transform`` maps the planes (stacked on the first axis,
-    # any shape after it) to values of the law.
+    # otherwise ``_transform(u, out)`` maps the planes ``u`` (stacked on
+    # the first axis, any shape after it) to values of the law in ``out``,
+    # overwriting ``u``.
     _words_per_value: int = field(default=1, repr=False)
     _word_offsets: tuple[int, ...] = field(default=(0,), repr=False)
-    _transform: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    _transform: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False)
 
     def cdf(self, z):
         """Exact distribution function F(z); accepts scalars or arrays."""
@@ -105,8 +126,9 @@ class Distribution:
 
         The sample is filled in tiles of ``BLOCK`` hashed words, that is
         ``BLOCK // len(_word_offsets)`` values (16,384 for Student-t,
-        ``BLOCK`` for the others), so a tile's planes and temporaries are
-        the same size for every law and none grows with ``n``.  The tiles
+        ``BLOCK`` for the others).  Each tile is hashed and mapped in the
+        sample's one workspace, sized for a tile, and written in place into
+        its slice of the output, so no buffer grows with ``n``.  The tiles
         splice exactly: every word is a function of its counter alone, and
         tiles are whole values, so a Student-t group of six words never
         straddles a cut.  The values and the stream's counter are those of
@@ -117,10 +139,10 @@ class Distribution:
         out = np.empty(_integer("n", n, 1))
         first = stream.take(self._words_per_value * out.size)
         size = BLOCK // len(self._word_offsets)
+        planes, words = self._workspace(min(size, out.size))
         for start in range(0, out.size, size):
-            tile = out[start:start + size]
-            tile[...] = self._draw(stream.seed, first + self._words_per_value * start,
-                                   tile.size)
+            self._draw(stream.seed, first + self._words_per_value * start,
+                       out[start:start + size], planes, words)
         return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:
@@ -131,13 +153,35 @@ class Distribution:
         whole batch is drawn with one array pass.  ``n`` is checked as in
         :meth:`sample`; callers bound the batch (see ``BLOCK``).
         """
-        return self._draw(seeds, 0, _integer("n", n, 1))
+        out = np.empty(np.shape(seeds) + (_integer("n", n, 1),))
+        self._draw(seeds, 0, out, *self._workspace(out.size))
+        return out
 
-    def _draw(self, seeds, start: int, n: int) -> np.ndarray:
-        """``n`` values of the stream of each seed (a scalar or an array),
-        from word ``start`` on: the one fetch of this law's uniform planes."""
-        u = uniform_planes(seeds, start, n, self._words_per_value, self._word_offsets)
-        return self._quantile(u[0]) if self._transform is None else self._transform(u)
+    def _workspace(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """A workspace for draws of this law of at most ``size`` values:
+        no float planes for a law whose values are its uniforms' plane."""
+        return _buffers(size, 0 if self._transform is None else len(self._word_offsets))
+
+    def _draw(self, seeds, start: int, out: np.ndarray, planes: np.ndarray,
+              words: np.ndarray) -> None:
+        """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values
+        of the stream of each seed (a scalar or an array) from word
+        ``start`` on: the one fetch of this law's uniform planes.
+
+        The words are hashed in ``words``, two uint64 buffers, and a law
+        with a transform draws its planes into ``planes``, one float64
+        buffer per offset; each buffer holds at least ``out.size`` values,
+        and their contents are overwritten.  A law sampled through its
+        quantile draws its one plane into ``out`` and maps it in place.
+        """
+        u = (out[None] if self._transform is None
+             else _leading(planes[:len(self._word_offsets)], out.shape))
+        uniform_planes(seeds, start, out.shape[-1], self._words_per_value, self._word_offsets,
+                       u, _leading(words, out.shape))
+        if self._transform is None:
+            self._quantile(out, out=out)
+        else:
+            self._transform(u, out)
 
     def extremal_semideviation(self, alpha: float) -> float:
         """Exact expected exceedance above the mean in the worst alpha fraction.
@@ -159,6 +203,13 @@ class Distribution:
 def _pareto2_cdf(z):
     safe = np.maximum(z, 1.0)
     return np.where(z < 1.0, 0.0, 1.0 - safe ** -2.0)
+
+
+def _pareto2_quantile(p, out=None):
+    # (1 - p) ** -0.5; on a scalar ``**=`` is libm's pow, as Python's is.
+    q = np.subtract(1.0, p, out=out)
+    q **= -0.5
+    return q
 
 
 def _pareto2_tail_semidev(w):
@@ -221,18 +272,37 @@ def _t5_quantile(p):
     return t if p > 0.5 else -t
 
 
-def _t5_from_uniforms(u):
+def _t5_from_uniforms(u, out):
     # Z over the root of a chi-square with 5 d.o.f. scaled by 1/5, from a
     # group of six uniforms w0..w5 per value.  Box-Muller would turn the
     # pairs (w0, w1), (w2, w3), (w4, w5) into six normals z0..z5; the
     # squares of a pair sum to -2 log of its first uniform (cos^2 + sin^2
     # = 1), so only z0 and z1 need trig, and w3 and w5 are never hashed.
-    # ``u`` holds the planes of w0, w1, w2 and w4.
-    radius = np.sqrt(-2.0 * np.log(u[0]))
-    angle = (2.0 * np.pi) * u[1]
-    z1 = np.sin(angle) * radius
-    chi2_5 = z1 * z1 - 2.0 * np.log(u[2]) - 2.0 * np.log(u[3])
-    return np.cos(angle) * radius / np.sqrt(chi2_5 / 5.0)
+    # ``u`` holds the planes of w0, w1, w2 and w4; each step overwrites a
+    # plane or ``out``, and the steps are those of
+    #   radius = sqrt(-2 log w0),  angle = (2 pi) w1,  z1 = sin(angle) radius,
+    #   chi2_5 = z1 z1 - 2 log w2 - 2 log w4,
+    #   out = cos(angle) radius / sqrt(chi2_5 / 5),
+    # in that order, so working in place changes no bit.
+    radius, angle, w2, w4 = u
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    np.sin(angle, out=out)
+    out *= radius
+    out *= out
+    np.log(w2, out=w2)
+    w2 *= 2.0
+    out -= w2
+    np.log(w4, out=w4)
+    w4 *= 2.0
+    out -= w4
+    np.cos(angle, out=angle)
+    angle *= radius
+    out /= 5.0
+    np.sqrt(out, out=out)
+    return np.divide(angle, out, out=out)
 
 
 def _t5_tail_semidev(w):
@@ -249,6 +319,11 @@ def _exp1_cdf(z):
     return np.where(z < 0.0, 0.0, -np.expm1(-np.maximum(z, 0.0)))
 
 
+def _exp1_quantile(p, out=None):
+    # -log1p(-p)
+    return np.negative(np.log1p(np.negative(p, out=out), out=out), out=out)
+
+
 def _exp1_tail_semidev(w):
     # integral of (y - 1) e^-y over [w, inf) = w e^-w
     return w * np.exp(-w)
@@ -263,6 +338,12 @@ def _exp1_tail_semidev(w):
 # (-1)^(k+1) / (k k!) for k = 1..18: at a <= exp(-euler) < 0.562 the next
 # term is under 1e-22.
 _E1_SERIES = tuple((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 19))
+
+
+def _gumbel_quantile(p, out=None):
+    # -log(-log p)
+    q = np.negative(np.log(p, out=out), out=out)
+    return np.negative(np.log(q, out=out), out=out)
 
 
 def _gumbel_tail_semidev(w):
@@ -299,6 +380,11 @@ def _beta12_cdf(z):
     return c * (2.0 - c)
 
 
+def _beta12_quantile(p, out=None):
+    # 1 - sqrt(1 - p)
+    return np.subtract(1.0, np.sqrt(np.subtract(1.0, p, out=out), out=out), out=out)
+
+
 def _beta12_tail_semidev(w):
     # integral of (y - 1/3) * 2(1 - y) over [w, 1] = (2/3) w (1 - w)^2
     return (2.0 / 3.0) * w * (1.0 - w) ** 2
@@ -310,7 +396,7 @@ PARETO2 = Distribution(
     right_endpoint=np.inf,
     mean=2.0,
     _cdf=_pareto2_cdf,
-    _quantile=lambda p: (1.0 - p) ** -0.5,
+    _quantile=_pareto2_quantile,
     _tail_semidev=_pareto2_tail_semidev,
 )
 
@@ -333,7 +419,7 @@ EXPONENTIAL1 = Distribution(
     right_endpoint=np.inf,
     mean=1.0,
     _cdf=_exp1_cdf,
-    _quantile=lambda p: -np.log1p(-p),
+    _quantile=_exp1_quantile,
     _tail_semidev=_exp1_tail_semidev,
 )
 
@@ -343,7 +429,7 @@ GUMBEL = Distribution(
     right_endpoint=np.inf,
     mean=EULER_GAMMA,
     _cdf=lambda z: np.exp(-np.exp(-z)),
-    _quantile=lambda p: -np.log(-np.log(p)),
+    _quantile=_gumbel_quantile,
     _tail_semidev=_gumbel_tail_semidev,
 )
 
@@ -353,7 +439,7 @@ UNIFORM01 = Distribution(
     right_endpoint=1.0,
     mean=0.5,
     _cdf=lambda z: np.clip(z, 0.0, 1.0),
-    _quantile=lambda p: p,
+    _quantile=lambda p, out=None: p,
     _tail_semidev=_uniform_tail_semidev,
 )
 
@@ -363,7 +449,7 @@ BETA12 = Distribution(
     right_endpoint=1.0,
     mean=1.0 / 3.0,
     _cdf=_beta12_cdf,
-    _quantile=lambda p: 1.0 - np.sqrt(1.0 - p),
+    _quantile=_beta12_quantile,
     _tail_semidev=_beta12_tail_semidev,
 )
 

@@ -122,10 +122,12 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     ``samples`` is one sample of size ``m`` or an ``(n, m)`` matrix of
     them; the fields of the result are scalars or length-``n`` arrays
     accordingly.  This is the one pipeline behind :func:`evt_estimate`
-    (one sample) and the benchmark (one matrix per grid cell): sort each
+    (one sample) and the benchmark (one matrix per grid pass): sort each
     row, fit its tail (:func:`~evtrisk.fitting.fit_rows`), evaluate the
     closed forms elementwise.  ``alpha`` is checked here, once for both;
-    the samples are not validated.
+    the samples are not validated.  The rows of ``samples`` are sorted in
+    place, so callers pass an array they own (the public entry points copy
+    their data once, in :func:`~evtrisk.fitting._as_sample`).
     """
     _level("alpha", alpha)
     ordered, mean = _sort_rows(samples)

@@ -128,8 +128,9 @@ def _fit_error(m: int, k: int, gamma: float = math.nan, scale: float = math.nan,
 
 
 def _as_sample(data) -> np.ndarray:
-    """Validate raw data as a non-empty, finite 1-d float array."""
-    arr = np.asarray(data, dtype=float)
+    """Validate raw data as a non-empty, finite 1-d float array, a copy
+    the caller of this function owns (the pipeline sorts it in place)."""
+    arr = np.array(data, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("data must be a non-empty 1-d sequence")
     if not np.isfinite(arr).all():
@@ -269,7 +270,8 @@ def _fit_above(ordered, threshold, k) -> RowFits:
 
 
 def _sort_rows(samples: np.ndarray):
-    """Each sample (row, along the last axis) in ascending order, and its mean.
+    """Each sample (row, along the last axis) sorted ascending in place,
+    and its mean; returns the sorted ``samples`` and the means.
 
     No partial sum of a row exceeds ``m`` times its largest magnitude, so
     rows are summed as they are unless one is that close to the top of
@@ -279,7 +281,8 @@ def _sort_rows(samples: np.ndarray):
     Powers of two scale exactly, so that mean is bit for bit the unscaled
     formula's on data small enough for it.
     """
-    ordered = np.sort(samples, axis=-1)
+    samples.sort(axis=-1)
+    ordered = samples
     m = ordered.shape[-1]
     lo, hi = ((ordered[0], ordered[-1]) if ordered.ndim == 1
               else (ordered[..., 0].min(), ordered[..., -1].max()))

@@ -69,17 +69,19 @@ def _like(z, out):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+def _mix64_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (wraparound is intentional).
 
     Overwrites and returns ``z``, so callers pass an array they own; the
-    steps are integer operations, so working in place changes no bit.
+    shifted copies go to ``scratch`` (shaped like ``z``) when one is
+    given.  The steps are integer operations, so working in place changes
+    no bit.
     """
-    z ^= z >> _SHIFT_30
+    z ^= np.right_shift(z, _SHIFT_30, out=scratch)
     z *= _U64_MULT_1
-    z ^= z >> _SHIFT_27
+    z ^= np.right_shift(z, _SHIFT_27, out=scratch)
     z *= _U64_MULT_2
-    z ^= z >> _SHIFT_31
+    z ^= np.right_shift(z, _SHIFT_31, out=scratch)
     return z
 
 
@@ -118,6 +120,13 @@ def derive_seed(*parts: int | str) -> int:
     return h
 
 
+def _fold(heads, part) -> np.ndarray:
+    """The step of :func:`derive_seed` that folds one more integer part
+    into each uint64 seed of ``heads``: ``mix64((h + GOLDEN) ^ part)``,
+    elementwise, with ``heads`` and ``part`` broadcast together."""
+    return _mix64_array(np.add(heads, _U64_GOLDEN) ^ part)
+
+
 def derive_seeds(prefix: tuple, indices) -> np.ndarray:
     """``derive_seed(*prefix, i)`` for every integer ``i`` in ``indices``.
 
@@ -130,24 +139,27 @@ def derive_seeds(prefix: tuple, indices) -> np.ndarray:
     indices = np.asarray(indices)
     if indices.dtype.kind not in "iu":
         raise ValueError(f"indices: dtype {indices.dtype} is not an integer dtype")
-    h = np.uint64((derive_seed(*prefix) + _GOLDEN) & _MASK64)
-    return _mix64_array(h ^ indices.astype(np.uint64))
+    return _fold(np.uint64(derive_seed(*prefix)), indices.astype(np.uint64))
 
 
-def _counter_words(seeds, first: int, n: int, stride: int = 1) -> np.ndarray:
+def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,
+                   scratch=None) -> np.ndarray:
     """Words ``first, first + stride, ...`` (``n`` of them, 0-based) of the
     stream of each seed.
 
     ``seeds`` is a uint64 scalar or array; the result has shape
-    ``np.shape(seeds) + (n,)``.
+    ``np.shape(seeds) + (n,)``.  It is written to ``out`` and the hash's
+    shifts to ``scratch``, uint64 arrays of that shape, when they are
+    given.
     """
     idx = np.arange(first + 1, first + 1 + stride * n, stride, dtype=np.uint64)
     idx *= _U64_GOLDEN
-    return _mix64_array(np.asarray(seeds, dtype=np.uint64)[..., None] + idx)
+    words = np.add(np.asarray(seeds, dtype=np.uint64)[..., None], idx, out=out)
+    return _mix64_array(words, scratch)
 
 
 def uniform_planes(seeds, start: int, n: int, stride: int = 1,
-                   offsets: tuple[int, ...] = (0,)) -> np.ndarray:
+                   offsets: tuple[int, ...] = (0,), out=None, words=None) -> np.ndarray:
     """Uniforms of ``n`` groups of ``stride`` words from word ``start`` on,
     keeping the words at ``offsets`` within each group.
 
@@ -155,17 +167,22 @@ def uniform_planes(seeds, start: int, n: int, stride: int = 1,
     offsets[j]`` of ``RandomStream(s, start).uniform(stride * n)``; the
     shape is ``(len(offsets),) + np.shape(seeds) + (n,)``, so every plane
     is contiguous.  Words at other offsets are never hashed.  A uniform is
-    the top 53 bits of its word, offset by half an ulp.  Nothing is
-    validated here: this is the one fetch behind every draw, and its
-    callers pass sizes they have checked (a stream reserves its words
-    with :meth:`RandomStream.take`).
+    the top 53 bits of its word, offset by half an ulp.  The planes are
+    written to ``out`` when it is given, and hashed in ``words``, two
+    uint64 planes of shape ``(2,) + np.shape(seeds) + (n,)``, when they
+    are given; so a caller that passes both allocates nothing here but
+    ``n`` counters.  Nothing is validated here: this is the one fetch
+    behind every draw, and its callers pass sizes they have checked (a
+    stream reserves its words with :meth:`RandomStream.take`).
     """
-    out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
+    if out is None:
+        out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
+    hashed, scratch = (None, None) if words is None else words
     for plane, offset in zip(out, offsets):
-        # One plane at a time, so the hash's temporaries stay a plane in size.
-        words = _counter_words(seeds, start + offset, n, stride)
-        words >>= _SHIFT_11
-        plane[...] = words
+        # One plane at a time, so the hash's buffers stay a plane in size.
+        w = _counter_words(seeds, start + offset, n, stride, hashed, scratch)
+        w >>= _SHIFT_11
+        plane[...] = w
         plane += 0.5
         plane *= _TO_UNIT
     return out

@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import math
 import re
+import resource
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from evtrisk import (
     ExperimentConfig,
     FitError,
     RandomStream,
+    derive_seed,
     evt_estimate,
     get_distribution,
     ground_truth_value,
@@ -28,6 +30,7 @@ from evtrisk import (
 from evtrisk.cli import summary_row
 from evtrisk.distributions import BLOCK
 from evtrisk.estimators import estimate_rows
+from evtrisk.rng import derive_seeds
 
 
 def small_config(**overrides):
@@ -286,6 +289,20 @@ class TestRunExperiment:
         b = run_experiment(small_config(master_seed=34))
         assert a != b
 
+    @pytest.mark.parametrize("workers, message", [
+        (0, r"^workers must be >= 1, got 0$"),
+        (-3, r"^workers must be >= 1, got -3$"),
+        (2.5, r"^workers: 2\.5 is not an integer$"),
+        ("2", r"^workers: '2' is not an integer$"),
+    ])
+    def test_workers_must_be_a_positive_integer(self, workers, message):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_config(), workers=workers)
+
+    def test_integer_like_workers(self):
+        cfg = small_config()
+        assert run_experiment(cfg, workers=np.int64(2)) == run_experiment(cfg)
+
 
 def reference_trial(values, alpha=0.01):
     """Loop reference for one trial at alpha = 0.01, written from the method."""
@@ -414,9 +431,13 @@ class TestCellMemory:
         cfg = ExperimentConfig(distributions=laws, m_values=(m,), trials=trials)
         # Computed once per law outside the columns, as run_experiment does.
         truths = tuple(ground_truth_value(cfg, get_distribution(name)) for name in laws)
+        heads = np.array([derive_seed(cfg.master_seed, name) for name in laws], np.uint64)
+        # Drop the thread's kept workspace, so the column allocates its own
+        # inside the trace and the bound covers it.
+        benchmark._KEPT.__dict__.clear()
         tracemalloc.start()
         try:
-            benchmark._run_column((cfg, m, truths))
+            benchmark._run_column((cfg, m, truths, heads))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,6 +457,99 @@ class TestCellMemory:
         laws, trials = tuple(sorted(DISTRIBUTIONS)), 300
         peak = self.peak(laws, m, trials)
         assert peak <= 128 * BLOCK + 64 * trials * len(laws), peak / BLOCK
+
+
+class TestWorkspace:
+    """The grid's kept buffers: their old contents never reach a result,
+    and a warm run maps no new pages."""
+
+    M, ROWS = 37, 5
+
+    def test_stale_workspace_draws_every_law(self):
+        # Every law in turn into one poisoned workspace, each into its own
+        # rows of the pass matrix, as a pass that straddles laws draws:
+        # no law may leave its values in (or read them from) the planes
+        # the next one reuses.
+        planes, words = benchmark._workspace(BLOCK)
+        planes[...] = np.nan
+        words[...] = np.uint64(2**64 - 1)
+        laws = sorted(DISTRIBUTIONS)
+        matrix = planes[0, :len(laws) * self.ROWS * self.M].reshape(-1, self.M)
+        seeds = {name: derive_seeds((9, name, self.M), np.arange(self.ROWS)) for name in laws}
+        for i, name in enumerate(laws):
+            get_distribution(name)._draw(seeds[name], 0, matrix[i * self.ROWS:(i + 1) * self.ROWS],
+                                         planes[1:], words)
+        for i, name in enumerate(laws):
+            dist, rows = get_distribution(name), matrix[i * self.ROWS:(i + 1) * self.ROWS]
+            assert rows.tobytes() == dist.sample_rows(seeds[name], self.M).tobytes(), name
+            for seed, row in zip(seeds[name], rows):
+                assert row.tobytes() == dist.sample(self.M, RandomStream(int(seed))).tobytes()
+
+    def test_poisoned_workspace_changes_no_run(self):
+        cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)), m_values=(20, 57))
+        want = list(map(repr, run_experiment(cfg)))
+        planes, words = benchmark._workspace(BLOCK)
+        planes[...] = np.inf
+        words[...] = np.uint64(12345)
+        assert list(map(repr, run_experiment(cfg))) == want
+
+    def test_kept_and_one_row_workspaces(self):
+        kept = benchmark._workspace(1)
+        assert kept is benchmark._workspace(BLOCK)
+        assert [a.shape for a in kept] == [(5, BLOCK), (2, BLOCK)]
+        big = benchmark._workspace(BLOCK + 1)
+        assert [a.shape for a in big] == [(5, BLOCK + 1), (2, BLOCK + 1)]
+        assert benchmark._workspace(BLOCK) is kept
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+    def test_column_seeds_fold_like_derive_seeds(self, master_seed):
+        laws = tuple(sorted(DISTRIBUTIONS))
+        heads = np.array([derive_seed(master_seed, name) for name in laws], np.uint64)
+        for m, trials in ((20, 300), (99, 7), (20_000, 1)):
+            got = benchmark._column_seeds(heads, m, trials)
+            assert got.shape == (len(laws), trials) and got.dtype == np.uint64
+            for row, name in zip(got, laws):
+                assert row.tobytes() == derive_seeds((master_seed, name, m),
+                                                     np.arange(trials)).tobytes()
+                assert int(row[-1]) == trial_seed(master_seed, name, m, trials - 1)
+
+    def test_warm_grid_maps_no_pages(self):
+        # The perfbench grid's config. Its arrays of a pass size (up to 512
+        # KiB) once cost about 500 to 1,400 minor page faults a run, as
+        # glibc mapped and unmapped them; a warm run now touches pages it
+        # already has. Bounded, not zero: the interpreter's own arenas may
+        # map a page now and then.
+        cfg = ExperimentConfig(distributions=tuple(sorted(DISTRIBUTIONS)),
+                               m_values=(20, 35, 50, 65, 80, 99), trials=160)
+        run_experiment(cfg)
+        runs = 5
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(runs):
+            run_experiment(cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 40 * runs, faults
+
+
+class TestCallerArrays:
+    """The pipeline sorts in place, but only arrays it owns."""
+
+    def test_inputs_are_left_as_they_were(self):
+        arr = get_distribution("pareto2").sample(50, RandomStream(4))
+        before = arr.tobytes()
+        evt_estimate(arr)
+        sort_and_summarize(arr)
+        assert arr.tobytes() == before and arr.flags.writeable
+        frozen = arr.copy()
+        frozen.setflags(write=False)
+        assert evt_estimate(frozen) == evt_estimate(arr)
+
+    def test_a_trial_leaves_earlier_draws_alone(self):
+        dist = get_distribution("tstudent5")
+        drawn = dist.sample(40, RandomStream(8))
+        before = drawn.tobytes()
+        record = run_trial(dist, 40, 0.01, 8, 0.0)
+        assert drawn.tobytes() == before
+        assert record == run_trial(dist, 40, 0.01, 8, 0.0)
 
 
 class TestWorkerClamp:

@@ -347,6 +347,17 @@ class TestBenchmarkCommand:
                 "--workers", "2")
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(self.CONFIG)
+        out_csv = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg),
+                               "--out", str(out_csv), "--workers", workers)
+        assert code == 1
+        assert err == f"evtrisk: error: workers must be >= 1, got {workers}\n"
+        assert not out_csv.exists()
+
     def test_environment_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         # The master seed comes from the config alone: EVTRISK_SEED once
         # overrode it.

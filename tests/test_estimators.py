@@ -189,7 +189,7 @@ class TestPipeline:
     @pytest.mark.parametrize("data, cause", UNRESOLVED_FITS)
     def test_unresolved_fit_is_a_failed_trial(self, data, cause):
         # A benchmark trial reads the same rule as evt_estimate.
-        law = dataclasses.replace(UNIFORM01, _quantile=lambda u: data)  # always draws data
+        law = dataclasses.replace(UNIFORM01, _quantile=lambda u, out: np.positive(data, out=out))  # always draws data
         rec = run_trial(law, data.size, 0.01, seed=5, true_value=0.0)
         assert rec.fit_failed
         assert rec.err_evt is None and rec.assumptions is None
@@ -353,7 +353,7 @@ class TestMonteCarloOracle:
         # outgrow the kept set's first allocation.
         steps = Distribution(name=f"steps{levels}", gamma_ref=-math.inf,
                              right_endpoint=levels - 1.0, mean=(levels - 1) / 2,
-                             _cdf=None, _quantile=lambda p: np.floor(levels * p),
+                             _cdf=None, _quantile=lambda p, out=None: np.floor(levels * p, out=out),
                              _tail_semidev=None)
         _, _, v, y = self.assert_matches_reference(steps, alpha, n)
         top = n - _ceil_scaled((1.0 - alpha) * n) + 1

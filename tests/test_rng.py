@@ -166,7 +166,7 @@ class TestBatchedStreams:
         got = TSTUDENT5.sample(10, stream)
         assert stream.counter == 63
         planes = uniform_planes(5, 3, 10, 6, TSTUDENT5._word_offsets)
-        np.testing.assert_array_equal(got, TSTUDENT5._transform(planes))
+        np.testing.assert_array_equal(got, TSTUDENT5._transform(planes, np.empty(10)))
         np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=63).uniform(2))
 
     def test_take_reserves_words(self):
