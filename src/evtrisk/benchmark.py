@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK, DISTRIBUTIONS, Distribution, _buffers, get_distribution
+from .distributions import BLOCK, Distribution, _grid_workspace, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import _fit_error, min_sample_size
 from .rng import RandomStream, _fold, _integer, _level, derive_seed
@@ -40,6 +39,14 @@ def _entries(name: str, value) -> tuple:
     raise ValueError(f"{name}: expected a sequence such as a tuple, got {value!r}")
 
 
+def _once(name: str, what: str, values: tuple) -> tuple:
+    """``values``; a ``ValueError`` naming ``name`` if one of them repeats."""
+    repeated = [v for v, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{name}: {what} {repeated[0]!r} is repeated")
+    return values
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Benchmark grid definition.
@@ -47,12 +54,13 @@ class ExperimentConfig:
     ``distributions`` and ``m_values`` are sequences such as tuples or
     lists; a bare string or number is refused, so ``"pareto2"`` is never
     read as seven one-letter names.  Sizes and ``master_seed`` are
-    integers (``operator.index``); a sample size may appear only once,
-    and the seed lies in ``[0, 2**64)``, so no two seeds fold to the same
-    trial streams.  ``trials`` defaults to a desk-scale 2,000; raise it
-    to 10,000 to match full-scale runs.  Every ``ValueError`` it raises
-    starts with the name of the field at fault, so
-    :func:`~evtrisk.cli.load_config` can name that field's line.
+    integers (``operator.index``); a law (by its lower-cased name) and a
+    sample size may each appear only once, and the seed lies in ``[0,
+    2**64)``, so no two seeds fold to the same trial streams.  ``trials``
+    defaults to a desk-scale 2,000; raise it to 10,000 to match
+    full-scale runs.  Every ``ValueError`` it raises starts with the name
+    of the field at fault, so :func:`~evtrisk.cli.load_config` can name
+    that field's line.
 
     The grid runs one sample size at a time, every law's trials in turn,
     and draws and fits ``max(1, BLOCK // m)`` of them per pass
@@ -76,17 +84,14 @@ class ExperimentConfig:
             names = tuple(get_distribution(n).name for n in names)
         except ValueError as exc:
             raise ValueError(f"distributions: {exc}") from None
-        object.__setattr__(self, "distributions", names)
+        object.__setattr__(self, "distributions", _once("distributions", "distribution", names))
         m_values = tuple(_integer("m_values", m) for m in _entries("m_values", self.m_values))
         if not m_values:
             raise ValueError("m_values: at least one sample size is required")
-        repeated = [m for m, count in Counter(m_values).items() if count > 1]
-        if repeated:
-            raise ValueError(f"m_values: sample size {repeated[0]} is repeated")
         if min(m_values) < min_sample_size():
             # Every fit of such a cell fails, for the reason _fit_error gives.
             raise ValueError(f"m_values: {_fit_error(min(m_values), 0)}")
-        object.__setattr__(self, "m_values", m_values)
+        object.__setattr__(self, "m_values", _once("m_values", "sample size", m_values))
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         _level("alpha", self.alpha)
         seed = _integer("master_seed", self.master_seed)
@@ -218,32 +223,6 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
         mean_err_evt=mean_e, q25_evt=q25_e, q75_evt=q75_e)
 
 
-# Each thread's grid workspace, kept from run to run (see _workspace).
-_KEPT = threading.local()
-# The pass matrix and the most planes any law draws (Student-t's four).
-_PLANES = 1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values())
-
-
-def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's buffers for passes of at most ``size`` values: the pass
-    matrix (float plane 0), a law's planes of uniforms (the other float
-    planes) and the hash's two uint64 planes.
-
-    Each thread allocates one workspace of ``BLOCK`` values, which holds
-    every pass of ``m <= BLOCK`` (see ``distributions.BLOCK``), on its
-    first pass, and keeps it for every later pass and run.  Passes that
-    allocate and free their arrays make glibc map and unmap them, with a
-    zeroing and a page fault a page, or keep them only as its dynamic
-    mmap threshold happens to allow.  A pass of more than ``BLOCK`` values
-    (one row of ``m > BLOCK``) gets a workspace of its own, not kept.
-    """
-    if size > BLOCK:
-        return _buffers(size, _PLANES)
-    if not hasattr(_KEPT, "workspace"):
-        _KEPT.workspace = _buffers(BLOCK, _PLANES)
-    return _KEPT.workspace
-
-
 def _column_seeds(heads: np.ndarray, m: int, trials: int) -> np.ndarray:
     """Every law's trial seeds at sample size ``m``, one row per law.
 
@@ -272,15 +251,15 @@ def _run_column(args) -> list[SeriesSummary]:
     seeds = _column_seeds(heads, m, trials).ravel()
     typ, evt, valid = np.empty(seeds.size), np.empty(seeds.size), np.empty(seeds.size, bool)
     rows = max(1, BLOCK // m)
-    planes, words = _workspace(min(rows, seeds.size) * m)
+    plane, scratch = _grid_workspace(min(rows, seeds.size) * m)
     for start in range(0, seeds.size, rows):
         stop = min(start + rows, seeds.size)
-        matrix = planes[0, :(stop - start) * m].reshape(stop - start, m)
+        matrix = plane[:(stop - start) * m].reshape(stop - start, m)
         # Law i owns rows [i * trials, (i + 1) * trials): cut the pass there.
         cuts = [start, *range(start - start % trials + trials, stop, trials), stop]
         for a, b in zip(cuts, cuts[1:]):
             get_distribution(names[a // trials])._draw(
-                seeds[a:b], 0, matrix[a - start:b - start], planes[1:], words)
+                seeds[a:b], 0, matrix[a - start:b - start], scratch)
         est = estimate_rows(matrix, config.alpha)
         typ[start:stop], evt[start:stop], valid[start:stop] = (
             est.rho_typical, est.rho_evt, est.evt_valid)

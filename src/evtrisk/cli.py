@@ -15,6 +15,7 @@ the master seed comes only from the config and the oracle's seed only from
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 from dataclasses import asdict, astuple, dataclass
@@ -41,13 +42,17 @@ class InputDataset:
 
 
 def _read_lines(path: str, unit: str) -> list[str]:
-    """The lines of a UTF-8 text file.
+    """The lines of a UTF-8 text file, after one leading byte-order mark
+    (as spreadsheets write) if there is one.
 
     A byte sequence that is not UTF-8 raises a ``ValueError`` naming the
     file and the ``unit`` (``"row"`` or ``"line"``) it is on.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
+        # Stripped from the bytes, not decoded as "utf-8-sig": its error
+        # offsets count from after the mark, so they would name the wrong
+        # byte.
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

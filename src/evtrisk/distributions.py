@@ -20,6 +20,7 @@ estimator benchmark is scored against.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,11 +45,12 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 # Every pass-sized array comes from a workspace (``_buffers``): a draw
 # hashes in its two uint64 planes and writes its values in place, so a
 # pass allocates nothing of its size.  A sample holds one workspace for
-# all of its tiles; the grid keeps one per thread from run to run (see
-# ``benchmark._workspace``), so its passes reuse the same pages and glibc
-# never maps or unmaps one.  Tiles and rows are whole values, so a
-# Student-t group never straddles a cut.  The grid stays on the value
-# rule because the word rule measured no faster there.
+# all of its tiles; the grid's passes take theirs from
+# ``_grid_workspace``, which keeps one per thread from run to run, so
+# they reuse the same pages and glibc never maps or unmaps one.  Tiles
+# and rows are whole values, so a Student-t group never straddles a cut.
+# The grid stays on the value rule because the word rule measured no
+# faster there.
 BLOCK = 2**16
 
 
@@ -58,6 +60,35 @@ def _buffers(size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     grid its pass matrix) and the hash's two uint64 planes, each of
     ``size`` values."""
     return np.empty((count, size)), np.empty((2, size), np.uint64)
+
+
+# Each thread's grid workspace, kept from run to run (see _grid_workspace).
+_KEPT = threading.local()
+
+
+def _grid_workspace(size: int) -> tuple[np.ndarray, tuple]:
+    """The buffers of a grid pass of at most ``size`` values: the pass
+    plane, which the caller shapes into its pass matrix, and a draw
+    scratch that any law's :meth:`Distribution._draw` takes as it is.
+
+    Each thread allocates one workspace of ``BLOCK`` values, which holds
+    every pass of ``m <= BLOCK`` (see ``BLOCK``), on its first pass, and
+    keeps it for every later pass and run.  Passes that allocate and free
+    their arrays make glibc map and unmap them, with a zeroing and a page
+    fault a page, or keep them only as its dynamic mmap threshold happens
+    to allow.  A pass of more than ``BLOCK`` values (one row of
+    ``m > BLOCK``) gets a workspace of its own, not kept.
+    """
+    # Kept in the thread's attributes; a pass past BLOCK keeps its own in
+    # a throwaway dict, so it is freed with the pass.
+    kept = vars(_KEPT) if size <= BLOCK else {}
+    if "workspace" not in kept:
+        # Plane 0 is the pass's; the scratch holds the most planes any law
+        # draws (Student-t's four) and the hash's two.
+        planes, words = _buffers(max(size, BLOCK),
+                                 1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values()))
+        kept["workspace"] = planes[0], (planes[1:], words)
+    return kept["workspace"]
 
 
 def _leading(buffers: np.ndarray, shape: tuple) -> np.ndarray:
@@ -139,10 +170,10 @@ class Distribution:
         out = np.empty(_integer("n", n, 1))
         first = stream.take(self._words_per_value * out.size)
         size = BLOCK // len(self._word_offsets)
-        planes, words = self._workspace(min(size, out.size))
+        scratch = self._workspace(min(size, out.size))
         for start in range(0, out.size, size):
             self._draw(stream.seed, first + self._words_per_value * start,
-                       out[start:start + size], planes, words)
+                       out[start:start + size], scratch)
         return out
 
     def sample_rows(self, seeds, n: int) -> np.ndarray:
@@ -154,30 +185,32 @@ class Distribution:
         :meth:`sample`; callers bound the batch (see ``BLOCK``).
         """
         out = np.empty(np.shape(seeds) + (_integer("n", n, 1),))
-        self._draw(seeds, 0, out, *self._workspace(out.size))
+        self._draw(seeds, 0, out, self._workspace(out.size))
         return out
 
     def _workspace(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """A workspace for draws of this law of at most ``size`` values:
-        no float planes for a law whose values are its uniforms' plane."""
+        """A draw scratch for this law's draws of at most ``size`` values
+        (see :meth:`_draw`): no float planes for a law whose values are its
+        uniforms' plane."""
         return _buffers(size, 0 if self._transform is None else len(self._word_offsets))
 
-    def _draw(self, seeds, start: int, out: np.ndarray, planes: np.ndarray,
-              words: np.ndarray) -> None:
+    def _draw(self, seeds, start: int, out: np.ndarray, scratch: tuple) -> None:
         """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values
         of the stream of each seed (a scalar or an array) from word
         ``start`` on: the one fetch of this law's uniform planes.
 
-        The words are hashed in ``words``, two uint64 buffers, and a law
-        with a transform draws its planes into ``planes``, one float64
-        buffer per offset; each buffer holds at least ``out.size`` values,
-        and their contents are overwritten.  A law sampled through its
-        quantile draws its one plane into ``out`` and maps it in place.
+        ``scratch`` is ``(planes, words)`` (see :meth:`_workspace` and
+        :func:`_grid_workspace`): the words are hashed in ``words``, two
+        uint64 buffers, and a law with a transform draws its planes into
+        ``planes``, one float64 buffer per offset; each buffer holds at
+        least ``out.size`` values, and their contents are overwritten.  A
+        law sampled through its quantile draws its one plane into ``out``
+        and maps it in place.
         """
         u = (out[None] if self._transform is None
-             else _leading(planes[:len(self._word_offsets)], out.shape))
+             else _leading(scratch[0][:len(self._word_offsets)], out.shape))
         uniform_planes(seeds, start, out.shape[-1], self._words_per_value, self._word_offsets,
-                       u, _leading(words, out.shape))
+                       u, _leading(scratch[1], out.shape))
         if self._transform is None:
             self._quantile(out, out=out)
         else:

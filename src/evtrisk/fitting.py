@@ -221,14 +221,15 @@ class RowFits(NamedTuple):
 
 
 def _threshold_rule(ordered: np.ndarray, q: float):
-    """Threshold and exceedance count along the last axis.
+    """Threshold and exceedance count along the last axis; numpy scalars
+    for one sample.
 
     The threshold of an ascending sample of size ``m`` is its order
     statistic ``ceil(q * m)`` (1-based), and ``k`` counts the values
     strictly above it; rows ascend, so only the columns after it can be.
     """
     idx = _ceil_scaled(q * ordered.shape[-1])
-    threshold = ordered[..., idx - 1]
+    threshold = ordered[..., idx - 1][()]
     k = np.add.reduce(ordered[..., idx:] > threshold[..., None], axis=-1)
     return threshold, k
 
@@ -259,9 +260,8 @@ def _fit_above(ordered, threshold, k) -> RowFits:
     m = ordered.shape[-1]
 
     def fit_group(kk, rows):
-        if kk < 2:
-            nan = np.full(np.shape(threshold[rows]), np.nan)
-            return nan, nan
+        if kk < 2:     # NaN shape and scale
+            return (np.full(np.shape(threshold[rows]), np.nan)[()],) * 2
         return _pwm(ordered[rows, m - kk:][..., ::-1] - threshold[rows, None])
 
     gamma, scale = _per_group(k, fit_group)

@@ -195,9 +195,9 @@ def _var(threshold, scale, gamma, r):
     """
     log_r = np.log(r)
     near_zero = np.abs(gamma) < GAMMA_NEAR_ZERO
+    # Near-zero rows divide by gamma + 1, and the select throws them away.
     return np.where(near_zero, threshold - scale * log_r,
-                    threshold + scale * np.expm1(-gamma * log_r)
-                    / np.where(near_zero, 1.0, gamma))
+                    threshold + scale * np.expm1(-gamma * log_r) / (gamma + near_zero))[()]
 
 
 def _cvar(var, threshold, scale, gamma):

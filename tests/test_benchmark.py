@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 import re
 import resource
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import evtrisk.benchmark as benchmark
+import evtrisk.distributions as distributions
 from evtrisk import (
     DISTRIBUTIONS,
     ExperimentConfig,
@@ -58,6 +60,14 @@ class TestConfigValidation:
         assert mixed.distributions == ("pareto2", "gumbel")
         lower = small_config(distributions=("pareto2", "gumbel"), trials=20)
         assert run_experiment(mixed) == run_experiment(lower)
+
+    @pytest.mark.parametrize("names", [("pareto2", "PARETO2"), ("gumbel", "pareto2", "gumbel")])
+    def test_rejects_a_repeated_law(self, names):
+        # As for a repeated size: the law would run twice, into two
+        # identical rows per m.
+        message = f"distributions: distribution {names[0].lower()!r} is repeated"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(distributions=names)
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
@@ -434,7 +444,7 @@ class TestCellMemory:
         heads = np.array([derive_seed(cfg.master_seed, name) for name in laws], np.uint64)
         # Drop the thread's kept workspace, so the column allocates its own
         # inside the trace and the bound covers it.
-        benchmark._KEPT.__dict__.clear()
+        distributions._KEPT.__dict__.clear()
         tracemalloc.start()
         try:
             benchmark._run_column((cfg, m, truths, heads))
@@ -470,15 +480,16 @@ class TestWorkspace:
         # rows of the pass matrix, as a pass that straddles laws draws:
         # no law may leave its values in (or read them from) the planes
         # the next one reuses.
-        planes, words = benchmark._workspace(BLOCK)
-        planes[...] = np.nan
-        words[...] = np.uint64(2**64 - 1)
+        plane, scratch = distributions._grid_workspace(BLOCK)
+        plane[...] = np.nan
+        scratch[0][...] = np.nan
+        scratch[1][...] = np.uint64(2**64 - 1)
         laws = sorted(DISTRIBUTIONS)
-        matrix = planes[0, :len(laws) * self.ROWS * self.M].reshape(-1, self.M)
+        matrix = plane[:len(laws) * self.ROWS * self.M].reshape(-1, self.M)
         seeds = {name: derive_seeds((9, name, self.M), np.arange(self.ROWS)) for name in laws}
         for i, name in enumerate(laws):
             get_distribution(name)._draw(seeds[name], 0, matrix[i * self.ROWS:(i + 1) * self.ROWS],
-                                         planes[1:], words)
+                                         scratch)
         for i, name in enumerate(laws):
             dist, rows = get_distribution(name), matrix[i * self.ROWS:(i + 1) * self.ROWS]
             assert rows.tobytes() == dist.sample_rows(seeds[name], self.M).tobytes(), name
@@ -488,18 +499,50 @@ class TestWorkspace:
     def test_poisoned_workspace_changes_no_run(self):
         cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)), m_values=(20, 57))
         want = list(map(repr, run_experiment(cfg)))
-        planes, words = benchmark._workspace(BLOCK)
-        planes[...] = np.inf
+        plane, (planes, words) = distributions._grid_workspace(BLOCK)
+        plane[...] = planes[...] = np.inf
         words[...] = np.uint64(12345)
         assert list(map(repr, run_experiment(cfg))) == want
 
     def test_kept_and_one_row_workspaces(self):
-        kept = benchmark._workspace(1)
-        assert kept is benchmark._workspace(BLOCK)
-        assert [a.shape for a in kept] == [(5, BLOCK), (2, BLOCK)]
-        big = benchmark._workspace(BLOCK + 1)
-        assert [a.shape for a in big] == [(5, BLOCK + 1), (2, BLOCK + 1)]
-        assert benchmark._workspace(BLOCK) is kept
+        # One set of five float planes (the pass's and Student-t's four)
+        # and two hash planes, as the grid has always allocated.
+        def shapes(workspace):
+            plane, (planes, words) = workspace
+            assert plane.base is planes.base
+            return [plane.shape, planes.shape, words.shape]
+
+        kept = distributions._grid_workspace(1)
+        assert kept is distributions._grid_workspace(BLOCK)
+        assert shapes(kept) == [(BLOCK,), (4, BLOCK), (2, BLOCK)]
+        big = distributions._grid_workspace(BLOCK + 1)
+        assert shapes(big) == [(BLOCK + 1,), (4, BLOCK + 1), (2, BLOCK + 1)]
+        assert distributions._grid_workspace(BLOCK) is kept
+
+    def test_threads_keep_their_own_workspace(self):
+        # Two threads run the grid at once, each in the workspace its
+        # thread keeps: a shared one would mix their passes' draws.
+        cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)),
+                           m_values=(20, 57, 99), trials=200)
+        want = [summary_row(s) for s in run_experiment(cfg)]
+        start = threading.Barrier(2, timeout=60)
+        got, workspaces = {}, {}
+
+        def run(i):
+            start.wait()
+            for attempt in range(3):
+                got[i, attempt] = [summary_row(s) for s in run_experiment(cfg, workers=1)]
+            workspaces[i] = distributions._grid_workspace(1)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+        assert len(got) == 6 and all(rows == want for rows in got.values())
+        mine = distributions._grid_workspace(1)
+        assert len({id(w[0]) for w in (mine, *workspaces.values())}) == 3
 
     @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
     def test_column_seeds_fold_like_derive_seeds(self, master_seed):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface, file parsing, and output formats."""
 
+import codecs
 import json
 import re
 
@@ -61,6 +62,29 @@ class TestLoadCsv:
         with pytest.raises(ValueError) as info:
             load_csv(str(path))
         assert str(info.value).startswith(f"{path}: row 3: not UTF-8")
+
+    def test_byte_order_mark_keeps_the_first_value(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark; it
+        # used to make the first value a skipped header.
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"1.5\n2.0\n3.0\n")
+        ds = load_csv(str(path))
+        assert ds.values.tolist() == [1.5, 2.0, 3.0]
+        assert ds.parse_warnings == ()
+        path.write_bytes(codecs.BOM_UTF8 + b"volume\n1.0\n")
+        assert load_csv(str(path)).parse_warnings == ("row 1: header 'volume' skipped",)
+
+    def test_only_one_byte_order_mark_is_stripped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(2 * codecs.BOM_UTF8 + b"1.5\n2.0\n")
+        assert load_csv(str(path)).parse_warnings == ("row 1: header '\\ufeff1.5' skipped",)
+
+    def test_invalid_utf8_after_byte_order_mark_names_row_and_byte(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"volume\n1.0\n2\xff.5\n")
+        message = f"{path}: row 3: not UTF-8 text (byte 0xff)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(str(path))
 
 
 class TestLoadConfig:
@@ -143,6 +167,29 @@ class TestLoadConfig:
         path = tmp_path / "bench.cfg"
         path.write_text(f"distributions = pareto2\n{line}\ntrials = 5\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 2: {message}')}$"):
+            load_config(str(path))
+
+    def test_repeated_law_names_its_line(self, tmp_path):
+        # Names match case-insensitively, so PARETO2 would run pareto2 twice.
+        path = tmp_path / "bench.cfg"
+        path.write_text("# grid\ndistributions = pareto2, gumbel, PARETO2\ntrials = 5\n")
+        message = "line 2: distributions: distribution 'pareto2' is repeated"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_config(str(path))
+
+    def test_byte_order_mark_before_the_first_key(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"distributions = pareto2\ntrials = 5\n")
+        cfg = load_config(str(path))
+        assert (cfg.distributions, cfg.trials) == (("pareto2",), 5)
+
+    def test_invalid_utf8_after_byte_order_mark_names_line_and_byte(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"distributions = pareto2\n# caf\xe9\n")
+        # The offset is counted in the bytes after the mark, so the line
+        # and the byte are those of the file.
+        message = f"{path}: line 2: not UTF-8 text (byte 0xe9)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(str(path))
 
     def test_largest_master_seed_loads(self, tmp_path):

@@ -238,6 +238,17 @@ class TestRowIndependence:
         # The inputs reach the per-k scatter path and the failed fits.
         assert low_k > 0 and mixed > 0
 
+    def test_one_sample_gives_numpy_scalars(self):
+        # One sample's fields are scalars, as the docstrings say, not 0-d
+        # arrays: the threshold column and the VaR select once were.
+        rows = [matrix[0] for matrix in random_matrices(count=12)]
+        for row in [*rows, np.ones(30), np.arange(40.0)]:
+            est = estimate_rows(row.copy(), 0.01)
+            fields = {**est.fits._asdict(), **est._asdict()}
+            del fields["fits"]
+            for key, value in fields.items():
+                assert isinstance(value, np.generic), (key, type(value))
+
     def test_rows_whose_sum_overflows(self):
         # One row's sum overflows, so the whole pass takes the checked sum;
         # only that row is summed again, and every row is its own result.
