@@ -226,10 +226,10 @@ def _summarize(dist: str, m: int, err_typical: np.ndarray,
 def _column_seeds(heads: np.ndarray, m: int, trials: int) -> np.ndarray:
     """Every law's trial seeds at sample size ``m``, one row per law.
 
-    Row ``i`` is ``derive_seeds((master_seed, name, m), np.arange(trials))``
-    of the law whose ``derive_seed(master_seed, name)`` is ``heads[i]``,
-    bit for bit: the folds of ``m`` and of the trial index, each one
-    vectorized call for every law at once.
+    Entry ``[i, t]`` is ``trial_seed(master_seed, name, m, t)`` of the law
+    whose ``derive_seed(master_seed, name)`` is ``heads[i]``, bit for bit:
+    the folds of ``m`` and of the trial index, each one vectorized call
+    for every law at once.
     """
     return _fold(_fold(heads, np.uint64(m))[:, None], np.arange(trials, dtype=np.uint64))
 

@@ -223,6 +223,8 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_oracle(args) -> int:
     dist = get_distribution(args.dist)
+    # First, so an alpha the truth refuses fails before the draw.
+    analytic = dist.extremal_semideviation(args.alpha)
     estimate, std_error = monte_carlo_semideviation(dist, args.alpha, args.samples,
                                                     RandomStream(args.seed))
     payload = {
@@ -232,7 +234,7 @@ def _cmd_oracle(args) -> int:
         "seed": args.seed,
         "estimate": estimate,
         "std_error": std_error,
-        "analytic": dist.extremal_semideviation(args.alpha),
+        "analytic": analytic,
     }
     print(json.dumps(payload, indent=2))
     return 0

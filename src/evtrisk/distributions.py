@@ -170,36 +170,20 @@ class Distribution:
         out = np.empty(_integer("n", n, 1))
         first = stream.take(self._words_per_value * out.size)
         size = BLOCK // len(self._word_offsets)
-        scratch = self._workspace(min(size, out.size))
+        # No float planes for a law whose values are its uniforms' plane.
+        scratch = _buffers(min(size, out.size),
+                           0 if self._transform is None else len(self._word_offsets))
         for start in range(0, out.size, size):
             self._draw(stream.seed, first + self._words_per_value * start,
                        out[start:start + size], scratch)
         return out
-
-    def sample_rows(self, seeds, n: int) -> np.ndarray:
-        """One row of ``n`` draws per seed, shape ``(len(seeds), n)``.
-
-        Row ``i`` equals ``sample(n, RandomStream(seeds[i]))``: the counter-
-        based stream makes every row a pure function of its seed, so a
-        whole batch is drawn with one array pass.  ``n`` is checked as in
-        :meth:`sample`; callers bound the batch (see ``BLOCK``).
-        """
-        out = np.empty(np.shape(seeds) + (_integer("n", n, 1),))
-        self._draw(seeds, 0, out, self._workspace(out.size))
-        return out
-
-    def _workspace(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """A draw scratch for this law's draws of at most ``size`` values
-        (see :meth:`_draw`): no float planes for a law whose values are its
-        uniforms' plane."""
-        return _buffers(size, 0 if self._transform is None else len(self._word_offsets))
 
     def _draw(self, seeds, start: int, out: np.ndarray, scratch: tuple) -> None:
         """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values
         of the stream of each seed (a scalar or an array) from word
         ``start`` on: the one fetch of this law's uniform planes.
 
-        ``scratch`` is ``(planes, words)`` (see :meth:`_workspace` and
+        ``scratch`` is ``(planes, words)`` (see :meth:`sample` and
         :func:`_grid_workspace`): the words are hashed in ``words``, two
         uint64 buffers, and a law with a transform draws its planes into
         ``planes``, one float64 buffer per offset; each buffer holds at
@@ -221,9 +205,13 @@ class Distribution:
 
         Computed as the tail integral of ``(y - mean)`` from
         ``max(quantile(1 - alpha), mean)`` to the right endpoint, using the
-        closed form attached to each law.
+        closed form attached to each law.  An ``alpha`` outside (0, 1), or
+        one so small that ``1 - alpha`` rounds to 1, raises ``ValueError``.
         """
         _level("alpha", alpha)
+        if 1.0 - alpha == 1.0:
+            raise ValueError(f"alpha: {alpha} is too small: 1 - alpha rounds to 1 in "
+                             f"double precision, so the quantile q(1 - alpha) cannot be computed")
         w = max(self.quantile(1.0 - alpha), self.mean)
         return float(self._tail_semidev(w))
 
@@ -493,9 +481,10 @@ DISTRIBUTIONS: dict[str, Distribution] = {
 
 
 def get_distribution(name: str) -> Distribution:
-    """Look up a benchmark distribution by its canonical name."""
-    try:
+    """Look up a benchmark distribution by its canonical name, in any case;
+    anything else, a name that is not a string included, raises
+    ``ValueError``."""
+    if isinstance(name, str) and name.lower() in DISTRIBUTIONS:
         return DISTRIBUTIONS[name.lower()]
-    except KeyError:
-        valid = ", ".join(sorted(DISTRIBUTIONS))
-        raise ValueError(f"unknown distribution {name!r}; valid names: {valid}") from None
+    valid = ", ".join(sorted(DISTRIBUTIONS))
+    raise ValueError(f"unknown distribution {name!r}; valid names: {valid}")

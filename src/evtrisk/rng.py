@@ -52,9 +52,14 @@ def _integer(name: str, value, least: int | None = None) -> int:
 
 def _level(name: str, value) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` lies in the
-    open interval (0, 1), as a probability level must; NaN does not."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
+    open interval (0, 1), as a probability level must; NaN does not, nor
+    does a value that is not one number, such as a string or an array."""
+    try:
+        inside = 0.0 < value < 1.0
+    except (TypeError, ValueError):
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
 
 
 def _inside(values, lower, upper) -> bool:
@@ -125,21 +130,6 @@ def _fold(heads, part) -> np.ndarray:
     into each uint64 seed of ``heads``: ``mix64((h + GOLDEN) ^ part)``,
     elementwise, with ``heads`` and ``part`` broadcast together."""
     return _mix64_array(np.add(heads, _U64_GOLDEN) ^ part)
-
-
-def derive_seeds(prefix: tuple, indices) -> np.ndarray:
-    """``derive_seed(*prefix, i)`` for every integer ``i`` in ``indices``.
-
-    The last fold of :func:`derive_seed` depends only on ``i``, so the
-    seeds of a whole index array come from one vectorized finalizer call.
-    ``indices`` must have an integer dtype, else ``ValueError`` (so 2.7
-    is refused, not folded as 2); negatives fold modulo 2**64, as in
-    :func:`derive_seed`.
-    """
-    indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu":
-        raise ValueError(f"indices: dtype {indices.dtype} is not an integer dtype")
-    return _fold(np.uint64(derive_seed(*prefix)), indices.astype(np.uint64))
 
 
 def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,

@@ -10,6 +10,7 @@ import numpy as np
 
 import evtrisk
 from evtrisk import TailParams
+from evtrisk.distributions import _grid_workspace
 
 
 def random_params(rng, gamma_range=(-2.0, 0.95)):
@@ -30,6 +31,16 @@ def exact_pareto2_params():
     """Parameters whose tail reproduces Pareto(2) above its 0.90-quantile."""
     s = math.sqrt(10.0)
     return TailParams(k=10, m=100, gamma=0.5, threshold=s, scale=s / 2.0)
+
+
+def draw_rows(dist, seeds, n):
+    """One row of ``n`` draws of ``dist`` per seed, drawn as a grid pass
+    draws them: through ``Distribution._draw`` into one matrix, with the
+    thread's ``_grid_workspace`` as scratch.  Row ``i`` should be
+    ``dist.sample(n, RandomStream(seeds[i]))``."""
+    out = np.empty((len(seeds), n))
+    dist._draw(seeds, 0, out, _grid_workspace(out.size)[1])
+    return out
 
 
 def run_python(*args, address_space=None, **env_vars):

@@ -32,7 +32,7 @@ from evtrisk import (
 from evtrisk.cli import summary_row
 from evtrisk.distributions import BLOCK
 from evtrisk.estimators import estimate_rows
-from evtrisk.rng import derive_seeds
+from helpers import draw_rows
 
 
 def small_config(**overrides):
@@ -126,6 +126,24 @@ class TestConfigValidation:
         message = f"{field}: expected a sequence such as a tuple, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**{field: value})
+
+    # Each used to raise a raw AttributeError or TypeError that named no field.
+    @pytest.mark.parametrize("field, value, message", [
+        ("distributions", (1,), "distributions: unknown distribution 1; valid names: "),
+        ("distributions", ("gumbel", None), "distributions: unknown distribution None; "),
+        ("alpha", "0.01", "alpha must be in (0, 1), got '0.01'"),
+        ("alpha", None, "alpha must be in (0, 1), got None"),
+        ("alpha", np.array([0.01, 0.02]), "alpha must be in (0, 1), got array([0.01, 0.02])"),
+    ])
+    def test_rejects_a_law_or_alpha_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            small_config(**{field: value})
+
+    def test_alpha_whose_complement_rounds_to_one(self):
+        # The config admits it; the ground truth refuses it by its cause.
+        cfg = small_config(alpha=1e-17)
+        with pytest.raises(ValueError, match=r"^alpha: 1e-17 is too small: 1 - alpha rounds to 1"):
+            run_experiment(cfg)
 
     def test_lists_and_ranges_keep_their_bytes(self):
         cfg = small_config(distributions=["uniform01", "exponential1"], m_values=range(20, 30, 5))
@@ -349,7 +367,7 @@ class TestBatchKernel:
         dist = get_distribution(name)
         truth = ground_truth_value(cfg, dist)
         seeds = [trial_seed(seed, name, m, t) for t in range(trials)]
-        est = estimate_rows(dist.sample_rows(seeds, m), alpha)
+        est = estimate_rows(draw_rows(dist, seeds, m), alpha)
         records = []
         for t, trial in enumerate(seeds):
             rec = run_trial(dist, m, alpha, trial, truth, trial_index=t)
@@ -486,13 +504,13 @@ class TestWorkspace:
         scratch[1][...] = np.uint64(2**64 - 1)
         laws = sorted(DISTRIBUTIONS)
         matrix = plane[:len(laws) * self.ROWS * self.M].reshape(-1, self.M)
-        seeds = {name: derive_seeds((9, name, self.M), np.arange(self.ROWS)) for name in laws}
+        seeds = {name: np.array([trial_seed(9, name, self.M, t) for t in range(self.ROWS)],
+                                np.uint64) for name in laws}
         for i, name in enumerate(laws):
             get_distribution(name)._draw(seeds[name], 0, matrix[i * self.ROWS:(i + 1) * self.ROWS],
                                          scratch)
         for i, name in enumerate(laws):
             dist, rows = get_distribution(name), matrix[i * self.ROWS:(i + 1) * self.ROWS]
-            assert rows.tobytes() == dist.sample_rows(seeds[name], self.M).tobytes(), name
             for seed, row in zip(seeds[name], rows):
                 assert row.tobytes() == dist.sample(self.M, RandomStream(int(seed))).tobytes()
 
@@ -545,15 +563,15 @@ class TestWorkspace:
         assert len({id(w[0]) for w in (mine, *workspaces.values())}) == 3
 
     @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
-    def test_column_seeds_fold_like_derive_seeds(self, master_seed):
+    def test_column_seeds_fold_like_derive_seed(self, master_seed):
         laws = tuple(sorted(DISTRIBUTIONS))
         heads = np.array([derive_seed(master_seed, name) for name in laws], np.uint64)
         for m, trials in ((20, 300), (99, 7), (20_000, 1)):
             got = benchmark._column_seeds(heads, m, trials)
             assert got.shape == (len(laws), trials) and got.dtype == np.uint64
             for row, name in zip(got, laws):
-                assert row.tobytes() == derive_seeds((master_seed, name, m),
-                                                     np.arange(trials)).tobytes()
+                want = [derive_seed(master_seed, name, m, t) for t in range(trials)]
+                assert row.tobytes() == np.array(want, np.uint64).tobytes()
                 assert int(row[-1]) == trial_seed(master_seed, name, m, trials - 1)
 
     def test_warm_grid_maps_no_pages(self):

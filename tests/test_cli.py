@@ -405,6 +405,15 @@ class TestBenchmarkCommand:
         assert err == f"evtrisk: error: workers must be >= 1, got {workers}\n"
         assert not out_csv.exists()
 
+    def test_alpha_whose_complement_rounds_to_one_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(self.CONFIG + "alpha = 1e-17\n")
+        out_csv = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out_csv))
+        assert code == 1
+        assert err.startswith("evtrisk: error: alpha: 1e-17 is too small: 1 - alpha rounds to 1")
+        assert not out_csv.exists()
+
     def test_environment_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         # The master seed comes from the config alone: EVTRISK_SEED once
         # overrode it.
@@ -436,6 +445,12 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["seed"] == 1
         assert out == run_cli(capsys, *argv, "--seed", "1")[1]
+
+    def test_alpha_whose_complement_rounds_to_one_exit_1(self, capsys):
+        # At the default 4e6 samples: refused before the draw, not after it.
+        code, out, err = run_cli(capsys, "oracle", "--dist", "pareto2", "--alpha", "1e-17")
+        assert code == 1 and out == ""
+        assert err.startswith("evtrisk: error: alpha: 1e-17 is too small: 1 - alpha rounds to 1")
 
     def test_unknown_name_lists_valid(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--dist", "pareto3",

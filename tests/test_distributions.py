@@ -6,6 +6,7 @@ checked against the exact CDFs by Kolmogorov-Smirnov distance.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,9 +15,9 @@ import pytest
 from scipy import special, stats
 from scipy.integrate import quad
 
-from evtrisk import DISTRIBUTIONS, RandomStream, get_distribution
+from evtrisk import DISTRIBUTIONS, RandomStream, derive_seed, get_distribution
 from evtrisk.distributions import BLOCK, _T5_COEF
-from evtrisk.rng import derive_seeds
+from helpers import draw_rows
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
 
@@ -281,25 +282,22 @@ class TestSampling:
         assert ks < 0.01
 
     def test_sample_size_validation(self):
-        with pytest.raises(ValueError):
-            get_distribution("gumbel").sample(0, RandomStream(1))
         with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
-            get_distribution("gumbel").sample_rows([1, 2], 0)
+            get_distribution("gumbel").sample(0, RandomStream(1))
 
     def test_sample_size_not_integer(self):
         with pytest.raises(ValueError, match=r"^n: 2\.5 is not an integer$"):
             get_distribution("pareto2").sample(2.5, RandomStream(1))
-
-    def test_sample_rows_size_not_integer(self):
+        # A whole float too, for a law of six words a value.
         with pytest.raises(ValueError, match=r"^n: 20\.0 is not an integer$"):
-            get_distribution("tstudent5").sample_rows([1, 2], 20.0)
+            get_distribution("tstudent5").sample(20.0, RandomStream(1))
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_numpy_integer_size(self, name):
         dist = get_distribution(name)
         want = dist.sample(7, RandomStream(3))
         np.testing.assert_array_equal(dist.sample(np.int64(7), RandomStream(3)), want)
-        np.testing.assert_array_equal(dist.sample_rows([3], np.int64(7))[0], want)
+        np.testing.assert_array_equal(draw_rows(dist, [3], np.int64(7))[0], want)
 
     def test_determinism(self):
         d = get_distribution("tstudent5")
@@ -310,7 +308,7 @@ class TestSampling:
     def test_rows_equal_per_stream_draws(self, name):
         dist = get_distribution(name)
         seeds = [3, 2**64 - 1, 987654321]
-        rows = dist.sample_rows(seeds, 37)
+        rows = draw_rows(dist, seeds, 37)
         assert rows.shape == (3, 37)
         for seed, row in zip(seeds, rows):
             np.testing.assert_array_equal(row, dist.sample(37, RandomStream(seed)))
@@ -364,9 +362,9 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_rows_equal_one_pass(self, name):
         dist = get_distribution(name)
-        seeds = derive_seeds((11, name), np.arange(300))
+        seeds = [derive_seed(11, name, t) for t in range(300)]
         for m in (20, 57, 99):
-            rows = dist.sample_rows(seeds, m)
+            rows = draw_rows(dist, seeds, m)
             for seed, row in zip(seeds, rows):
                 np.testing.assert_array_equal(row, self.one_pass(dist, m, RandomStream(seed)))
 
@@ -415,6 +413,24 @@ class TestValidation:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             get_distribution("pareto2").extremal_semideviation(0.0)
+
+    @pytest.mark.parametrize("name", [None, 1, b"pareto2"])
+    def test_name_that_is_not_a_string(self, name):
+        # Refused by the lookup's own message, not an AttributeError on .lower().
+        with pytest.raises(ValueError, match=f"^unknown distribution {re.escape(repr(name))}; "
+                                             "valid names: beta12, "):
+            get_distribution(name)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_alpha_whose_complement_rounds_to_one(self, name):
+        # 1 - alpha rounds to 1 at and below 2**-54: the error names alpha
+        # and the cause, not a quantile level of 1.0 the caller never gave.
+        dist = get_distribution(name)
+        for alpha in (1e-17, 2.0**-54, 5e-324):
+            with pytest.raises(ValueError, match=f"^alpha: {re.escape(str(alpha))} is too small: "
+                                                 r"1 - alpha rounds to 1 in double precision"):
+                dist.extremal_semideviation(alpha)
+        assert 0.0 < dist.extremal_semideviation(2.0**-53) < math.inf
 
 
 class TestMonteCarloAgreement:

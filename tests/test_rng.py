@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from evtrisk.distributions import TSTUDENT5
-from evtrisk.rng import (RandomStream, _counter_words, derive_seed, derive_seeds, mix64,
+from evtrisk.rng import (RandomStream, _counter_words, _fold, derive_seed, mix64,
                          uniform_planes)
 
 MASK = (1 << 64) - 1
@@ -122,28 +122,11 @@ class TestBatchedStreams:
 
     SEEDS = [0, 1, 2**63 + 5, (1 << 64) - 1, derive_seed(7, "pareto2", 20, 3)]
 
-    def test_derive_seeds_matches_scalar_fold(self):
-        got = derive_seeds((1729, "gumbel", 35), np.arange(50))
+    def test_fold_matches_scalar_derive_seed(self):
+        # The last fold of derive_seed for a whole array of trial indices.
+        got = _fold(np.uint64(derive_seed(1729, "gumbel", 35)), np.arange(50, dtype=np.uint64))
         want = [derive_seed(1729, "gumbel", 35, t) for t in range(50)]
         assert [int(s) for s in got] == want
-
-    @pytest.mark.parametrize("indices", [
-        [-1, 0, 3, 2**63 - 1],
-        np.array([-1, 0, 3, 2**63 - 1]),
-        np.array([-1, 0, 3], dtype=np.int8),
-        np.array([2**64 - 1, 0, 3], dtype=np.uint64),
-        np.arange(3, dtype=np.uint32),
-    ])
-    def test_derive_seeds_folds_any_integer_dtype(self, indices):
-        # Negatives fold modulo 2**64, as in derive_seed.
-        got = derive_seeds((1, "pareto2", 20), indices)
-        want = [derive_seed(1, "pareto2", 20, int(i)) for i in indices]
-        assert [int(s) for s in got] == want
-
-    @pytest.mark.parametrize("indices", [[2.7], np.array([2.0]), [True], []])
-    def test_derive_seeds_refuses_non_integer_dtypes(self, indices):
-        with pytest.raises(ValueError, match=r"^indices: dtype \w+ is not an integer dtype$"):
-            derive_seeds((1, "pareto2", 20), indices)
 
     def test_uniform_planes(self):
         rows = uniform_planes(self.SEEDS, 0, 33)
