@@ -288,7 +288,10 @@ class TestSampling:
     def test_sample_size_not_integer(self):
         with pytest.raises(ValueError, match=r"^n: 2\.5 is not an integer$"):
             get_distribution("pareto2").sample(2.5, RandomStream(1))
-        # A whole float too, for a law of six words a value.
+
+    def test_sample_rows_size_not_integer(self):
+        # A whole float too, for a law of six words a value: the size check
+        # that guarded the former many-row draw now guards sample alone.
         with pytest.raises(ValueError, match=r"^n: 20\.0 is not an integer$"):
             get_distribution("tstudent5").sample(20.0, RandomStream(1))
 
