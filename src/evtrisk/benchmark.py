@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK, Distribution, _grid_workspace, get_distribution
+from .distributions import BLOCK, Distribution, _grid_workspace, _tail_level, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import _fit_error, min_sample_size
-from .rng import RandomStream, _fold, _integer, _level, derive_seed
+from .rng import RandomStream, _fold, _integer, derive_seed
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
@@ -56,7 +56,9 @@ class ExperimentConfig:
     read as seven one-letter names.  Sizes and ``master_seed`` are
     integers (``operator.index``); a law (by its lower-cased name) and a
     sample size may each appear only once, and the seed lies in ``[0,
-    2**64)``, so no two seeds fold to the same trial streams.  ``trials``
+    2**64)``, so no two seeds fold to the same trial streams.  ``alpha``
+    is one the ground truths take: above ``2**-54``, so that ``1 -
+    alpha`` is below 1 (``Distribution.extremal_semideviation``).  ``trials``
     defaults to a desk-scale 2,000; raise it to 10,000 to match
     full-scale runs.  Every ``ValueError`` it raises starts with the name
     of the field at fault, so :func:`~evtrisk.cli.load_config` can name
@@ -93,7 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"m_values: {_fit_error(min(m_values), 0)}")
         object.__setattr__(self, "m_values", _once("m_values", "sample size", m_values))
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
-        _level("alpha", self.alpha)
+        # Every run takes its errors against the truths at alpha.
+        _tail_level(self.alpha)
         seed = _integer("master_seed", self.master_seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"master_seed: {seed} is outside [0, 2**64)")

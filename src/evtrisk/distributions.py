@@ -54,6 +54,16 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 BLOCK = 2**16
 
 
+def _tail_level(alpha) -> None:
+    """Raise ``ValueError``, naming alpha, unless the truths take it: it
+    lies in (0, 1) and above ``2**-54``, so that ``1 - alpha`` is below 1
+    and the quantile ``q(1 - alpha)`` can be computed."""
+    _level("alpha", alpha)
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha: {alpha} is too small: 1 - alpha rounds to 1 in "
+                         f"double precision, so the quantile q(1 - alpha) cannot be computed")
+
+
 def _buffers(size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The buffers a draw of at most ``size`` values reuses: ``count``
     float64 planes (the uniforms of a law with a transform, and for the
@@ -208,10 +218,7 @@ class Distribution:
         closed form attached to each law.  An ``alpha`` outside (0, 1), or
         one so small that ``1 - alpha`` rounds to 1, raises ``ValueError``.
         """
-        _level("alpha", alpha)
-        if 1.0 - alpha == 1.0:
-            raise ValueError(f"alpha: {alpha} is too small: 1 - alpha rounds to 1 in "
-                             f"double precision, so the quantile q(1 - alpha) cannot be computed")
+        _tail_level(alpha)
         w = max(self.quantile(1.0 - alpha), self.mean)
         return float(self._tail_semidev(w))
 

@@ -125,9 +125,10 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     (one sample) and the benchmark (one matrix per grid pass): sort each
     row, fit its tail (:func:`~evtrisk.fitting.fit_rows`), evaluate the
     closed forms elementwise.  ``alpha`` is checked here, once for both;
-    the samples are not validated.  The rows of ``samples`` are sorted in
-    place, so callers pass an array they own (the public entry points copy
-    their data once, in :func:`~evtrisk.fitting._as_sample`).
+    of the samples, only finiteness is, at the ends of the sorted rows
+    (``ValueError``).  The rows of ``samples`` are sorted in place, so
+    callers pass an array they own (the public entry points copy their
+    data once, in :func:`~evtrisk.fitting._as_sample`).
     """
     _level("alpha", alpha)
     ordered, mean = _sort_rows(samples)
@@ -137,7 +138,9 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     # zero); their closed forms are masked by evt_valid.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_ok = alpha < fits.k / m
-        var = _var(fits.threshold, fits.scale, fits.gamma, m * alpha / fits.k)
+        # A numpy float over the count: numpy divides a Python float by
+        # a numpy int on its slow path, with the same bits.
+        var = _var(fits.threshold, fits.scale, fits.gamma, np.float64(m * alpha) / fits.k)
         cvar_tail = _cvar(var, fits.threshold, fits.scale, fits.gamma)
         rho_evt = _semideviation(cvar_tail, mean, alpha)
     return RowEstimates(

@@ -38,6 +38,7 @@ samples (:func:`fit_rows`), so one call fits a whole batch;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,8 +49,8 @@ from .rng import _integer, _level
 from .tail_model import TailParams
 
 THRESHOLD_QUANTILE = 0.90
-# Half the largest double: a margin for rounding in the bound on a sum.
-_HALF_MAX = 0.5 * float(np.finfo(float).max)
+# The magnitudes that need no power-of-two scaling; see _in_range.
+_LOW, _HIGH = 2.0**-400, 2.0**400
 
 
 class FitError(ValueError):
@@ -128,14 +129,34 @@ def _fit_error(m: int, k: int, gamma: float = math.nan, scale: float = math.nan,
 
 
 def _as_sample(data) -> np.ndarray:
-    """Validate raw data as a non-empty, finite 1-d float array, a copy
-    the caller of this function owns (the pipeline sorts it in place)."""
+    """Validate raw data as a non-empty 1-d float array, a copy the caller
+    of this function owns.  The pipeline sorts it in place, and
+    :func:`_sort_rows` then refuses it if it is not finite."""
     arr = np.array(data, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("data must be a non-empty 1-d sequence")
-    if not np.isfinite(arr).all():
-        raise ValueError("data contains non-finite values")
     return arr
+
+
+def _in_range(largest, smallest=_LOW) -> bool:
+    """Whether values of magnitudes from ``smallest`` to ``largest`` need
+    no power-of-two scaling: the one edge-of-range rule, of the mean
+    (:func:`_sort_rows`) and of the moment fit (:func:`_pwm`).
+
+    On magnitudes from 2**-400 to 2**400 and counts below 2**40, every
+    sum, product and quotient of those formulas stays normal, both in the
+    data's units and in units of ``2**e``, with ``e`` the binary exponent
+    of the largest value.  Powers of two scale exactly between normal
+    numbers, so the formulas give the scaled ones' bits without the
+    scaling.  The mean is scaled only where its sum overflows, so it
+    passes only ``largest``.
+    """
+    return smallest >= _LOW and largest <= _HIGH
+
+
+# The moment weights i / k of _pwm, made once per exceedance count k and
+# shared, so never written to.
+_weights = functools.lru_cache(maxsize=32)(lambda k: np.arange(k) / k)
 
 
 def _per_group(keys, fn):
@@ -165,20 +186,24 @@ def _pwm(excess_desc: np.ndarray):
     """Shape and scale from exceedances ordered largest first.
 
     Works along the last axis, so one call fits every row of a matrix
-    whose rows share one exceedance count.  The moments are taken of the
-    exceedances divided by ``2**e``, with ``e`` the binary exponent of the
-    largest one, and the scale is multiplied back.  Powers of two scale
-    exactly, so shape and scale are bit for bit those of the unscaled
-    formulas wherever these neither overflow nor underflow, and ``P*Q``
-    stays in range at any magnitude of the data.
+    whose rows share one exceedance count.  Unless the smallest and the
+    largest exceedance are in range (:func:`_in_range`, the rule
+    :func:`_sort_rows` shares), the moments are taken of the exceedances
+    divided by ``2**e``, with ``e`` the binary exponent of the largest
+    one, and the scale is multiplied back.  So ``P*Q`` stays in range at
+    any magnitude of the data, and in range, where powers of two scale
+    exactly, the scaling would change no bit and is skipped.
     """
     k = excess_desc.shape[-1]
-    e = np.frexp(excess_desc[..., 0])[1]
-    excess = np.ldexp(excess_desc, -e[..., None])
+    largest, smallest = ((excess_desc[0], excess_desc[-1]) if excess_desc.ndim == 1
+                         else (excess_desc[..., 0].max(), excess_desc[..., -1].min()))
+    e = None if _in_range(largest, smallest) else np.frexp(excess_desc[..., 0])[1]
+    excess = excess_desc if e is None else np.ldexp(excess_desc, -e[..., None])
     p_mom = np.add.reduce(excess, axis=-1) / k
-    q_mom = np.add.reduce(np.arange(k) / k * excess, axis=-1) / k
+    q_mom = np.add.reduce(_weights(k) * excess, axis=-1) / k
     denom = p_mom - 2.0 * q_mom
-    return (p_mom - 4.0 * q_mom) / denom, np.ldexp(2.0 * p_mom * q_mom / denom, e)
+    scale = 2.0 * p_mom * q_mom / denom
+    return (p_mom - 4.0 * q_mom) / denom, scale if e is None else np.ldexp(scale, e)
 
 
 @dataclass(frozen=True)
@@ -230,13 +255,14 @@ def _threshold_rule(ordered: np.ndarray, q: float):
     """
     idx = _ceil_scaled(q * ordered.shape[-1])
     threshold = ordered[..., idx - 1][()]
-    k = np.add.reduce(ordered[..., idx:] > threshold[..., None], axis=-1)
-    return threshold, k
+    return threshold, np.add.reduce(ordered[..., idx:] > threshold[..., None], axis=-1)
 
 
 def _tie_warnings(values: np.ndarray, threshold) -> tuple[str, ...]:
-    """``("tied-threshold",)`` if more than one value equals the threshold."""
-    return ("tied-threshold",) if np.count_nonzero(values == threshold) > 1 else ()
+    """``("tied-threshold",)`` if more than one of the ascending ``values``
+    equals the threshold."""
+    ties = values.searchsorted(threshold, "right") - values.searchsorted(threshold)
+    return ("tied-threshold",) if ties > 1 else ()
 
 
 def fit_rows(ordered: np.ndarray) -> RowFits:
@@ -269,24 +295,26 @@ def _fit_above(ordered, threshold, k) -> RowFits:
     return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, failed=failed)
 
 
-def _sort_rows(samples: np.ndarray):
-    """Each sample (row, along the last axis) sorted ascending in place,
-    and its mean; returns the sorted ``samples`` and the means.
+def _sort_rows(ordered: np.ndarray):
+    """Each sample (row, along the last axis) of ``ordered`` sorted
+    ascending in place, and its mean; returns ``ordered`` and the means.
 
-    No partial sum of a row exceeds ``m`` times its largest magnitude, so
-    rows are summed as they are unless one is that close to the top of
-    the double range.  Then a row whose sum is not finite is summed a
-    second time, divided by ``2**e`` with ``e`` the binary exponent of its
-    largest magnitude, and its mean multiplied back, as in :func:`_pwm`.
+    A sample that is not finite raises ``ValueError``: NaN sorts last, so
+    the ends of the sorted rows show it.  Rows are summed as they are
+    when their largest magnitude is in range (:func:`_in_range`, the rule
+    :func:`_pwm` shares).  Otherwise a row whose sum is not finite is
+    summed a second time, divided by ``2**e`` with ``e`` the binary
+    exponent of its largest magnitude, and its mean multiplied back.
     Powers of two scale exactly, so that mean is bit for bit the unscaled
     formula's on data small enough for it.
     """
-    samples.sort(axis=-1)
-    ordered = samples
+    ordered.sort(axis=-1)
     m = ordered.shape[-1]
     lo, hi = ((ordered[0], ordered[-1]) if ordered.ndim == 1
               else (ordered[..., 0].min(), ordered[..., -1].max()))
-    if max(-lo, hi) < _HALF_MAX / m:
+    if not (-np.inf < lo and hi < np.inf):
+        raise ValueError("data contains non-finite values")
+    if _in_range(max(-lo, hi)):
         return ordered, np.add.reduce(ordered, axis=-1) / m
     rows = ordered.reshape(-1, m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,8 +336,12 @@ def _fit_report(values: np.ndarray, fits: RowFits, q: float | None = THRESHOLD_Q
     m, k = values.size, int(fits.k)
     if fits.failed:
         raise _fit_error(m, k, float(fits.gamma), float(fits.scale), q=q)
-    params = TailParams(k=k, m=m, gamma=float(fits.gamma),
-                        threshold=float(fits.threshold), scale=float(fits.scale))
+    # A clear fit has passed every check of TailParams.__post_init__ (2 <=
+    # k < m, a finite threshold, a positive finite scale, a shape below 1
+    # and finite, as P - 2Q >= P/k), so they are not made a second time.
+    params = object.__new__(TailParams)
+    params.__dict__.update(k=k, m=m, gamma=float(fits.gamma),
+                           threshold=float(fits.threshold), scale=float(fits.scale))
     return params, _tie_warnings(values, fits.threshold)
 
 

@@ -195,9 +195,11 @@ def _var(threshold, scale, gamma, r):
     """
     log_r = np.log(r)
     near_zero = np.abs(gamma) < GAMMA_NEAR_ZERO
-    # Near-zero rows divide by gamma + 1, and the select throws them away.
-    return np.where(near_zero, threshold - scale * log_r,
-                    threshold + scale * np.expm1(-gamma * log_r) / (gamma + near_zero))[()]
+    # Near-zero rows divide by gamma + 1, and the select throws them away;
+    # most calls have none, and skip it.
+    power = threshold + scale * np.expm1(-gamma * log_r) / (gamma + near_zero)
+    return (np.where(near_zero, threshold - scale * log_r, power)[()]
+            if np.count_nonzero(near_zero) else power)
 
 
 def _cvar(var, threshold, scale, gamma):

@@ -140,10 +140,17 @@ class TestConfigValidation:
             small_config(**{field: value})
 
     def test_alpha_whose_complement_rounds_to_one(self):
-        # The config admits it; the ground truth refuses it by its cause.
-        cfg = small_config(alpha=1e-17)
-        with pytest.raises(ValueError, match=r"^alpha: 1e-17 is too small: 1 - alpha rounds to 1"):
-            run_experiment(cfg)
+        # Every run would refuse it at the ground truth, so the config
+        # refuses it first, by the truth's cause.
+        for alpha in (1e-17, 2.0**-54, 5e-324):
+            with pytest.raises(ValueError, match=f"^alpha: {re.escape(str(alpha))} is too small: "
+                                                 "1 - alpha rounds to 1"):
+                small_config(alpha=alpha)
+
+    def test_smallest_alpha_the_truths_take(self):
+        alpha = np.nextafter(2.0**-54, 1.0)
+        assert 1.0 - alpha < 1.0
+        assert small_config(alpha=alpha).alpha == alpha
 
     def test_lists_and_ranges_keep_their_bytes(self):
         cfg = small_config(distributions=["uniform01", "exponential1"], m_values=range(20, 30, 5))

@@ -406,12 +406,15 @@ class TestBenchmarkCommand:
         assert not out_csv.exists()
 
     def test_alpha_whose_complement_rounds_to_one_exit_1(self, tmp_path, capsys):
+        # Refused as the config loads, so the error names the file and line.
         cfg = tmp_path / "b.cfg"
         cfg.write_text(self.CONFIG + "alpha = 1e-17\n")
+        line = len(self.CONFIG.splitlines()) + 1
         out_csv = tmp_path / "out.csv"
         code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out_csv))
         assert code == 1
-        assert err.startswith("evtrisk: error: alpha: 1e-17 is too small: 1 - alpha rounds to 1")
+        assert err.startswith(f"evtrisk: error: {cfg}: line {line}: alpha: 1e-17 is too small: "
+                              "1 - alpha rounds to 1")
         assert not out_csv.exists()
 
     def test_environment_does_not_change_output(self, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the estimation pipeline and its verification oracles."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -27,8 +28,8 @@ from evtrisk import (
     value_at_risk,
 )
 from evtrisk.distributions import BLOCK, DISTRIBUTIONS, Distribution
-from evtrisk.estimators import estimate_rows
-from evtrisk.fitting import _ceil_scaled, fit_rows, pwm_fit, select_threshold
+from evtrisk.estimators import AssumptionChecks, EstimateReport, estimate_rows
+from evtrisk.fitting import _ceil_scaled, _fit_error, fit_rows, pwm_fit, select_threshold
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
 from helpers import exact_pareto2_params, random_params
 
@@ -283,6 +284,78 @@ class TestRowIndependence:
                 ordered, j = np.sort(row), _ceil_scaled(0.9 * row.size) - 1
                 tied = ordered[j - 1] == ordered[j] or ordered[j + 1] == ordered[j]
                 assert ("tied-threshold" in report.warnings) == tied
+
+
+SWEEP_ALPHAS = (0.001, 0.01, 0.05, 0.2)
+# SHA-256 of the sweep's report lines (one repr, or the FitError's message,
+# per input), recorded before the one-sample path dropped its per-call
+# numpy overhead: that change moved no bit.
+SWEEP_SHA256 = "61c3344e35881377519b404bad1090303b750eba82fdc5d639c107db2d7e5b78"
+
+
+def scaled_sweep(groups=120, rows=4, seed=2207):
+    """Seeded ``(matrix, alpha)`` groups: each row a Pareto(2), normal, or
+    normal rounded to 0 or 1 decimals (so tied) body of the group's size m
+    in 20..300, times its own power of two from 2**-1000 to 2**1000; alpha
+    cycles over ``SWEEP_ALPHAS``.  Its 480 inputs take about 0.15 s."""
+    rng = np.random.default_rng(seed)
+    bodies = (lambda m: rng.pareto(2.0, m) + 1.0,
+              rng.standard_normal,
+              lambda m: np.round(rng.standard_normal(m), int(rng.integers(0, 2))))
+    for g in range(groups):
+        m = int(rng.integers(20, 301))
+        matrix = np.stack([np.ldexp(bodies[(g + r) % len(bodies)](m),
+                                    int(rng.integers(-1000, 1001)))
+                           for r in range(rows)])
+        yield matrix, SWEEP_ALPHAS[g % len(SWEEP_ALPHAS)]
+
+
+class TestScaledSweep:
+    """``evt_estimate`` is the batch's row, bit for bit, at any scale."""
+
+    @staticmethod
+    def row_report(est, i, m, alpha, tied):
+        """The report ``evt_estimate`` owes for row ``i`` of ``est``."""
+        fits = est.fits
+        params = TailParams(k=int(fits.k[i]), m=m, gamma=float(fits.gamma[i]),
+                            threshold=float(fits.threshold[i]), scale=float(fits.scale[i]))
+        ok, valid = bool(est.alpha_ok[i]), bool(est.evt_valid[i])
+        return EstimateReport(
+            alpha=alpha, params=params, sample_mean=float(est.mean[i]),
+            rho_typical=float(est.rho_typical[i]),
+            var_tail=float(est.var_tail[i]) if ok else None,
+            cvar_tail=float(est.cvar_tail[i]) if ok else None,
+            rho_evt=float(est.rho_evt[i]) if valid else None,
+            assumptions=AssumptionChecks(alpha_lt_k_over_m=ok, var_ge_mean=valid),
+            warnings=("tied-threshold",) if tied else ())
+
+    def test_reports_are_the_batch_rows(self):
+        lines, failed, scaled = [], 0, 0
+        for matrix, alpha in scaled_sweep():
+            est = estimate_rows(matrix.copy(), alpha)
+            for i, row in enumerate(matrix):
+                fits, m = est.fits, row.size
+                scaled += not 2.0**-400 <= np.abs(row).max() <= 2.0**400
+                try:
+                    report = evt_estimate(row, alpha)
+                except FitError as exc:
+                    assert fits.failed[i]
+                    want = _fit_error(m, int(fits.k[i]), float(fits.gamma[i]),
+                                      float(fits.scale[i]))
+                    assert str(exc) == str(want)
+                    lines.append(f"FitError: {exc}")
+                    failed += 1
+                    continue
+                assert not fits.failed[i]
+                ordered, j = np.sort(row), _ceil_scaled(0.9 * m) - 1
+                tied = ordered[j - 1] == ordered[j] or ordered[j + 1] == ordered[j]
+                # repr round-trips every float, -0.0 included.
+                assert repr(report) == repr(self.row_report(est, i, m, alpha, tied))
+                lines.append(repr(report))
+        # Both sides of the range test, and failed fits, are reached.
+        assert failed > 0 and 0 < scaled < len(lines)
+        text = "".join(line + "\n" for line in lines).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == SWEEP_SHA256
 
 
 class TestMonteCarloOracle:

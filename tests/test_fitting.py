@@ -15,6 +15,7 @@ from evtrisk import (
     select_threshold,
     sort_and_summarize,
 )
+from evtrisk.estimators import estimate_rows
 from evtrisk.fitting import (
     _ceil_scaled,
     _floor_scaled,
@@ -83,6 +84,20 @@ class TestSortAndSummarize:
             sort_and_summarize([1.0, np.nan, 2.0])
         with pytest.raises(ValueError):
             sort_and_summarize([1.0, np.inf])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 12, 24])
+    def test_non_finite_anywhere_is_refused(self, bad, position):
+        # The check reads the ends of the sorted copy (NaN and +inf sort
+        # last, -inf first) before any arithmetic, so no RuntimeWarning
+        # escapes first: pytest would raise it as an error.
+        data = np.arange(1.0, 26.0)
+        data[position] = bad
+        # A batch is checked the same way, at the ends of all its rows.
+        for refuse in (sort_and_summarize, lambda d: evt_estimate(d, 0.01),
+                       lambda d: estimate_rows(np.stack([np.arange(1.0, 26.0), d]), 0.01)):
+            with pytest.raises(ValueError, match="^data contains non-finite values$"):
+                refuse(data)
 
     def test_values_are_immutable(self):
         s = sort_and_summarize([2.0, 1.0])

@@ -1,9 +1,9 @@
 """Pinned outputs: the exact bytes the package writes, against recorded digests.
 
 Each record pins one output by the full SHA-256 of its bytes as written,
-final newline included: the CSV file of ``evtrisk benchmark``, or a
-command's stdout.  So ``sha256sum`` of a written CSV gives the recorded
-value.  Older notes cite 16-hex digests in another convention: the first
+final newline included: the CSV file of ``evtrisk benchmark``, a
+command's stdout, or one ``repr`` line per value of a function.  So
+``sha256sum`` of a written CSV gives the recorded value.  Older notes cite 16-hex digests in another convention: the first
 16 hex digits of the SHA-256 of the text without its final newline; the
 fixture's ``estimate`` report is the exception, its 16-hex digest being
 the first 16 digits of the full one.  Where a 16-hex digest exists it is
@@ -30,6 +30,10 @@ import evtrisk
 from evtrisk.cli import main
 
 LAWS = "beta12, exponential1, gumbel, pareto2, tstudent5, uniform01"
+# Lower tails from 1e-300 to 1/2, then their mirrors 1 - p wherever that
+# is below 1: from 0.6 to 1 - 1e-16.
+T5_TAILS = [10.0**-j for j in range(300, 0, -1)] + [0.2, 0.3, 0.4, 0.5]
+T5_LEVELS = T5_TAILS + [1.0 - p for p in reversed(T5_TAILS[:-1]) if 1.0 - p < 1.0]
 
 # name: (SHA-256 of the output's bytes, fingerprints of its lines)
 PINNED = {
@@ -84,6 +88,32 @@ PINNED = {
         "e2e4cc1ae83d7771869224db68a3f0837050b5d9aaafe59f62db5508312d8334",
         "f125 a2ce 8d87 2a09 1f81 e886 55c3 ca5d 87dd 3d2a 1e57 fae9 9a04 d96e "
         "85ae 2b45 ca68 55d5 6570"),
+    "t5_quantiles": (
+        "d12d3b5ea9470098ab317e4b75a8fbc8f7d35c6320cc1de50cdf54819a5ae895",
+        "85b6 4c7b 1025 7fd4 31ac 58a1 7014 4c90 ab54 8da9 68d5 1b54 04bf 872d "
+        "05b2 df21 b9c2 ac0a 9537 a7b8 0f07 3b32 d17a 769a f9f7 7482 c1d5 8c9f "
+        "0df3 6c50 e9b5 94c7 f584 d653 5b76 7a9a b09e 7869 0419 baa1 f504 98f4 "
+        "f326 30fb 631f c39a 78a8 0ad7 9ab2 7344 6fea 7b37 5c68 2713 4a12 93a8 "
+        "3842 2728 3ecf 555e 4bc9 5e40 b442 6543 1b00 88ab b188 4b2a 5d15 04a1 "
+        "d5a1 795c a304 a34b d490 2bdb aa08 0b72 839b e795 bfd3 2c43 5ed2 ced0 "
+        "8ce4 5bb9 49a1 864b 7b98 16d8 8412 8df4 36c5 18ca 3b6e d55a 68da ecb8 "
+        "b553 b5d1 f0e1 2ef1 2924 6513 e38d 3af3 9e11 2994 170d 3896 ad3c a248 "
+        "370c 6038 116c ebe9 ec55 5bf4 950c 05af 2206 c1bd ba6b 9ebd 904b 1e11 "
+        "0c14 2a51 ed1a 8714 1a8e 7bca 8d6c b830 4dbd f4c6 f47b 56a5 5d33 1e36 "
+        "b444 6a11 d041 2bb3 b0af fdd7 8111 5b53 d7ef 59ec 34b1 3a68 6cdd ec6c "
+        "7526 38bd aea1 6327 b8b3 2594 440f 1199 6ecb 5d70 6e90 dfab c0eb 5333 "
+        "5aeb a61f 7c01 1ca1 c31d 11c2 2438 40fa aea0 9070 6e23 c62e 0659 6c41 "
+        "7be7 e3e0 8573 b3ca 343d 9d75 f591 58db f21b 4ebe bc10 6214 e1ca 8399 "
+        "dc6a 1457 161c 6ae3 096a 072b 964f 4b80 6a0c 1e9d 4d92 8339 7227 c49a "
+        "4e13 863c 1c72 4b4a 47e4 6e7e 3ad2 e897 ad33 cc02 05a8 9ff9 5d7d c15d "
+        "c80f 93bf 51bc cbf5 2924 44a4 3752 9b2e d88d 0def 0455 a3f9 20dd 8965 "
+        "f7cb d0d7 557e ec88 74f8 99da dfc6 ba5f 2554 5653 32b8 5252 a51b c902 "
+        "48f6 e17c 260c 6f65 c358 d476 42c0 76d1 7843 35a5 c47d e766 9da1 dcac "
+        "6322 77d9 e5d5 51aa 78e4 c342 ec9d 322e 2baf dcbe b08f 7171 6a1c fb56 "
+        "de1e ba77 4a90 af88 c1b2 6db8 1d65 66f8 2ba6 28d3 e232 7a4b ddcc 49de "
+        "c926 3513 528e 5d74 45db 605f e597 a091 1b35 02a1 8276 0a49 2e43 9410 "
+        "8f47 111e 24b3 bf18 2fe9 d87d 745d 7e31 d449 aac8 2b2a 9b6d 612a 2c84 "
+        "2e8c"),
     "truths": (
         "0f0e4a23ed04ae53d1d0fa7fc55286a6da491f85772d05f35bd2197070aaa271",
         "327e 2111 e01a 438e 62a8 1b1e"),
@@ -129,6 +159,10 @@ WRITERS = {
         capsys, "estimate", "--input", str(evtrisk.synthetic_overflow_path())),
     "oracle": lambda tmp_path, capsys: stdout(
         capsys, "oracle", "--dist", "tstudent5", "--samples", "4000000", "--seed", "1"),
+    # One "level repr" line per level of T5_LEVELS, of Student-t(5)'s quantile.
+    "t5_quantiles": lambda tmp_path, capsys: "".join(
+        f"{p!r} {evtrisk.get_distribution('tstudent5').quantile(p)!r}\n"
+        for p in T5_LEVELS).encode("utf-8"),
     # One "name repr" line per law, of its exact extremal semideviation.
     "truths": lambda tmp_path, capsys: "".join(
         f"{name} {evtrisk.get_distribution(name).extremal_semideviation(0.01)!r}\n"
