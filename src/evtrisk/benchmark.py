@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK, Distribution, _grid_workspace, _tail_level, get_distribution
+from .distributions import BLOCK, Distribution, _tail_level, _workspace, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import _fit_error, min_sample_size
 from .rng import RandomStream, _fold, _integer, derive_seed
@@ -254,7 +254,7 @@ def _run_column(args) -> list[SeriesSummary]:
     seeds = _column_seeds(heads, m, trials).ravel()
     typ, evt, valid = np.empty(seeds.size), np.empty(seeds.size), np.empty(seeds.size, bool)
     rows = max(1, BLOCK // m)
-    plane, scratch = _grid_workspace(min(rows, seeds.size) * m)
+    plane, scratch = _workspace(min(rows, seeds.size) * m)
     for start in range(0, seeds.size, rows):
         stop = min(start + rows, seeds.size)
         matrix = plane[:(stop - start) * m].reshape(stop - start, m)

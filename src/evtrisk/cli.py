@@ -211,7 +211,7 @@ def _cmd_estimate(args) -> int:
     dataset = load_csv(args.input)
     report = evt_estimate(dataset.values, alpha=args.alpha)
     payload = _report_to_json(report, warnings_extra=dataset.parse_warnings)
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 
@@ -236,7 +236,7 @@ def _cmd_oracle(args) -> int:
         "std_error": std_error,
         "analytic": analytic,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 

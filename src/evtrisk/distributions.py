@@ -42,15 +42,14 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
-# Every pass-sized array comes from a workspace (``_buffers``): a draw
-# hashes in its two uint64 planes and writes its values in place, so a
-# pass allocates nothing of its size.  A sample holds one workspace for
-# all of its tiles; the grid's passes take theirs from
-# ``_grid_workspace``, which keeps one per thread from run to run, so
-# they reuse the same pages and glibc never maps or unmaps one.  Tiles
-# and rows are whole values, so a Student-t group never straddles a cut.
-# The grid stays on the value rule because the word rule measured no
-# faster there.
+# Every tile- and pass-sized scratch array comes from one owner,
+# ``_workspace``, which keeps one set of ``BLOCK``-value buffers per
+# thread from call to call: a draw hashes in its two uint64 planes and
+# writes its values in place, so no draw (a sample's tile, and so an
+# oracle block or a trial, or a grid pass) allocates scratch of that
+# size, and glibc never maps or unmaps one.  Tiles and rows are whole
+# values, so a Student-t group never straddles a cut.  The grid stays on
+# the value rule because the word rule measured no faster there.
 BLOCK = 2**16
 
 
@@ -64,30 +63,25 @@ def _tail_level(alpha) -> None:
                          f"double precision, so the quantile q(1 - alpha) cannot be computed")
 
 
-def _buffers(size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffers a draw of at most ``size`` values reuses: ``count``
-    float64 planes (the uniforms of a law with a transform, and for the
-    grid its pass matrix) and the hash's two uint64 planes, each of
-    ``size`` values."""
-    return np.empty((count, size)), np.empty((2, size), np.uint64)
-
-
-# Each thread's grid workspace, kept from run to run (see _grid_workspace).
+# Each thread's workspace, kept from call to call (see _workspace).
 _KEPT = threading.local()
 
 
-def _grid_workspace(size: int) -> tuple[np.ndarray, tuple]:
-    """The buffers of a grid pass of at most ``size`` values: the pass
-    plane, which the caller shapes into its pass matrix, and a draw
-    scratch that any law's :meth:`Distribution._draw` takes as it is.
+def _workspace(size: int) -> tuple[np.ndarray, tuple]:
+    """The buffers of a draw of at most ``size`` values: a pass plane,
+    which the grid shapes into its pass matrix, and a draw scratch that
+    any law's :meth:`Distribution._draw` takes as it is.
 
     Each thread allocates one workspace of ``BLOCK`` values, which holds
-    every pass of ``m <= BLOCK`` (see ``BLOCK``), on its first pass, and
-    keeps it for every later pass and run.  Passes that allocate and free
-    their arrays make glibc map and unmap them, with a zeroing and a page
-    fault a page, or keep them only as its dynamic mmap threshold happens
-    to allow.  A pass of more than ``BLOCK`` values (one row of
-    ``m > BLOCK``) gets a workspace of its own, not kept.
+    every tile of :meth:`Distribution.sample` and every grid pass of ``m
+    <= BLOCK`` (see ``BLOCK``), on its first draw, and keeps it for every
+    later draw: samples, the Monte Carlo oracle's blocks, trials and grid
+    runs alike.  Draws that allocate and free their arrays make glibc map
+    and unmap them, with a zeroing and a page fault a page, or keep them
+    only as its dynamic mmap threshold happens to allow.  A grid pass of
+    more than ``BLOCK`` values (one row of ``m > BLOCK``) gets a workspace
+    of its own, not kept.  Every draw overwrites what it reads of the
+    workspace, so no caller sees another's values.
     """
     # Kept in the thread's attributes; a pass past BLOCK keeps its own in
     # a throwaway dict, so it is freed with the pass.
@@ -95,9 +89,9 @@ def _grid_workspace(size: int) -> tuple[np.ndarray, tuple]:
     if "workspace" not in kept:
         # Plane 0 is the pass's; the scratch holds the most planes any law
         # draws (Student-t's four) and the hash's two.
-        planes, words = _buffers(max(size, BLOCK),
-                                 1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values()))
-        kept["workspace"] = planes[0], (planes[1:], words)
+        size = max(size, BLOCK)
+        planes = np.empty((1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values()), size))
+        kept["workspace"] = planes[0], (planes[1:], np.empty((2, size), np.uint64))
     return kept["workspace"]
 
 
@@ -168,21 +162,20 @@ class Distribution:
         The sample is filled in tiles of ``BLOCK`` hashed words, that is
         ``BLOCK // len(_word_offsets)`` values (16,384 for Student-t,
         ``BLOCK`` for the others).  Each tile is hashed and mapped in the
-        sample's one workspace, sized for a tile, and written in place into
-        its slice of the output, so no buffer grows with ``n``.  The tiles
-        splice exactly: every word is a function of its counter alone, and
-        tiles are whole values, so a Student-t group of six words never
-        straddles a cut.  The values and the stream's counter are those of
-        one pass.  ``n`` must be an integer >= 1 (``operator.index``), else
-        ``ValueError``; it is checked once, and the sample's words are
-        reserved on ``stream`` at once, before any tile is filled.
+        thread's kept workspace (:func:`_workspace`) and written in place
+        into its slice of the output, so the call allocates its output and
+        no buffer of a tile's size.  The tiles splice exactly: every word
+        is a function of its counter alone, and tiles are whole values, so
+        a Student-t group of six words never straddles a cut.  The values
+        and the stream's counter are those of one pass.  ``n`` must be an
+        integer >= 1 (``operator.index``), else ``ValueError``; it is
+        checked once, and the sample's words are reserved on ``stream`` at
+        once, before any tile is filled.
         """
         out = np.empty(_integer("n", n, 1))
         first = stream.take(self._words_per_value * out.size)
         size = BLOCK // len(self._word_offsets)
-        # No float planes for a law whose values are its uniforms' plane.
-        scratch = _buffers(min(size, out.size),
-                           0 if self._transform is None else len(self._word_offsets))
+        scratch = _workspace(size)[1]
         for start in range(0, out.size, size):
             self._draw(stream.seed, first + self._words_per_value * start,
                        out[start:start + size], scratch)
@@ -193,8 +186,8 @@ class Distribution:
         of the stream of each seed (a scalar or an array) from word
         ``start`` on: the one fetch of this law's uniform planes.
 
-        ``scratch`` is ``(planes, words)`` (see :meth:`sample` and
-        :func:`_grid_workspace`): the words are hashed in ``words``, two
+        ``scratch`` is ``(planes, words)``, a workspace's scratch (see
+        :func:`_workspace`): the words are hashed in ``words``, two
         uint64 buffers, and a law with a transform draws its planes into
         ``planes``, one float64 buffer per offset; each buffer holds at
         least ``out.size`` values, and their contents are overwritten.  A

@@ -17,6 +17,7 @@ pointwise probe of the GPD tail-approximation error against an exact CDF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +68,8 @@ class EstimateReport:
 
     ``rho_evt`` (and the tail model's VaR/CVaR) are present only when every
     assumption flag holds; otherwise they are ``None`` and the flags say
-    which hypothesis failed.
+    which hypothesis failed.  A VaR or CVaR beyond the double range is
+    ``None`` too (see :func:`evt_estimate`).
     """
 
     alpha: float
@@ -86,8 +88,9 @@ class RowEstimates(NamedTuple):
 
     ``var_tail``, ``cvar_tail`` and ``rho_evt`` are evaluated on every row
     and mean something only where the flags say so: the model VaR and CVaR
-    where the fit is usable and ``alpha_ok``, ``rho_evt`` where
-    ``evt_valid``, i.e. where moreover the VaR is at least the mean.
+    where the fit is usable and ``alpha_ok`` (infinite where their value
+    lies beyond the double range), ``rho_evt`` where ``evt_valid``, i.e.
+    where moreover the VaR is at least the mean and ``rho_evt`` is finite.
     """
 
     mean: np.ndarray
@@ -131,31 +134,39 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     data once, in :func:`~evtrisk.fitting._as_sample`).
     """
     _level("alpha", alpha)
-    ordered, mean = _sort_rows(samples)
+    ordered, mean, e = _sort_rows(samples)
     m = ordered.shape[-1]
     fits = fit_rows(ordered)
+    # Out of range (see _sort_rows), each row is evaluated in units of
+    # 2**e and its results multiplied back: the same bits wherever the
+    # data's units overflow nowhere, and a finite rho wherever its value is.
+    threshold, scale, mu, top = fits.threshold, fits.scale, mean, ordered
+    if e is not None:
+        threshold, scale, mu = (np.ldexp(v, -e) for v in (threshold, scale, mean))
+        top = np.ldexp(ordered, -np.asarray(e)[..., None])
     # Failed rows carry NaN or unusable parameters (and k = 0 divides by
-    # zero); their closed forms are masked by evt_valid.
+    # zero), and a row with alpha >= k/m can overflow (a shape far below
+    # 0 raises r = m alpha / k >= 1 to a large power); the flags mask them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_ok = alpha < fits.k / m
         # A numpy float over the count: numpy divides a Python float by
         # a numpy int on its slow path, with the same bits.
-        var = _var(fits.threshold, fits.scale, fits.gamma, np.float64(m * alpha) / fits.k)
-        cvar_tail = _cvar(var, fits.threshold, fits.scale, fits.gamma)
-        rho_evt = _semideviation(cvar_tail, mean, alpha)
-    return RowEstimates(
-        mean=mean,
-        fits=fits,
+        var = _var(threshold, scale, fits.gamma, np.float64(m * alpha) / fits.k)
+        cvar_tail = _cvar(var, threshold, scale, fits.gamma)
+        rho_evt = _semideviation(cvar_tail, mu, alpha)
         # One exceedance count for both estimators on every row, failed
         # fits included: the typical estimator averages the top k + 1
         # order statistics, the smallest of which is the threshold.
-        rho_typical=typical_rows(ordered, mean, fits.k),
-        var_tail=var,
-        cvar_tail=cvar_tail,
-        rho_evt=rho_evt,
-        alpha_ok=alpha_ok,
-        evt_valid=~fits.failed & alpha_ok & (var >= mean),
-    )
+        rho_typical = typical_rows(top, mu, fits.k)
+        evt_valid = ~fits.failed & alpha_ok & (var >= mu)
+        if e is not None:
+            var, cvar_tail, rho_evt, rho_typical = (
+                np.ldexp(v, e) for v in (var, cvar_tail, rho_evt, rho_typical))
+            # In range rho is finite on every row the other flags pass.
+            evt_valid &= np.isfinite(rho_evt)
+    return RowEstimates(mean=mean, fits=fits, rho_typical=rho_typical, var_tail=var,
+                        cvar_tail=cvar_tail, rho_evt=rho_evt, alpha_ok=alpha_ok,
+                        evt_valid=evt_valid)
 
 
 def typical_semideviation(sample: SortedSample, alpha: float,
@@ -186,6 +197,12 @@ def typical_semideviation(sample: SortedSample, alpha: float,
     return float(typical_rows(sample.values, np.float64(sample.mean), np.int64(n_top)))
 
 
+def _in_double_range(value) -> float | None:
+    """``value`` as a float, or None if it lies beyond the double range."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
     """Run the full small-sample estimation pipeline on raw data.
 
@@ -196,20 +213,28 @@ def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
     callers can record them.  An unusable fit (constant data, too few
     exceedances, parameters rounding broke) raises
     :class:`~evtrisk.fitting.FitError`.
+
+    Every field is finite.  A VaR or CVaR whose value lies beyond the
+    double range (past about 1.8e308, only for data near the top of it)
+    is reported as None, while the flags keep stating the hypotheses, so
+    None under flags that hold names that cause.  The closed forms are
+    evaluated in units of a power of two there, so ``rho_evt``, a
+    fraction ``alpha`` of the CVaR's excess, is reported even where the
+    CVaR's value lies beyond the range.
     """
     values = _as_sample(data)
     est = estimate_rows(values, alpha)
     params, warnings = _fit_report(values, est.fits)
+    ok = bool(est.alpha_ok)
     return EstimateReport(
         alpha=alpha,
         params=params,
         sample_mean=float(est.mean),
         rho_typical=float(est.rho_typical),
-        var_tail=float(est.var_tail) if est.alpha_ok else None,
-        cvar_tail=float(est.cvar_tail) if est.alpha_ok else None,
+        var_tail=_in_double_range(est.var_tail) if ok else None,
+        cvar_tail=_in_double_range(est.cvar_tail) if ok else None,
         rho_evt=float(est.rho_evt) if est.evt_valid else None,
-        assumptions=AssumptionChecks(alpha_lt_k_over_m=bool(est.alpha_ok),
-                                     var_ge_mean=bool(est.evt_valid)),
+        assumptions=AssumptionChecks(alpha_lt_k_over_m=ok, var_ge_mean=bool(est.evt_valid)),
         warnings=warnings,
     )
 
@@ -225,7 +250,9 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
 
     The draw is one streaming pass of ``dist.sample`` blocks of at most
     ``BLOCK`` values; blocks splice exactly, so the draws and the stream's
-    final counter are those of ``dist.sample(n, stream)``.  The summand is
+    final counter are those of ``dist.sample(n, stream)``.  Each block is
+    drawn in the thread's kept workspace (``distributions._workspace``),
+    so the pass allocates each block's values but no tile scratch.  The summand is
     zero below ``v``, the ``top``-th largest draw, so the pass keeps only
     the running sum and the draws at or above a cut.  Whenever the kept
     set reaches ``2 * top + BLOCK`` values, the cut rises to its
@@ -233,8 +260,9 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     value is the ``top``-th largest of a prefix of the draw, so the cut
     never exceeds ``v``, and values equal to the cut are kept: every draw
     at or above ``v``, ties at ``v`` included, survives to the end.
-    Memory is O(``BLOCK`` + ``alpha * n``) for a law without atoms; draws
-    tied at the cut are all kept, so an atom at ``v`` adds its count.
+    Memory is O(``BLOCK`` + ``alpha * n``) for a law without atoms, besides
+    the workspace; draws tied at the cut are all kept, so an atom at ``v``
+    adds its count.
 
     Returns
     -------

@@ -297,16 +297,18 @@ def _fit_above(ordered, threshold, k) -> RowFits:
 
 def _sort_rows(ordered: np.ndarray):
     """Each sample (row, along the last axis) of ``ordered`` sorted
-    ascending in place, and its mean; returns ``ordered`` and the means.
+    ascending in place, its mean, and its scale exponent; returns
+    ``ordered``, the means and the exponents.
 
     A sample that is not finite raises ``ValueError``: NaN sorts last, so
-    the ends of the sorted rows show it.  Rows are summed as they are
-    when their largest magnitude is in range (:func:`_in_range`, the rule
-    :func:`_pwm` shares).  Otherwise a row whose sum is not finite is
-    summed a second time, divided by ``2**e`` with ``e`` the binary
-    exponent of its largest magnitude, and its mean multiplied back.
-    Powers of two scale exactly, so that mean is bit for bit the unscaled
-    formula's on data small enough for it.
+    the ends of the sorted rows show it.  Rows are summed as they are,
+    and the exponents are None, when their largest magnitude is in range
+    (:func:`_in_range`, the rule :func:`_pwm` shares).  Otherwise a row's
+    exponent is ``e``, the binary exponent of its largest magnitude, where
+    that magnitude is out of range, and 0 where it is not; and a row whose
+    sum is not finite is summed a second time, divided by ``2**e``, and
+    its mean multiplied back.  Powers of two scale exactly, so that mean
+    is bit for bit the unscaled formula's on data small enough for it.
     """
     ordered.sort(axis=-1)
     m = ordered.shape[-1]
@@ -315,14 +317,15 @@ def _sort_rows(ordered: np.ndarray):
     if not (-np.inf < lo and hi < np.inf):
         raise ValueError("data contains non-finite values")
     if _in_range(max(-lo, hi)):
-        return ordered, np.add.reduce(ordered, axis=-1) / m
+        return ordered, np.add.reduce(ordered, axis=-1) / m, None
     rows = ordered.reshape(-1, m)
+    largest = np.maximum(-rows[:, 0], rows[:, -1])
+    e = np.where(largest > _HIGH, np.frexp(largest)[1], 0)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(rows, axis=-1) / m
     for i in np.flatnonzero(~np.isfinite(mean)):
-        e = np.frexp(max(-rows[i, 0], rows[i, -1]))[1]
-        mean[i] = np.ldexp(np.add.reduce(np.ldexp(rows[i], -e)) / m, e)
-    return ordered, mean.reshape(ordered.shape[:-1])[()]
+        mean[i] = np.ldexp(np.add.reduce(np.ldexp(rows[i], -e[i])) / m, e[i])
+    return ordered, mean.reshape(ordered.shape[:-1])[()], e.reshape(ordered.shape[:-1])[()]
 
 
 def _fit_report(values: np.ndarray, fits: RowFits, q: float | None = THRESHOLD_QUANTILE):
@@ -350,7 +353,7 @@ def sort_and_summarize(data) -> SortedSample:
 
     The mean is finite for any finite data (see :func:`_sort_rows`).
     """
-    ordered, mean = _sort_rows(_as_sample(data))
+    ordered, mean, _ = _sort_rows(_as_sample(data))
     ordered.setflags(write=False)
     return SortedSample(values=ordered, mean=float(mean))
 

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 import evtrisk
 from evtrisk import TailParams
-from evtrisk.distributions import _grid_workspace
+from evtrisk import distributions
+from evtrisk.distributions import _workspace
 
 
 def random_params(rng, gamma_range=(-2.0, 0.95)):
@@ -36,11 +38,28 @@ def exact_pareto2_params():
 def draw_rows(dist, seeds, n):
     """One row of ``n`` draws of ``dist`` per seed, drawn as a grid pass
     draws them: through ``Distribution._draw`` into one matrix, with the
-    thread's ``_grid_workspace`` as scratch.  Row ``i`` should be
+    thread's ``_workspace`` as scratch.  Row ``i`` should be
     ``dist.sample(n, RandomStream(seeds[i]))``."""
     out = np.empty((len(seeds), n))
-    dist._draw(seeds, 0, out, _grid_workspace(out.size)[1])
+    dist._draw(seeds, 0, out, _workspace(out.size)[1])
     return out
+
+
+def traced_peaks(call):
+    """Traced peaks of ``call()``: first in a thread with no kept
+    workspace, then again in the one that call left; and that
+    workspace's bytes, which the first call allocates and keeps."""
+    distributions._KEPT.__dict__.clear()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plane, (_, words) = _workspace(1)
+    return peaks[0], peaks[1], plane.base.nbytes + words.nbytes
 
 
 def run_python(*args, address_space=None, **env_vars):

@@ -23,6 +23,7 @@ from evtrisk import (
     evt_estimate,
     get_distribution,
     ground_truth_value,
+    monte_carlo_semideviation,
     run_experiment,
     run_trial,
     sort_and_summarize,
@@ -495,8 +496,9 @@ class TestCellMemory:
 
 
 class TestWorkspace:
-    """The grid's kept buffers: their old contents never reach a result,
-    and a warm run maps no new pages."""
+    """Each thread's kept draw workspace, which samples, oracles and the
+    grid share: its old contents never reach a result, and a warm run
+    maps no new pages."""
 
     M, ROWS = 37, 5
 
@@ -505,7 +507,7 @@ class TestWorkspace:
         # rows of the pass matrix, as a pass that straddles laws draws:
         # no law may leave its values in (or read them from) the planes
         # the next one reuses.
-        plane, scratch = distributions._grid_workspace(BLOCK)
+        plane, scratch = distributions._workspace(BLOCK)
         plane[...] = np.nan
         scratch[0][...] = np.nan
         scratch[1][...] = np.uint64(2**64 - 1)
@@ -524,7 +526,7 @@ class TestWorkspace:
     def test_poisoned_workspace_changes_no_run(self):
         cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)), m_values=(20, 57))
         want = list(map(repr, run_experiment(cfg)))
-        plane, (planes, words) = distributions._grid_workspace(BLOCK)
+        plane, (planes, words) = distributions._workspace(BLOCK)
         plane[...] = planes[...] = np.inf
         words[...] = np.uint64(12345)
         assert list(map(repr, run_experiment(cfg))) == want
@@ -537,36 +539,56 @@ class TestWorkspace:
             assert plane.base is planes.base
             return [plane.shape, planes.shape, words.shape]
 
-        kept = distributions._grid_workspace(1)
-        assert kept is distributions._grid_workspace(BLOCK)
+        kept = distributions._workspace(1)
+        assert kept is distributions._workspace(BLOCK)
         assert shapes(kept) == [(BLOCK,), (4, BLOCK), (2, BLOCK)]
-        big = distributions._grid_workspace(BLOCK + 1)
+        big = distributions._workspace(BLOCK + 1)
         assert shapes(big) == [(BLOCK + 1,), (4, BLOCK + 1), (2, BLOCK + 1)]
-        assert distributions._grid_workspace(BLOCK) is kept
+        assert distributions._workspace(BLOCK) is kept
 
     def test_threads_keep_their_own_workspace(self):
-        # Two threads run the grid at once, each in the workspace its
-        # thread keeps: a shared one would mix their passes' draws.
+        # Two threads draw at once, each in the workspace its thread keeps:
+        # every law's sample and a 10**5-sample oracle before and after each
+        # grid run.  A shared workspace would mix their draws, and one that
+        # carried state from caller to caller would move a later one's bytes.
         cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)),
                            m_values=(20, 57, 99), trials=200)
-        want = [summary_row(s) for s in run_experiment(cfg)]
+
+        def draws():
+            samples = [get_distribution(name).sample(20_000, RandomStream(3)).tobytes()
+                       for name in sorted(DISTRIBUTIONS)]
+            oracle = monte_carlo_semideviation(get_distribution("tstudent5"), 0.01, 10**5,
+                                               RandomStream(4))
+            return samples, repr(oracle)
+
+        def session():
+            return draws(), [summary_row(s) for s in run_experiment(cfg, workers=1)], draws()
+
+        def in_thread(target, *args):
+            thread = threading.Thread(target=target, args=args)
+            thread.start()
+            return thread
+
+        def join(thread):
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+
+        # The reference: one thread alone, with a workspace it allocates.
+        want = {}
+        join(in_thread(lambda: want.update(bytes=session())))
         start = threading.Barrier(2, timeout=60)
         got, workspaces = {}, {}
 
         def run(i):
             start.wait()
             for attempt in range(3):
-                got[i, attempt] = [summary_row(s) for s in run_experiment(cfg, workers=1)]
-            workspaces[i] = distributions._grid_workspace(1)
+                got[i, attempt] = session()
+            workspaces[i] = distributions._workspace(1)
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-            assert not thread.is_alive()
-        assert len(got) == 6 and all(rows == want for rows in got.values())
-        mine = distributions._grid_workspace(1)
+        for thread in [in_thread(run, i) for i in range(2)]:
+            join(thread)
+        assert len(got) == 6 and all(out == want["bytes"] for out in got.values())
+        mine = distributions._workspace(1)
         assert len({id(w[0]) for w in (mine, *workspaces.values())}) == 3
 
     @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])

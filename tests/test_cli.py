@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from evtrisk import load_config, load_csv, synthetic_overflow_path
+from evtrisk import RandomStream, get_distribution, load_config, load_csv, synthetic_overflow_path
 from evtrisk.cli import CSV_HEADER, format_float, main
 from helpers import run_python
 
@@ -360,6 +360,23 @@ class TestEstimateCommand:
         payload = json.loads(out)
         assert payload["assumptions"]["alpha_lt_k_over_m"] is False
         assert payload["rho_evt"] is None
+
+    def test_top_of_the_double_range_is_strict_json(self, tmp_path, capsys):
+        # The CVaR lies beyond the double range: null, where it was once
+        # Infinity, which no strict JSON parser reads; rho stays finite.
+        data = np.ldexp(get_distribution("pareto2").sample(50, RandomStream(1)), 1016)
+        path = tmp_path / "top.csv"
+        path.write_text("".join(f"{x!r}\n" for x in data.tolist()))
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--alpha", "0.001")
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["cvar_theta"] is None and payload["rho_evt"] == pytest.approx(2.166e305,
+                                                                                   rel=1e-3)
+        assert all(payload["assumptions"].values())
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--input", "/nonexistent.csv")

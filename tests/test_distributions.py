@@ -7,7 +7,6 @@ checked against the exact CDFs by Kolmogorov-Smirnov distance.
 
 import math
 import re
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,7 @@ from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, derive_seed, get_distribution
 from evtrisk.distributions import BLOCK, _T5_COEF
-from helpers import draw_rows
+from helpers import draw_rows, traced_peaks
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
 
@@ -373,17 +372,15 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_peak_memory_one_tile_past_the_output(self, name):
-        # Beyond the n-value output, one tile of BLOCK hashed words: its
-        # planes, the hash's temporaries and the transform's, the same
-        # for every law (Student-t's four planes too), whatever n.
+        # Beyond the n-value output, a call allocates one tile's counters
+        # (BLOCK uint64 words, a quarter of that for Student-t), whatever n:
+        # the tile's planes are the thread's kept workspace, which its
+        # first draw allocates once, and nothing else of that size.
         n = 10**6
-        tracemalloc.start()
-        try:
-            get_distribution(name).sample(n, RandomStream(5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - 8 * n <= 5 * 8 * BLOCK, (peak - 8 * n) / (8 * BLOCK)
+        cold, warm, workspace = traced_peaks(
+            lambda: get_distribution(name).sample(n, RandomStream(5)))
+        assert warm - 8 * n <= 2 * 8 * BLOCK, (warm - 8 * n) / (8 * BLOCK)
+        assert cold - warm <= workspace + 2**12, (cold - warm) / (8 * BLOCK)
 
 
 class TestTStudentConstruction:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,11 +29,12 @@ from evtrisk import (
     typical_semideviation,
     value_at_risk,
 )
+from evtrisk.cli import main
 from evtrisk.distributions import BLOCK, DISTRIBUTIONS, Distribution
 from evtrisk.estimators import AssumptionChecks, EstimateReport, estimate_rows
 from evtrisk.fitting import _ceil_scaled, _fit_error, fit_rows, pwm_fit, select_threshold
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
-from helpers import exact_pareto2_params, random_params
+from helpers import exact_pareto2_params, random_params, traced_peaks
 
 # Admissible samples whose moment fit rounding breaks, with the cause the
 # FitError names: exceedances spread past double precision round the
@@ -113,6 +116,39 @@ class TestPipeline:
         assert big.params.scale == small.params.scale * 2.0**600
         assert (big.params.gamma, big.params.k) == (small.params.gamma, small.params.k)
         assert big.assumptions == small.assumptions and big.assumptions.all_hold()
+
+    def test_closed_forms_at_the_top_of_the_double_range(self):
+        # Shape 0.899: at 2**1016 the CVaR lies beyond the double range, but
+        # rho = alpha (CVaR - mean), about 2.17e305, does not; at 2**1019 the
+        # VaR does too.  Each present field is the unscaled one's, times
+        # the power of two, bit for bit.
+        data = get_distribution("pareto2").sample(50, RandomStream(1))
+        base = evt_estimate(data, alpha=0.001)
+        for power, var_tail in ((1016, np.ldexp(base.var_tail, 1016)), (1019, None)):
+            report = evt_estimate(np.ldexp(data, power), alpha=0.001)
+            assert report.rho_evt == np.ldexp(base.rho_evt, power)
+            assert report.rho_typical == np.ldexp(base.rho_typical, power)
+            assert report.var_tail == var_tail and report.cvar_tail is None
+            assert report.assumptions.all_hold()
+        est = estimate_rows(np.stack([data, np.ldexp(data, 1016)]), 0.001)
+        assert est.evt_valid.tolist() == [True, True] and np.isinf(est.cvar_tail[1])
+        assert est.rho_evt[1] == np.ldexp(est.rho_evt[0], 1016)
+
+    def test_overflow_where_alpha_is_past_k_over_m_stays_silent(self):
+        # In range, and yet the VaR overflows: the shape is -308 and alpha
+        # is past k/m, so r = m alpha / k = 9.9 and scale * expm1(-gamma
+        # log r) is -inf.  Only the alpha flag reports it; without the
+        # pipeline's np.errstate the overflow would warn, here an error.
+        data = np.r_[np.linspace(0.0, 1.0, 2790), np.full(310, 10.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evt_estimate(data, alpha=0.99)
+            est = estimate_rows(np.stack([data, data]), 0.99)
+        assert (report.params.k, round(report.params.gamma)) == (310, -308)
+        assert not report.assumptions.alpha_lt_k_over_m
+        assert report.var_tail is None and report.rho_evt is None
+        assert np.isneginf(est.var_tail).all() and not est.alpha_ok.any()
+        assert not est.evt_valid.any()
 
     def test_constant_data_raises_fit_error(self):
         with pytest.raises(FitError):
@@ -320,22 +356,28 @@ class TestScaledSweep:
         params = TailParams(k=int(fits.k[i]), m=m, gamma=float(fits.gamma[i]),
                             threshold=float(fits.threshold[i]), scale=float(fits.scale[i]))
         ok, valid = bool(est.alpha_ok[i]), bool(est.evt_valid[i])
+
+        def present(value):
+            # None past k/m, or beyond the double range.
+            return float(value) if ok and np.isfinite(value) else None
+
         return EstimateReport(
             alpha=alpha, params=params, sample_mean=float(est.mean[i]),
             rho_typical=float(est.rho_typical[i]),
-            var_tail=float(est.var_tail[i]) if ok else None,
-            cvar_tail=float(est.cvar_tail[i]) if ok else None,
+            var_tail=present(est.var_tail[i]),
+            cvar_tail=present(est.cvar_tail[i]),
             rho_evt=float(est.rho_evt[i]) if valid else None,
             assumptions=AssumptionChecks(alpha_lt_k_over_m=ok, var_ge_mean=valid),
             warnings=("tied-threshold",) if tied else ())
 
-    def test_reports_are_the_batch_rows(self):
-        lines, failed, scaled = [], 0, 0
-        for matrix, alpha in scaled_sweep():
+    @classmethod
+    def reports(cls, sweep):
+        """Each input's ``evt_estimate`` report, or its ``FitError``,
+        checked to be its row of the group's ``estimate_rows``."""
+        for matrix, alpha in sweep:
             est = estimate_rows(matrix.copy(), alpha)
             for i, row in enumerate(matrix):
                 fits, m = est.fits, row.size
-                scaled += not 2.0**-400 <= np.abs(row).max() <= 2.0**400
                 try:
                     report = evt_estimate(row, alpha)
                 except FitError as exc:
@@ -343,19 +385,84 @@ class TestScaledSweep:
                     want = _fit_error(m, int(fits.k[i]), float(fits.gamma[i]),
                                       float(fits.scale[i]))
                     assert str(exc) == str(want)
-                    lines.append(f"FitError: {exc}")
-                    failed += 1
+                    yield row, alpha, exc
                     continue
                 assert not fits.failed[i]
                 ordered, j = np.sort(row), _ceil_scaled(0.9 * m) - 1
                 tied = ordered[j - 1] == ordered[j] or ordered[j + 1] == ordered[j]
                 # repr round-trips every float, -0.0 included.
-                assert repr(report) == repr(self.row_report(est, i, m, alpha, tied))
-                lines.append(repr(report))
+                assert repr(report) == repr(cls.row_report(est, i, m, alpha, tied))
+                yield row, alpha, report
+
+    def test_reports_are_the_batch_rows(self):
+        lines, failed, scaled = [], 0, 0
+        for row, _, report in self.reports(scaled_sweep()):
+            scaled += not 2.0**-400 <= np.abs(row).max() <= 2.0**400
+            failed += isinstance(report, FitError)
+            lines.append(f"FitError: {report}" if isinstance(report, FitError) else repr(report))
         # Both sides of the range test, and failed fits, are reached.
         assert failed > 0 and 0 < scaled < len(lines)
         text = "".join(line + "\n" for line in lines).encode("utf-8")
         assert hashlib.sha256(text).hexdigest() == SWEEP_SHA256
+
+
+def heavy_sweep(groups=1000, rows=4, seed=2311):
+    """Seeded ``(matrix, alpha)`` groups: each row a Cauchy body, or a
+    log-uniform one spanning up to 260 decades, of the group's size m in
+    20..300; alpha cycles over ``SWEEP_ALPHAS``.  Rows are scaled by a
+    power of two in turn drawn from 2**-1100 to the largest that keeps
+    them finite, from the 40 largest, and from 2**-1100 to 2**-1000, where
+    the values are subnormal or zero.  Its 4,000 inputs take about 1 s."""
+    rng = np.random.default_rng(seed)
+    bodies = (rng.standard_cauchy,
+              lambda m: np.exp(rng.uniform(-1.0, 1.0, m) * rng.uniform(1.0, 300.0)))
+    for g in range(groups):
+        m = int(rng.integers(20, 301))
+        matrix = []
+        for r in range(rows):
+            body = bodies[(g + r) % len(bodies)](m)
+            top = 1023 - int(np.frexp(np.abs(body).max())[1])
+            low, high = ((-1100, top), (top - 40, top), (-1100, -1000))[(g + r) % 3]
+            matrix.append(np.ldexp(body, int(rng.integers(low, high + 1))))
+        yield np.stack(matrix), SWEEP_ALPHAS[g % len(SWEEP_ALPHAS)]
+
+
+def refuse_constant(name):
+    """``json.loads``'s hook for NaN and the infinities, which are not JSON."""
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+class TestHeavySweep:
+    """Heavy and wide bodies from the subnormals to the top of the range:
+    a ``FitError`` that names its cause, or a finite, signed report."""
+
+    def test_reports_are_finite_and_signed(self, tmp_path, capsys):
+        seen = Counter()
+        for i, (row, alpha, report) in enumerate(TestScaledSweep.reports(heavy_sweep())):
+            if isinstance(report, FitError):
+                seen["FitError"] += 1
+                continue
+            fields = (report.sample_mean, report.rho_typical, report.params.threshold,
+                      report.params.scale, report.params.gamma, report.var_tail,
+                      report.cvar_tail, report.rho_evt)
+            assert all(math.isfinite(v) for v in fields if v is not None), report
+            assert report.rho_typical >= 0.0, report
+            assert report.rho_evt is None or report.rho_evt >= 0.0, report
+            beyond = report.assumptions.alpha_lt_k_over_m and report.cvar_tail is None
+            seen["report"] += 1
+            seen["beyond the range"] += beyond
+            seen["top"] += np.abs(row).max() > 2.0**1000
+            seen["subnormal"] += np.abs(row).min() < 2.0**-1022
+            if beyond or i % 50 == 0:
+                # The command's stdout is strict JSON: no NaN or Infinity.
+                path = tmp_path / "data.csv"
+                path.write_text("".join(f"{v!r}\n" for v in row.tolist()))
+                assert main(["estimate", "--input", str(path), "--alpha", str(alpha)]) == 0
+                payload = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+                assert (payload["cvar_theta"], payload["rho_evt"]) == (report.cvar_tail,
+                                                                       report.rho_evt)
+        assert all(seen[key] > 0 for key in ("FitError", "report", "beyond the range", "top",
+                                             "subnormal")), seen
 
 
 class TestMonteCarloOracle:
@@ -454,13 +561,15 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_peak_memory_blocks_plus_tail(self, name):
-        # One block of BLOCK draws, one sample tile of BLOCK hashed words
-        # (its planes and temporaries, the same size for every law) and a
-        # kept set of at most 2 * (alpha * n + BLOCK) values; nothing grows
-        # with n itself.
+        # One block of BLOCK draws, its filtered copy and mask, one sample
+        # tile's counters and a kept set of at most 2 * (alpha * n + BLOCK)
+        # values; nothing grows with n itself.  The tile's planes are the
+        # thread's kept workspace, allocated once, by its first draw.
         dist = get_distribution(name)
-        peak = self.traced_peak(dist, 0.01, 10**6)
-        assert peak <= 10 * 8 * BLOCK + 4 * 8 * 0.01 * 10**6, peak / (8 * BLOCK)
+        cold, peak, workspace = traced_peaks(
+            lambda: monte_carlo_semideviation(dist, 0.01, 10**6, RandomStream(5)))
+        assert peak <= 6 * 8 * BLOCK + 4 * 8 * 0.01 * 10**6, peak / (8 * BLOCK)
+        assert cold - peak <= workspace + 2**12, (cold - peak) / (8 * BLOCK)
         # Ten times the draws at the same alpha * n: the same peak.
         assert self.traced_peak(dist, 0.001, 10**7) <= 1.1 * peak
 
