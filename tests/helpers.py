@@ -12,7 +12,7 @@ import numpy as np
 import evtrisk
 from evtrisk import TailParams
 from evtrisk import distributions
-from evtrisk.distributions import _workspace
+from evtrisk.distributions import Distribution, _workspace
 
 
 def random_params(rng, gamma_range=(-2.0, 0.95)):
@@ -33,6 +33,16 @@ def exact_pareto2_params():
     """Parameters whose tail reproduces Pareto(2) above its 0.90-quantile."""
     s = math.sqrt(10.0)
     return TailParams(k=10, m=100, gamma=0.5, threshold=s, scale=s / 2.0)
+
+
+def steps_law(levels):
+    """A law of ``levels`` atoms 0, 1, ..., levels - 1 of equal mass, named
+    ``steps<levels>``: at any level, hundreds of its draws tie at the
+    empirical quantile.  It has no CDF or truths, only draws."""
+    return Distribution(name=f"steps{levels}", gamma_ref=-math.inf,
+                        right_endpoint=levels - 1.0, mean=(levels - 1) / 2,
+                        _cdf=None, _quantile=lambda p, out=None: np.floor(levels * p, out=out),
+                        _tail_semidev=None)
 
 
 def draw_rows(dist, seeds, n):

@@ -30,11 +30,11 @@ from evtrisk import (
     value_at_risk,
 )
 from evtrisk.cli import main
-from evtrisk.distributions import BLOCK, DISTRIBUTIONS, Distribution
+from evtrisk.distributions import BLOCK, DISTRIBUTIONS
 from evtrisk.estimators import AssumptionChecks, EstimateReport, estimate_rows
 from evtrisk.fitting import _ceil_scaled, _fit_error, fit_rows, pwm_fit, select_threshold
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
-from helpers import exact_pareto2_params, random_params, traced_peaks
+from helpers import exact_pareto2_params, random_params, steps_law, traced_peaks
 
 # Admissible samples whose moment fit rounding breaks, with the cause the
 # FitError names: exceedances spread past double precision round the
@@ -542,11 +542,7 @@ class TestMonteCarloOracle:
         # equal v (at 2 levels, half of them).  At alpha = 0.01 the cut
         # lands on the atom at v, and at 2 levels and n = 10**6 its draws
         # outgrow the kept set's first allocation.
-        steps = Distribution(name=f"steps{levels}", gamma_ref=-math.inf,
-                             right_endpoint=levels - 1.0, mean=(levels - 1) / 2,
-                             _cdf=None, _quantile=lambda p, out=None: np.floor(levels * p, out=out),
-                             _tail_semidev=None)
-        _, _, v, y = self.assert_matches_reference(steps, alpha, n)
+        _, _, v, y = self.assert_matches_reference(steps_law(levels), alpha, n)
         top = n - _ceil_scaled((1.0 - alpha) * n) + 1
         assert np.count_nonzero(y == v) > 100 and np.count_nonzero(y >= v) > top
 

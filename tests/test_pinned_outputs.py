@@ -28,12 +28,21 @@ import pytest
 
 import evtrisk
 from evtrisk.cli import main
+from evtrisk.distributions import BLOCK
+from helpers import steps_law
 
 LAWS = "beta12, exponential1, gumbel, pareto2, tstudent5, uniform01"
 # Lower tails from 1e-300 to 1/2, then their mirrors 1 - p wherever that
 # is below 1: from 0.6 to 1 - 1e-16.
 T5_TAILS = [10.0**-j for j in range(300, 0, -1)] + [0.2, 0.3, 0.4, 0.5]
 T5_LEVELS = T5_TAILS + [1.0 - p for p in reversed(T5_TAILS[:-1]) if 1.0 - p < 1.0]
+# The Monte Carlo oracle's cases: the six laws and two tie laws, of which
+# steps2 at n = 10**6 outgrows the kept set's first allocation; a sample
+# of whole blocks and of a few values past them.
+ORACLE_LAWS = [evtrisk.get_distribution(name) for name in sorted(evtrisk.DISTRIBUTIONS)] + [
+    steps_law(2), steps_law(50)]
+ORACLE_CASES = [(dist, alpha, n) for dist in ORACLE_LAWS for alpha in (0.01, 0.2, 0.5)
+                for n in (10**4, 3 * BLOCK + 5, 10**6)]
 
 # name: (SHA-256 of the output's bytes, fingerprints of its lines)
 PINNED = {
@@ -47,6 +56,14 @@ PINNED = {
     "oracle": (
         "7fcd6f0882dedc799c464cfc78afebba88418e1b9c34762520dedf0c4cafea24",
         "a6fb 3ea2 d3d1 b7da ee0d 7f46 1d4e 914f 412c"),
+    "oracle_sweep": (
+        "2bd43e19a947af459fbb7e4efffc9de4724d4c200e0fdb5b2acf444a3536e709",
+        "f1da ef1f a239 efec a2a9 bce2 1c82 08ea 7c9d ac17 e064 6a08 c184 ab29 "
+        "7bee 03ce 5472 0634 efee 1bf2 6cb6 b8a9 b289 bc23 42a2 3ebd 8800 9878 "
+        "bdc2 48cc 274d 7a8e b41b bfcd 7084 adf2 8f38 aa89 9c12 0e04 e1ee a465 "
+        "a855 74e8 cd86 4323 6fc9 00fd 5569 2115 cf2a d45a 5a8e 7d4a 99fa bd55 "
+        "ebdb 4ade 018a b30e d84f 4839 d511 f9d5 c5e8 bcdb a69c 5bce b4fb aa98 "
+        "1c18 c5ea"),
     "paper_grid": (
         "167a92d8fd8a703945bf841a86134bd0dfc621320a82d6e28c3a3ada0e339b5e",
         "f125 2c28 a337 e693 4b02 71fb 092a 12e2 2af4 2af4 d72d 2252 abf8 4719 "
@@ -159,6 +176,12 @@ WRITERS = {
         capsys, "estimate", "--input", str(evtrisk.synthetic_overflow_path())),
     "oracle": lambda tmp_path, capsys: stdout(
         capsys, "oracle", "--dist", "tstudent5", "--samples", "4000000", "--seed", "1"),
+    # One "law alpha n estimate std_error" line per case of ORACLE_CASES,
+    # each from a fresh stream of seed 3.
+    "oracle_sweep": lambda tmp_path, capsys: "".join(
+        f"{dist.name} {alpha!r} {n} "
+        + " ".join(map(repr, evtrisk.monte_carlo_semideviation(dist, alpha, n, evtrisk.RandomStream(3))))
+        + "\n" for dist, alpha, n in ORACLE_CASES).encode("utf-8"),
     # One "level repr" line per level of T5_LEVELS, of Student-t(5)'s quantile.
     "t5_quantiles": lambda tmp_path, capsys: "".join(
         f"{p!r} {evtrisk.get_distribution('tstudent5').quantile(p)!r}\n"
