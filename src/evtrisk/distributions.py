@@ -37,8 +37,8 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 # The size of a pass over draws, under two rules:
 # - a sample is filled in tiles of ``BLOCK`` hashed words, so Student-t,
 #   which counts six words per value and hashes four, fills tiles of
-#   ``BLOCK // 4`` values; the Monte Carlo oracle streams
-#   ``BLOCK``-value samples;
+#   ``BLOCK // 4`` values; the Monte Carlo oracle fills blocks of
+#   ``BLOCK`` values in its kept buffer;
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
@@ -173,13 +173,18 @@ class Distribution:
         once, before any tile is filled.
         """
         out = np.empty(_integer("n", n, 1))
+        self._fill(out, stream)
+        return out
+
+    def _fill(self, out: np.ndarray, stream: RandomStream) -> None:
+        """Fill the 1-D array ``out`` with the next ``out.size`` values of
+        ``stream``, tile by tile, as :meth:`sample` does."""
         first = stream.take(self._words_per_value * out.size)
         size = BLOCK // len(self._word_offsets)
         scratch = _workspace(size)[1]
         for start in range(0, out.size, size):
             self._draw(stream.seed, first + self._words_per_value * start,
                        out[start:start + size], scratch)
-        return out
 
     def _draw(self, seeds, start: int, out: np.ndarray, scratch: tuple) -> None:
         """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values

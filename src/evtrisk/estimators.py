@@ -248,21 +248,26 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     of the same draw, and averages ``max(y - mean, 0)`` over the samples
     at or above ``v``.
 
-    The draw is one streaming pass of ``dist.sample`` blocks of at most
-    ``BLOCK`` values; blocks splice exactly, so the draws and the stream's
-    final counter are those of ``dist.sample(n, stream)``.  Each block is
-    drawn in the thread's kept workspace (``distributions._workspace``),
-    so the pass allocates each block's values but no tile scratch.  The summand is
-    zero below ``v``, the ``top``-th largest draw, so the pass keeps only
-    the running sum and the draws at or above a cut.  Whenever the kept
-    set reaches ``2 * top + BLOCK`` values, the cut rises to its
-    ``top``-th largest value and what falls below it is dropped.  That
-    value is the ``top``-th largest of a prefix of the draw, so the cut
-    never exceeds ``v``, and values equal to the cut are kept: every draw
-    at or above ``v``, ties at ``v`` included, survives to the end.
-    Memory is O(``BLOCK`` + ``alpha * n``) for a law without atoms, besides
-    the workspace; draws tied at the cut are all kept, so an atom at ``v``
-    adds its count.
+    The draw is one streaming pass of blocks of at most ``BLOCK`` values;
+    blocks splice exactly, so the draws and the stream's final counter are
+    those of ``dist.sample(n, stream)``.  The summand is zero below ``v``,
+    the ``top``-th largest draw, so the pass keeps only the running sum and
+    the draws at or above a cut, in one buffer.  Each block is drawn
+    straight into the buffer's free tail (tile by tile, in the thread's
+    kept workspace, ``distributions._workspace``), summed there, and its
+    draws below the cut are squeezed out in place; a block whose draws all
+    survive does not move.  Whenever the kept set reaches ``2 * top +
+    BLOCK`` values, the cut rises to its ``top``-th largest value and what
+    falls below it is dropped, again in place.  That value is the
+    ``top``-th largest of a prefix of the draw, so the cut never exceeds
+    ``v``, and values equal to the cut are kept: every draw at or above
+    ``v``, ties at ``v`` included, survives to the end.
+
+    Memory is the kept buffer, ``min(n, 2 * top + 2 * BLOCK)`` values for a
+    law without atoms, plus the workspace and transients of at most one
+    block (a tile's counters, a block's mask and survivors); draws tied at
+    the cut are all kept, so an atom at ``v`` adds its count, and the buffer
+    grows when they outgrow it.
 
     Returns
     -------
@@ -278,13 +283,17 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     total, cut, size = 0.0, -np.inf, 0
     kept = np.empty(min(n, 2 * top + 2 * BLOCK))
     for start in range(0, n, BLOCK):
-        y = dist.sample(min(BLOCK, n - start), stream)
+        block = min(BLOCK, n - start)
+        if size + block > kept.size:        # only with ties at the cut
+            kept = np.resize(kept, 2 * (size + block))
+        y = kept[size:size + block]
+        dist._fill(y, stream)
         total += np.add.reduce(y)
-        y = y[y >= cut]
-        if size + y.size > kept.size:       # only with ties at the cut
-            kept = np.resize(kept, 2 * (size + y.size))
-        kept[size:size + y.size] = y
-        size += y.size
+        keep = y >= cut
+        count = np.count_nonzero(keep)
+        if count < block:
+            y[:count] = y[keep]
+        size += count
         if size >= 2 * top + BLOCK:
             cut, size = _raise_cut(kept, size, top)
     _, size = _raise_cut(kept, size, top)       # the cut is now v
@@ -294,19 +303,28 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     # The summand is s on these draws and 0 on the other n - size.
     estimate = np.add.reduce(s) / n
     s -= estimate
-    variance = (np.add.reduce(s * s) + (n - size) * estimate**2) / (n - 1)
+    s *= s
+    variance = (np.add.reduce(s) + (n - size) * estimate**2) / (n - 1)
     return float(estimate), float(np.sqrt(variance) / np.sqrt(n))
 
 
 def _raise_cut(kept: np.ndarray, size: int, top: int) -> tuple[float, int]:
     """Move the values of ``kept[:size]`` at or above its ``top``-th
-    largest to the front, ties included; return that value and their count."""
+    largest to the front, ties included; return that value and their count.
+
+    The values come in the partition's order: first the ties left of its
+    point, in their own order (they may differ in the sign of a zero),
+    then its top values, moved by one forward overlapping copy, which
+    numpy makes in place.
+    """
     live = kept[:size]
     live.partition(size - top)
     cut = live[size - top]
-    above = live[live >= cut]
-    kept[:above.size] = above
-    return cut, above.size
+    left = live[:size - top]
+    ties = left[left == cut]
+    live[ties.size:ties.size + top] = live[size - top:]
+    live[:ties.size] = ties
+    return cut, ties.size + top
 
 
 # Exp-sinh rule on [0, inf) (Takahasi & Mori, 1974): nodes
