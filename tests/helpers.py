@@ -37,7 +37,7 @@ def exact_pareto2_params():
 
 def steps_law(levels):
     """A law of ``levels`` atoms 0, 1, ..., levels - 1 of equal mass, named
-    ``steps<levels>``: at any level, hundreds of its draws tie at the
+    ``steps<levels>``: in a draw of 10**4 or more, hundreds tie at the
     empirical quantile.  It has no CDF or truths, only draws."""
     return Distribution(name=f"steps{levels}", gamma_ref=-math.inf,
                         right_endpoint=levels - 1.0, mean=(levels - 1) / 2,
