@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import RandomStream, _integer, _level, _like, uniform_planes
+from .rng import _TILE, RandomStream, _integer, _level, _like, uniform_planes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -35,10 +35,11 @@ EULER_GAMMA = float(np.euler_gamma)
 _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
 # The size of a pass over draws, under two rules:
-# - a sample is filled in tiles of ``BLOCK`` hashed words, so Student-t,
-#   which counts six words per value and hashes four, fills tiles of
-#   ``BLOCK // 4`` values; the Monte Carlo oracle fills blocks of
-#   ``BLOCK`` values in its kept buffer;
+# - a sample is filled in tiles of ``rng._TILE = BLOCK // 4`` values,
+#   whatever the law, so a tile's hash planes, uniforms and output stay
+#   within a core's L2 (Student-t, with four planes of uniforms, touches
+#   about 0.9 MiB, a one-word law about 0.4 MiB); the Monte Carlo oracle
+#   fills blocks of ``BLOCK`` values in its kept buffer;
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
@@ -159,12 +160,13 @@ class Distribution:
         5 d.o.f. (see ``_t5_from_uniforms``).  The stream's counter
         advances by six words per value all the same.
 
-        The sample is filled in tiles of ``BLOCK`` hashed words, that is
-        ``BLOCK // len(_word_offsets)`` values (16,384 for Student-t,
-        ``BLOCK`` for the others).  Each tile is hashed and mapped in the
-        thread's kept workspace (:func:`_workspace`) and written in place
-        into its slice of the output, so the call allocates its output and
-        no buffer of a tile's size.  The tiles splice exactly: every word
+        The sample is filled in tiles of ``BLOCK // 4`` (16,384) values,
+        whatever the law, so that a tile's working set stays in L2.  Each
+        tile is hashed and mapped in the thread's kept workspace
+        (:func:`_workspace`) and written in place into its slice of the
+        output, and its counters are one addition of a kept ramp
+        (``rng._ramp``), so a warm call allocates its output and nothing
+        of a tile's size.  The tiles splice exactly: every word
         is a function of its counter alone, and tiles are whole values, so
         a Student-t group of six words never straddles a cut.  The values
         and the stream's counter are those of one pass.  ``n`` must be an
@@ -180,11 +182,10 @@ class Distribution:
         """Fill the 1-D array ``out`` with the next ``out.size`` values of
         ``stream``, tile by tile, as :meth:`sample` does."""
         first = stream.take(self._words_per_value * out.size)
-        size = BLOCK // len(self._word_offsets)
-        scratch = _workspace(size)[1]
-        for start in range(0, out.size, size):
+        scratch = _workspace(_TILE)[1]
+        for start in range(0, out.size, _TILE):
             self._draw(stream.seed, first + self._words_per_value * start,
-                       out[start:start + size], scratch)
+                       out[start:start + _TILE], scratch)
 
     def _draw(self, seeds, start: int, out: np.ndarray, scratch: tuple) -> None:
         """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values

@@ -265,7 +265,7 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
 
     Memory is the kept buffer, ``min(n, 2 * top + 2 * BLOCK)`` values for a
     law without atoms, plus the workspace and transients of at most one
-    block (a tile's counters, a block's mask and survivors); draws tied at
+    block (its mask, and its survivors with their indices); draws tied at
     the cut are all kept, so an atom at ``v`` adds its count, and the buffer
     grows when they outgrow it.
 
@@ -292,7 +292,8 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
         keep = y >= cut
         count = np.count_nonzero(keep)
         if count < block:
-            y[:count] = y[keep]
+            # compress, not a mask index, which branches on every value.
+            y[:count] = np.compress(keep, y)
         size += count
         if size >= 2 * top + BLOCK:
             cut, size = _raise_cut(kept, size, top)

@@ -132,6 +132,26 @@ def _fold(heads, part) -> np.ndarray:
     return _mix64_array(np.add(heads, _U64_GOLDEN) ^ part)
 
 
+# The longest run of counters built in one step, and so the longest step
+# ramp kept (see _ramp): 2**14 words, one tile of ``Distribution._fill``.
+_TILE = 2**14
+# Per stride, the step ramp of _counter_words; read-only, so threads share it.
+_RAMPS: dict[int, np.ndarray] = {}
+
+
+def _ramp(stride: int, n: int) -> np.ndarray:
+    """``v * stride * GOLDEN`` (mod 2**64) for ``v`` from 0 on, at least
+    ``n`` of them: kept per stride, and grown only to the longest ``n``
+    asked so far, so a caller of short counts keeps a short ramp."""
+    ramp = _RAMPS.get(stride)
+    if ramp is None or ramp.size < n:
+        ramp = np.arange(n, dtype=np.uint64)
+        ramp *= np.uint64(stride * _GOLDEN & _MASK64)
+        ramp.setflags(write=False)
+        _RAMPS[stride] = ramp
+    return ramp
+
+
 def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,
                    scratch=None) -> np.ndarray:
     """Words ``first, first + stride, ...`` (``n`` of them, 0-based) of the
@@ -140,12 +160,21 @@ def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,
     ``seeds`` is a uint64 scalar or array; the result has shape
     ``np.shape(seeds) + (n,)``.  It is written to ``out`` and the hash's
     shifts to ``scratch``, uint64 arrays of that shape, when they are
-    given.
+    given.  Word ``v`` of a run is hashed from ``seed + (first + 1) *
+    GOLDEN`` plus ``v * stride * GOLDEN``, the kept ramp's entry, so the
+    counters take one addition and no array of their own; runs longer
+    than ``_TILE`` are built and hashed ``_TILE`` words at a time.
     """
-    idx = np.arange(first + 1, first + 1 + stride * n, stride, dtype=np.uint64)
-    idx *= _U64_GOLDEN
-    words = np.add(np.asarray(seeds, dtype=np.uint64)[..., None], idx, out=out)
-    return _mix64_array(words, scratch)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if out is None:
+        out = np.empty(seeds.shape + (n,), np.uint64)
+    ramp = _ramp(stride, min(n, _TILE))
+    for c in range(0, n, _TILE):
+        words = out[..., c:c + _TILE]
+        head = np.add(seeds, np.uint64((first + 1 + stride * c) * _GOLDEN & _MASK64))
+        np.add(head[..., None], ramp[:words.shape[-1]], out=words)
+        _mix64_array(words, None if scratch is None else scratch[..., c:c + _TILE])
+    return out
 
 
 def uniform_planes(seeds, start: int, n: int, stride: int = 1,
@@ -160,8 +189,8 @@ def uniform_planes(seeds, start: int, n: int, stride: int = 1,
     the top 53 bits of its word, offset by half an ulp.  The planes are
     written to ``out`` when it is given, and hashed in ``words``, two
     uint64 planes of shape ``(2,) + np.shape(seeds) + (n,)``, when they
-    are given; so a caller that passes both allocates nothing here but
-    ``n`` counters.  Nothing is validated here: this is the one fetch
+    are given; so a caller that passes both allocates nothing here of
+    a plane's size.  Nothing is validated here: this is the one fetch
     behind every draw, and its callers pass sizes they have checked (a
     stream reserves its words with :meth:`RandomStream.take`).
     """

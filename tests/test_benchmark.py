@@ -33,6 +33,7 @@ from evtrisk import (
 from evtrisk.cli import summary_row
 from evtrisk.distributions import BLOCK
 from evtrisk.estimators import estimate_rows
+from evtrisk.rng import _GOLDEN, _MASK64, _RAMPS
 from helpers import draw_rows
 
 
@@ -576,6 +577,11 @@ class TestWorkspace:
         # The reference: one thread alone, with a workspace it allocates.
         want = {}
         join(in_thread(lambda: want.update(bytes=session())))
+        # The counters' step ramps are shared, not kept per thread: both
+        # threads grow them from nothing at once (m 20, 57, 99, then a
+        # sample's tile), and a ramp that one replaced while the other
+        # read it must still give the reference's bytes.
+        _RAMPS.clear()
         start = threading.Barrier(2, timeout=60)
         got, workspaces = {}, {}
 
@@ -590,6 +596,10 @@ class TestWorkspace:
         assert len(got) == 6 and all(out == want["bytes"] for out in got.values())
         mine = distributions._workspace(1)
         assert len({id(w[0]) for w in (mine, *workspaces.values())}) == 3
+        for stride, ramp in _RAMPS.items():
+            step = np.uint64(stride * _GOLDEN & _MASK64)
+            assert not ramp.flags.writeable
+            assert ramp.tobytes() == (np.arange(ramp.size, dtype=np.uint64) * step).tobytes()
 
     @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
     def test_column_seeds_fold_like_derive_seed(self, master_seed):

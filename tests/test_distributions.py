@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, derive_seed, get_distribution
 from evtrisk.distributions import BLOCK, _T5_COEF
+from evtrisk.rng import _TILE
 from helpers import draw_rows, traced_peaks
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
@@ -372,15 +373,17 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_peak_memory_one_tile_past_the_output(self, name):
-        # Beyond the n-value output, a call allocates one tile's counters
-        # (BLOCK uint64 words, a quarter of that for Student-t), whatever n:
-        # the tile's planes are the thread's kept workspace, which its
-        # first draw allocates once, and nothing else of that size.
+        # Beyond the n-value output, a warm call allocates less than one
+        # tile's bytes, whatever n: nothing of a tile's size at all, since a
+        # tile's planes are the thread's kept workspace and its counters one
+        # addition of the kept ramp (when each tile built its counters, they
+        # took a tile of uint64 words). A cold call adds the workspace, which
+        # its thread keeps, and at most one tile's ramp, which all keep.
         n = 10**6
         cold, warm, workspace = traced_peaks(
             lambda: get_distribution(name).sample(n, RandomStream(5)))
-        assert warm - 8 * n <= 2 * 8 * BLOCK, (warm - 8 * n) / (8 * BLOCK)
-        assert cold - warm <= workspace + 2**12, (cold - warm) / (8 * BLOCK)
+        assert warm - 8 * n <= 2**12, warm - 8 * n
+        assert cold - warm <= workspace + 8 * _TILE + 2**12, (cold - warm) / (8 * BLOCK)
 
 
 class TestTStudentConstruction:

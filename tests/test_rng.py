@@ -7,9 +7,10 @@ same algorithm, and its statistical output against textbook properties.
 import numpy as np
 import pytest
 
+from evtrisk import rng
 from evtrisk.distributions import TSTUDENT5
-from evtrisk.rng import (RandomStream, _counter_words, _fold, derive_seed, mix64,
-                         uniform_planes)
+from evtrisk.rng import (_TILE, RandomStream, _counter_words, _fold, _mix64_array, derive_seed,
+                         mix64, uniform_planes)
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -68,6 +69,52 @@ class TestWordGeneration:
         a = _counter_words(1, 0, 16)
         b = _counter_words(2, 0, 16)
         assert not np.array_equal(a, b)
+
+
+class TestCounterRamp:
+    """Counters are a kept step ramp plus one head per run of ``_TILE``
+    words: the words of the ``arange`` formula they replaced, at any count,
+    stride and seed shape, and no ramp longer than a count asked for."""
+
+    SEEDS = np.array([[0, 1, 2**63 + 5], [(1 << 64) - 1, GOLDEN, 987654321]], np.uint64)
+
+    @staticmethod
+    def arange_words(seeds, first, n, stride):
+        idx = np.arange(first + 1, first + 1 + stride * n, stride, dtype=np.uint64)
+        idx *= np.uint64(GOLDEN)
+        return _mix64_array(np.asarray(seeds, dtype=np.uint64)[..., None] + idx)
+
+    @pytest.mark.parametrize("n", [1, 99, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    @pytest.mark.parametrize("stride", [1, 6])
+    def test_equals_arange_formula(self, n, stride):
+        for seeds in (self.SEEDS, self.SEEDS[1], (1 << 64) - 1):
+            for first in (0, 7, 6 * _TILE + 3):
+                got = _counter_words(seeds, first, n, stride)
+                assert got.shape == np.shape(seeds) + (n,)
+                assert got.tobytes() == self.arange_words(seeds, first, n, stride).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 6])
+    def test_counter_wraps_past_two_to_the_64(self, stride):
+        # The counter passes 2**64 in the run's second tile; a word is that
+        # of its counter modulo 2**64.
+        n, first = _TILE + 10, 2**64 - stride * _TILE - 5
+        got = _counter_words(self.SEEDS, first, n, stride)
+        for seed, row in zip(self.SEEDS.ravel(), got.reshape(-1, n)):
+            want = [mix64((int(seed) + (first + 1 + stride * v) * GOLDEN) & MASK)
+                    for v in range(n)]
+            assert row.tolist() == want
+
+    def test_ramp_grows_to_the_longest_count_asked(self):
+        rng._RAMPS.clear()
+        for m in (20, 99, 57):
+            _counter_words(self.SEEDS, 0, m, 6)
+        assert rng._RAMPS[6].size == 99
+        # A run past one tile is built a tile at a time.
+        RandomStream(3).uniform(10**6)
+        assert rng._RAMPS[1].size == _TILE
+        for stride, ramp in rng._RAMPS.items():
+            assert not ramp.flags.writeable
+            assert ramp.tolist() == [v * stride * GOLDEN & MASK for v in range(ramp.size)]
 
 
 class TestUniform:
