@@ -158,15 +158,14 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
         # fits included: the typical estimator averages the top k + 1
         # order statistics, the smallest of which is the threshold.
         rho_typical = typical_rows(top, mu, fits.k)
-        evt_valid = ~fits.failed & alpha_ok & (var >= mu)
+        evt_valid = np.logical_not(fits.failed) & alpha_ok & (var >= mu)
         if e is not None:
             var, cvar_tail, rho_evt, rho_typical = (
                 np.ldexp(v, e) for v in (var, cvar_tail, rho_evt, rho_typical))
             # In range rho is finite on every row the other flags pass.
             evt_valid &= np.isfinite(rho_evt)
-    return RowEstimates(mean=mean, fits=fits, rho_typical=rho_typical, var_tail=var,
-                        cvar_tail=cvar_tail, rho_evt=rho_evt, alpha_ok=alpha_ok,
-                        evt_valid=evt_valid)
+    # Positional, as fit_rows builds its fits (see _fit_above).
+    return RowEstimates(mean, fits, rho_typical, var, cvar_tail, rho_evt, alpha_ok, evt_valid)
 
 
 def typical_semideviation(sample: SortedSample, alpha: float,

@@ -245,6 +245,10 @@ class RowFits(NamedTuple):
     failed: np.ndarray
 
 
+# The threshold's 1-based order statistic ceil(q * m), made once per (q, m).
+_threshold_index = functools.lru_cache(maxsize=256)(lambda q, m: _ceil_scaled(q * m))
+
+
 def _threshold_rule(ordered: np.ndarray, q: float):
     """Threshold and exceedance count along the last axis; numpy scalars
     for one sample.
@@ -253,7 +257,7 @@ def _threshold_rule(ordered: np.ndarray, q: float):
     statistic ``ceil(q * m)`` (1-based), and ``k`` counts the values
     strictly above it; rows ascend, so only the columns after it can be.
     """
-    idx = _ceil_scaled(q * ordered.shape[-1])
+    idx = _threshold_index(q, ordered.shape[-1])
     threshold = ordered[..., idx - 1][()]
     return threshold, np.add.reduce(ordered[..., idx:] > threshold[..., None], axis=-1)
 
@@ -291,8 +295,10 @@ def _fit_above(ordered, threshold, k) -> RowFits:
         return _pwm(ordered[rows, m - kk:][..., ::-1] - threshold[rows, None])
 
     gamma, scale = _per_group(k, fit_group)
-    failed = ~((scale > 0.0) & (scale < np.inf) & (gamma < 1.0))
-    return RowFits(threshold=threshold, k=k, gamma=gamma, scale=scale, failed=failed)
+    # logical_not and a positional tuple: on one sample's numpy scalars,
+    # ``~`` and keywords cost several times as much, with the same values.
+    failed = np.logical_not((scale > 0.0) & (scale < np.inf) & (gamma < 1.0))
+    return RowFits(threshold, k, gamma, scale, failed)
 
 
 def _sort_rows(ordered: np.ndarray):
