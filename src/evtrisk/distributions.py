@@ -57,7 +57,8 @@ BLOCK = 2**16
 def _tail_level(alpha) -> None:
     """Raise ``ValueError``, naming alpha, unless the truths take it: it
     lies in (0, 1) and above ``2**-54``, so that ``1 - alpha`` is below 1
-    and the quantile ``q(1 - alpha)`` can be computed."""
+    and the quantile ``q(1 - alpha)`` can be computed.  The truths' closed
+    forms take ``alpha`` itself and would hold below the bound too."""
     _level("alpha", alpha)
     if 1.0 - alpha == 1.0:
         raise ValueError(f"alpha: {alpha} is too small: 1 - alpha rounds to 1 in "
@@ -129,7 +130,13 @@ class Distribution:
     # itself, so the draw is mapped in place: ``_quantile(p, out=None)``
     # writes each step to ``out`` when one is given.
     _quantile: Callable[..., np.ndarray] = field(repr=False)
+    # ``_tail_semidev(a)`` is the integral of (y - mean) over the top ``a``
+    # of the law, y >= q(1 - a), for ``0 < a <= _mean_tail``, the survival
+    # at the mean, past which the truth stops growing.  It is evaluated
+    # from ``a`` itself, since ``1 - a`` would round ``a`` to a multiple
+    # of 2**-53.
     _tail_semidev: Callable[[float], float] = field(repr=False)
+    _mean_tail: float = field(repr=False)
     # A value takes ``_words_per_value`` words of the stream, of which the
     # uniforms at ``_word_offsets`` are drawn, one contiguous plane each.
     # A law sampled through ``_quantile`` uses the one plane of offset 0;
@@ -212,14 +219,15 @@ class Distribution:
     def extremal_semideviation(self, alpha: float) -> float:
         """Exact expected exceedance above the mean in the worst alpha fraction.
 
-        Computed as the tail integral of ``(y - mean)`` from
-        ``max(quantile(1 - alpha), mean)`` to the right endpoint, using the
-        closed form attached to each law.  An ``alpha`` outside (0, 1), or
-        one so small that ``1 - alpha`` rounds to 1, raises ``ValueError``.
+        The tail integral of ``(y - mean)`` from ``max(q(1 - alpha), mean)``
+        to the right endpoint, by the closed form attached to each law.
+        The form takes the tail level ``min(alpha, survival at the mean)``
+        itself, never ``1 - alpha``, so it keeps its precision at small
+        ``alpha``.  An ``alpha`` outside (0, 1), or one so small that ``1 -
+        alpha`` rounds to 1, raises ``ValueError``.
         """
         _tail_level(alpha)
-        w = max(self.quantile(1.0 - alpha), self.mean)
-        return float(self._tail_semidev(w))
+        return float(self._tail_semidev(min(alpha, self._mean_tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +247,9 @@ def _pareto2_quantile(p, out=None):
     return q
 
 
-def _pareto2_tail_semidev(w):
-    # integral of (y - 2) * 2 y**-3 over [w, inf) = 2/w - 2/w**2
-    return 2.0 / w - 2.0 / (w * w)
+def _pareto2_tail_semidev(a):
+    # integral of (y - 2) * 2 y**-3 over [w, inf) = 2/w - 2/w**2, at w = a**-1/2
+    return 2.0 * math.sqrt(a) - 2.0 * a
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +340,10 @@ def _t5_from_uniforms(u, out):
     return np.divide(angle, out, out=out)
 
 
-def _t5_tail_semidev(w):
-    # integral of y * c (1 + y^2/5)^-3 over [w, inf) = c * (5/4) (1 + w^2/5)^-2
+def _t5_tail_semidev(a):
+    # integral of y * c (1 + y^2/5)^-3 over [w, inf) = c * (5/4) (1 + w^2/5)^-2,
+    # at w = q(1 - a) = -q(a), which _t5_quantile solves from a itself.
+    w = _t5_quantile(a)
     return _T5_COEF * 1.25 * (1.0 + w * w / 5.0) ** -2.0
 
 
@@ -351,9 +361,9 @@ def _exp1_quantile(p, out=None):
     return np.negative(np.log1p(np.negative(p, out=out), out=out), out=out)
 
 
-def _exp1_tail_semidev(w):
-    # integral of (y - 1) e^-y over [w, inf) = w e^-w
-    return w * np.exp(-w)
+def _exp1_tail_semidev(a):
+    # integral of (y - 1) e^-y over [w, inf) = w e^-w, at w = -log a
+    return -a * math.log(a)
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +383,19 @@ def _gumbel_quantile(p, out=None):
     return np.negative(np.log(q, out=out), out=out)
 
 
-def _gumbel_tail_semidev(w):
+def _gumbel_tail_semidev(tail):
     # With a = exp(-w):  integral of (y - euler) dF over [w, inf)
     #   = exp(-a) (euler - w) + E1(a),
     # and E1(a) = -euler + w + sum_k (-1)^(k+1) a^k / (k k!), so the
     # euler - w terms cancel exactly:
     #   = (w - euler) (1 - exp(-a)) + sum_k (-1)^(k+1) a^k / (k k!).
+    # At w = q(1 - tail), a = -log(1 - tail) and 1 - exp(-a) = tail.
     # w >= mean keeps a <= exp(-euler), where the series converges fast.
-    a = math.exp(-w)
+    a = -math.log1p(-tail)
     series = 0.0
     for c in reversed(_E1_SERIES):
         series = series * a + c
-    return (w - EULER_GAMMA) * -math.expm1(-a) + a * series
+    return (-math.log(a) - EULER_GAMMA) * tail + a * series
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +403,9 @@ def _gumbel_tail_semidev(w):
 # ---------------------------------------------------------------------------
 
 
-def _uniform_tail_semidev(w):
-    # integral of (y - 1/2) over [w, 1] = (1/4 - (w - 1/2)^2) / 2
-    return 0.5 * (0.25 - (w - 0.5) ** 2)
+def _uniform_tail_semidev(a):
+    # integral of (y - 1/2) over [w, 1] = (1/4 - (w - 1/2)^2) / 2, at w = 1 - a
+    return 0.5 * a * (1.0 - a)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +423,10 @@ def _beta12_quantile(p, out=None):
     return np.subtract(1.0, np.sqrt(np.subtract(1.0, p, out=out), out=out), out=out)
 
 
-def _beta12_tail_semidev(w):
-    # integral of (y - 1/3) * 2(1 - y) over [w, 1] = (2/3) w (1 - w)^2
-    return (2.0 / 3.0) * w * (1.0 - w) ** 2
+def _beta12_tail_semidev(a):
+    # integral of (y - 1/3) * 2(1 - y) over [w, 1] = (2/3) w (1 - w)^2,
+    # at w = 1 - sqrt(a)
+    return (2.0 / 3.0) * (1.0 - math.sqrt(a)) * a
 
 
 PARETO2 = Distribution(
@@ -425,6 +437,7 @@ PARETO2 = Distribution(
     _cdf=_pareto2_cdf,
     _quantile=_pareto2_quantile,
     _tail_semidev=_pareto2_tail_semidev,
+    _mean_tail=0.25,
 )
 
 TSTUDENT5 = Distribution(
@@ -435,6 +448,7 @@ TSTUDENT5 = Distribution(
     _cdf=_t5_cdf,
     _quantile=_t5_quantile,
     _tail_semidev=_t5_tail_semidev,
+    _mean_tail=0.5,
     _words_per_value=6,
     _word_offsets=(0, 1, 2, 4),
     _transform=_t5_from_uniforms,
@@ -448,6 +462,7 @@ EXPONENTIAL1 = Distribution(
     _cdf=_exp1_cdf,
     _quantile=_exp1_quantile,
     _tail_semidev=_exp1_tail_semidev,
+    _mean_tail=math.exp(-1.0),
 )
 
 GUMBEL = Distribution(
@@ -458,6 +473,7 @@ GUMBEL = Distribution(
     _cdf=lambda z: np.exp(-np.exp(-z)),
     _quantile=_gumbel_quantile,
     _tail_semidev=_gumbel_tail_semidev,
+    _mean_tail=-math.expm1(-math.exp(-EULER_GAMMA)),
 )
 
 UNIFORM01 = Distribution(
@@ -468,6 +484,7 @@ UNIFORM01 = Distribution(
     _cdf=lambda z: np.clip(z, 0.0, 1.0),
     _quantile=lambda p, out=None: p,
     _tail_semidev=_uniform_tail_semidev,
+    _mean_tail=0.5,
 )
 
 BETA12 = Distribution(
@@ -478,6 +495,7 @@ BETA12 = Distribution(
     _cdf=_beta12_cdf,
     _quantile=_beta12_quantile,
     _tail_semidev=_beta12_tail_semidev,
+    _mean_tail=4.0 / 9.0,
 )
 
 DISTRIBUTIONS: dict[str, Distribution] = {

@@ -42,7 +42,7 @@ def steps_law(levels):
     return Distribution(name=f"steps{levels}", gamma_ref=-math.inf,
                         right_endpoint=levels - 1.0, mean=(levels - 1) / 2,
                         _cdf=None, _quantile=lambda p, out=None: np.floor(levels * p, out=out),
-                        _tail_semidev=None)
+                        _tail_semidev=None, _mean_tail=None)
 
 
 def draw_rows(dist, seeds, n):

@@ -7,6 +7,7 @@ checked against the exact CDFs by Kolmogorov-Smirnov distance.
 
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -190,12 +191,15 @@ def relative_error(got: float, want: str) -> float:
 
 
 class TestGroundTruthAccuracy:
-    """The Student-t quantile and the two truths that once needed special
-    functions, against 50-digit values at the level the library evaluates,
-    ``1 - alpha`` rounded to a double (its tail ``1 - float(1 - alpha)`` is
-    exact).  The references were computed with mpmath: the Student-t
-    quantile by root-finding on its regularized incomplete beta survival,
-    the truths by their closed forms with ``mpmath.e1`` for Gumbel.
+    """The Student-t quantile and the truths, against 50-digit values.
+
+    The references were computed with mpmath: the Student-t quantile by
+    root-finding on its regularized incomplete beta survival, the truths
+    by their closed forms with ``mpmath.e1`` for Gumbel.  The table's
+    quantiles and truths are at the level ``1 - alpha`` rounded to a
+    double (its tail ``1 - float(1 - alpha)`` is exact), so the truths are
+    asked for at that tail; the small-``alpha`` truths are at ``alpha``
+    itself, which they take without forming ``1 - alpha``.
     """
 
     # alpha, then tstudent5 quantile(1 - alpha), tstudent5 and gumbel truths.
@@ -220,11 +224,31 @@ class TestGroundTruthAccuracy:
 
     @pytest.mark.parametrize("alpha, quantile, tstudent5, gumbel", REFERENCE)
     def test_against_fifty_digits(self, alpha, quantile, tstudent5, gumbel):
-        t5 = get_distribution("tstudent5")
+        t5, tail = get_distribution("tstudent5"), 1.0 - (1.0 - alpha)
         assert relative_error(t5.quantile(1.0 - alpha), quantile) <= 2e-15
-        assert relative_error(t5.extremal_semideviation(alpha), tstudent5) <= 5e-15
-        truth = get_distribution("gumbel").extremal_semideviation(alpha)
+        assert relative_error(t5.extremal_semideviation(tail), tstudent5) <= 5e-15
+        truth = get_distribution("gumbel").extremal_semideviation(tail)
         assert relative_error(truth, gumbel) <= 5e-15
+
+    # alpha, then the tstudent5 and gumbel truths at alpha.
+    @pytest.mark.parametrize("alpha, tstudent5, gumbel", [
+        (1e-9, "1.23680554413996996359e-7", "2.11460501717948795502e-8"),
+        (1e-12, "4.92448465840556646826e-10", "2.80538054510267648035e-11"),
+        (1e-15, "1.96048956031054718405e-12", "3.49615607300091547887e-14"),
+    ])
+    def test_small_alpha_against_closed_forms(self, alpha, tstudent5, gumbel):
+        # At these levels 1 - alpha keeps only a few of alpha's digits: a
+        # truth evaluated from it read pareto2 4e-4 off at 1e-15.  The four
+        # elementary closed forms are evaluated here in 50-digit decimals.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a = Decimal(alpha)
+            want = {"pareto2": 2 * a.sqrt() - 2 * a, "exponential1": -a * a.ln(),
+                    "uniform01": a * (1 - a) / 2, "beta12": 2 * (1 - a.sqrt()) * a / 3,
+                    "tstudent5": tstudent5, "gumbel": gumbel}
+        for name in ALL_NAMES:
+            got = get_distribution(name).extremal_semideviation(alpha)
+            assert relative_error(got, want[name]) <= 5e-15, name
 
     def test_quantile_matches_stdtrit(self):
         # stdtrit overflows to inf below about p = 1e-270 (scipy 1.17), so

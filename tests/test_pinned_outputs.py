@@ -54,8 +54,8 @@ PINNED = {
         "368d230114f575e866414163902cb77d06beee9f2d6743828914f6fa62cc02a2",
         "f125 b4aa bdcd 6b8c 19fa 84dd e74e 1fcd 9db8 ed00 b604 2ff2 2d06"),
     "oracle": (
-        "7fcd6f0882dedc799c464cfc78afebba88418e1b9c34762520dedf0c4cafea24",
-        "a6fb 3ea2 d3d1 b7da ee0d 7f46 1d4e 914f 412c"),
+        "b52a48ec106d4e13ab93df6d4a1d881ac8ac69ed7e2348b415a2937fb395c196",
+        "a6fb 3ea2 d3d1 b7da ee0d 7f46 1d4e 21d6 412c"),
     "oracle_sweep": (
         "2bd43e19a947af459fbb7e4efffc9de4724d4c200e0fdb5b2acf444a3536e709",
         "f1da ef1f a239 efec a2a9 bce2 1c82 08ea 7c9d ac17 e064 6a08 c184 ab29 "
@@ -132,8 +132,8 @@ PINNED = {
         "8f47 111e 24b3 bf18 2fe9 d87d 745d 7e31 d449 aac8 2b2a 9b6d 612a 2c84 "
         "2e8c"),
     "truths": (
-        "0f0e4a23ed04ae53d1d0fa7fc55286a6da491f85772d05f35bd2197070aaa271",
-        "327e 2111 e01a 438e 62a8 1b1e"),
+        "eaf3d5ddff6951776042ff9ae389bbfffc096c8b47cb1e31b6e0e2b3d45ba192",
+        "b6cc bc98 685f 93a9 b578 5128"),
 }
 
 # name: (16-hex digest, suffix cut from the bytes before hashing)
