@@ -241,10 +241,10 @@ def _pareto2_cdf(z):
 
 
 def _pareto2_quantile(p, out=None):
-    # (1 - p) ** -0.5; on a scalar ``**=`` is libm's pow, as Python's is.
-    q = np.subtract(1.0, p, out=out)
-    q **= -0.5
-    return q
+    # 1 / sqrt(1 - p): each step is correctly rounded, so, unlike pow, the
+    # bits depend on no SIMD kernel or libm.
+    q = np.sqrt(np.subtract(1.0, p, out=out), out=out)
+    return np.divide(1.0, q, out=out)
 
 
 def _pareto2_tail_semidev(a):

@@ -90,14 +90,17 @@ def test_python_dash_m_runs_the_cli_without_warnings():
 
 
 class TestSimdDispatch:
-    """The benchmark CSV does not depend on which SIMD kernels numpy
-    dispatches to.  This is a claim about one machine: it compares its
-    AVX-512 kernels with its next level down, not different CPUs."""
+    """The benchmark CSV, and the raw draws of the laws sampled by
+    correctly rounded steps alone, do not depend on which SIMD kernels
+    numpy dispatches to.  This is a claim about one machine: it compares
+    its AVX-512 kernels with its next level down, not different CPUs."""
 
-    # Prints the CSV of a 6-law x m {20, 57, 99} x 300-trial grid after
-    # checking that every CPU feature named on the command line is off.
+    # Prints the CSV of a 6-law x m {20, 57, 99} x 300-trial grid, then the
+    # SHA-256 of 10**5 draws of each law that uses no log, log1p, sin, cos
+    # or pow, after checking that every CPU feature named on the command
+    # line is off.
     CHILD = """
-import sys, numpy, evtrisk
+import hashlib, sys, numpy, evtrisk
 from evtrisk.cli import CSV_HEADER, summary_row
 umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
 still_on = [f for f in sys.argv[1:] if umath.__cpu_features__[f]]
@@ -105,6 +108,9 @@ assert not still_on, still_on
 cfg = evtrisk.ExperimentConfig(distributions=sorted(evtrisk.DISTRIBUTIONS),
                                m_values=(20, 57, 99), trials=300, master_seed=11)
 print("\\n".join([CSV_HEADER, *map(summary_row, evtrisk.run_experiment(cfg))]))
+for name in ("pareto2", "uniform01", "beta12"):
+    draws = evtrisk.get_distribution(name).sample(10**5, evtrisk.RandomStream(7))
+    print(name, hashlib.sha256(draws.tobytes()).hexdigest())
 """
 
     def test_csv_bytes_without_avx512_kernels(self):
@@ -121,5 +127,5 @@ print("\\n".join([CSV_HEADER, *map(summary_row, evtrisk.run_experiment(cfg))]))
                               NPY_DISABLE_CPU_FEATURES=" ".join(targets))
         assert default.returncode == 0, default.stderr
         assert lowered.returncode == 0, lowered.stderr
-        assert default.stdout.count("\n") == 19        # header and 18 cells
+        assert default.stdout.count("\n") == 22        # header, 18 cells, 3 laws
         assert lowered.stdout == default.stdout

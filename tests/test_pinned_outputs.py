@@ -57,10 +57,10 @@ PINNED = {
         "b52a48ec106d4e13ab93df6d4a1d881ac8ac69ed7e2348b415a2937fb395c196",
         "a6fb 3ea2 d3d1 b7da ee0d 7f46 1d4e 21d6 412c"),
     "oracle_sweep": (
-        "2bd43e19a947af459fbb7e4efffc9de4724d4c200e0fdb5b2acf444a3536e709",
+        "3fbe869ecaef0ec71a4bc232587cab9f06969a7962bf78ae54f6218c10fc012a",
         "f1da ef1f a239 efec a2a9 bce2 1c82 08ea 7c9d ac17 e064 6a08 c184 ab29 "
         "7bee 03ce 5472 0634 efee 1bf2 6cb6 b8a9 b289 bc23 42a2 3ebd 8800 9878 "
-        "bdc2 48cc 274d 7a8e b41b bfcd 7084 adf2 8f38 aa89 9c12 0e04 e1ee a465 "
+        "bdc2 48cc 139e 7a8e fb98 bfcd a109 adf2 8f38 aa89 9c12 0e04 e1ee a465 "
         "a855 74e8 cd86 4323 6fc9 00fd 5569 2115 cf2a d45a 5a8e 7d4a 99fa bd55 "
         "ebdb 4ade 018a b30e d84f 4839 d511 f9d5 c5e8 bcdb a69c 5bce b4fb aa98 "
         "1c18 c5ea"),
