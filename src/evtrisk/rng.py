@@ -140,8 +140,8 @@ _RAMPS: dict[int, np.ndarray] = {}
 
 
 def _ramp(stride: int, n: int) -> np.ndarray:
-    """``v * stride * GOLDEN`` (mod 2**64) for ``v`` from 0 on, at least
-    ``n`` of them: kept per stride, and grown only to the longest ``n``
+    """``v * stride * GOLDEN`` (mod 2**64) for ``v`` below ``n``: a view of
+    the ramp kept for ``stride``, which grows only to the longest ``n``
     asked so far, so a caller of short counts keeps a short ramp."""
     ramp = _RAMPS.get(stride)
     if ramp is None or ramp.size < n:
@@ -149,7 +149,7 @@ def _ramp(stride: int, n: int) -> np.ndarray:
         ramp *= np.uint64(stride * _GOLDEN & _MASK64)
         ramp.setflags(write=False)
         _RAMPS[stride] = ramp
-    return ramp
+    return ramp[:n]
 
 
 def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,
@@ -160,21 +160,23 @@ def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,
     ``seeds`` is a uint64 scalar or array; the result has shape
     ``np.shape(seeds) + (n,)``.  It is written to ``out`` and the hash's
     shifts to ``scratch``, uint64 arrays of that shape, when they are
-    given.  Word ``v`` of a run is hashed from ``seed + (first + 1) *
-    GOLDEN`` plus ``v * stride * GOLDEN``, the kept ramp's entry, so the
-    counters take one addition and no array of their own; runs longer
-    than ``_TILE`` are built and hashed ``_TILE`` words at a time.
+    given.  Word ``v`` is hashed from ``seed + (first + 1) * GOLDEN``
+    plus ``v * stride * GOLDEN``, the kept ramp's entry (:func:`_ramp`),
+    so the counters take one addition and no array of their own; a run
+    longer than ``_TILE`` is built and hashed as runs of ``_TILE``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     if out is None:
         out = np.empty(seeds.shape + (n,), np.uint64)
-    ramp = _ramp(stride, min(n, _TILE))
-    for c in range(0, n, _TILE):
-        words = out[..., c:c + _TILE]
-        head = np.add(seeds, np.uint64((first + 1 + stride * c) * _GOLDEN & _MASK64))
-        np.add(head[..., None], ramp[:words.shape[-1]], out=words)
-        _mix64_array(words, None if scratch is None else scratch[..., c:c + _TILE])
-    return out
+    if n > _TILE:
+        for c in range(0, n, _TILE):
+            _counter_words(seeds, first + stride * c, min(_TILE, n - c), stride,
+                           out[..., c:c + _TILE],
+                           None if scratch is None else scratch[..., c:c + _TILE])
+        return out
+    heads = np.add(seeds, (first + 1) * _GOLDEN & _MASK64)
+    np.add(heads[..., None], _ramp(stride, n), out=out)
+    return _mix64_array(out, scratch)
 
 
 def uniform_planes(seeds, start: int, n: int, stride: int = 1,

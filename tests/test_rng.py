@@ -4,6 +4,9 @@ The generator is checked against an independent pure-Python walk of the
 same algorithm, and its statistical output against textbook properties.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,32 @@ class TestCounterRamp:
             want = [mix64((int(seed) + (first + 1 + stride * v) * GOLDEN) & MASK)
                     for v in range(n)]
             assert row.tolist() == want
+
+    def test_threads_grow_the_shared_ramps(self):
+        # More threads than cores, switching every microsecond, grow the
+        # shared ramps from nothing; a reader keeps the ramp it took, so a
+        # ramp replaced under it must not change a word.
+        errors, old = [], sys.getswitchinterval()
+
+        def grow(i):
+            for n in range(1 + i, 400, 7):
+                for stride in (1, 6):
+                    got = _counter_words(self.SEEDS, i, n, stride)
+                    if got.tobytes() != self.arange_words(self.SEEDS, i, n, stride).tobytes():
+                        errors.append((i, n, stride))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            rng._RAMPS.clear()
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_ramp_grows_to_the_longest_count_asked(self):
         rng._RAMPS.clear()
