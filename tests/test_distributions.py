@@ -397,12 +397,11 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_peak_memory_one_tile_past_the_output(self, name):
-        # Beyond the n-value output, a warm call allocates less than one
-        # tile's bytes, whatever n: nothing of a tile's size at all, since a
-        # tile's planes are the thread's kept workspace and its counters one
-        # addition of the kept ramp (when each tile built its counters, they
-        # took a tile of uint64 words). A cold call adds the workspace, which
-        # its thread keeps, and at most one tile's ramp, which all keep.
+        # Beyond the n-value output, a warm call allocates nothing of a
+        # tile's size, whatever n: a tile's planes are the thread's kept
+        # workspace and its counters one addition of the kept ramp. A cold
+        # call adds the workspace, which its thread keeps, and at most one
+        # tile's ramp, which all threads keep.
         n = 10**6
         cold, warm, workspace = traced_peaks(
             lambda: get_distribution(name).sample(n, RandomStream(5)))
