@@ -6,8 +6,8 @@ each, and summarizes the signed errors against the exact value of the
 target functional, which every benchmark law has in closed form.
 Per-trial seeds are derived by hashing ``(master_seed, distribution, m,
 trial_index)``, so the output is a pure function of the configuration:
-execution order, threading, process count and the environment cannot
-change a single bit of it.
+execution order, the number of worker threads, their schedule and the
+environment cannot change a single bit of it.
 """
 
 from __future__ import annotations
@@ -277,13 +277,15 @@ def _run_column(args) -> list[SeriesSummary]:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSummary]:
     """Run the full benchmark grid and return summaries sorted by (dist, m).
 
-    ``workers`` only controls how the sample sizes (each with every law)
-    are distributed over processes; it is an integer >= 1
+    ``workers`` only controls how many threads of this process share out
+    the sample sizes (each with every law); it is an integer >= 1
     (``operator.index``), else ``ValueError`` naming it, and is clamped
-    to the number of sample sizes and of CPUs.  Per-trial seeds are
+    to the number of sample sizes and of CPUs.  One worker runs every
+    size in the calling thread.  Each thread draws in its own kept
+    workspace (``distributions._workspace``).  Per-trial seeds are
     derived from the configuration, and ground truth and each law's seed
     prefix are computed once per distribution up front, so output is
-    byte-for-byte identical for any worker count.
+    byte-for-byte identical for any worker count and thread schedule.
     """
     workers = _integer("workers", workers, 1)
     truths = tuple(ground_truth_value(config, get_distribution(name))
@@ -293,12 +295,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSum
     columns = [(config, m, truths, heads) for m in config.m_values]
     workers = min(workers, len(columns), os.cpu_count() or 1)
     if workers <= 1:
+        # In this thread, whose kept workspace then serves later runs too.
         results = map(_run_column, columns)
     else:
-        # Imported here: it loads multiprocessing, which a single-process
-        # run never needs.
-        from concurrent.futures import ProcessPoolExecutor
+        # Imported here: it loads logging, which a one-worker run never needs.
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_column, columns))
     return sorted((s for column in results for s in column), key=lambda s: (s.dist, s.m))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
+import re
 import sys
 from dataclasses import asdict, astuple, dataclass
 
@@ -61,28 +62,38 @@ def _read_lines(path: str, unit: str) -> list[str]:
                          f"(byte {data[exc.start]:#04x})") from None
 
 
+# A number as C's strtod reads it in the C locale, hexadecimal aside: ASCII
+# digits with an optional point and exponent, or inf, infinity or nan in
+# any case, each with an optional sign.  Python's float also takes
+# underscores between digits and the digits of other scripts.
+_C_FLOAT = re.compile(r"(?ai)[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)")
+
+
 def load_csv(path: str) -> InputDataset:
     """Read one numeric value per row from the first CSV column.
 
     A single leading header row is skipped automatically when its first
-    token is not numeric.  Parsing uses the C locale's decimal point
-    regardless of platform settings.  Any non-numeric row after the header,
-    or text that is not UTF-8, raises a descriptive error naming the row.
+    token is not numeric.  A number is written in C's float syntax (see
+    ``_C_FLOAT``), with a point for the decimal separator whatever the
+    platform's locale, so ``1_000`` and digits of other scripts are not
+    numbers.  Any non-numeric row after the header, a value that is not
+    finite, or text that is not UTF-8, raises a descriptive error naming
+    the row.
     """
     values: list[float] = []
     warnings: list[str] = []
     for row_number, line in enumerate(_read_lines(path, "row"), start=1):
-        token = line.split(",")[0].strip()
+        # C's isspace, not Python's wider Unicode whitespace.
+        token = line.split(",")[0].strip(" \t\n\v\f\r")
         if not token:
             warnings.append(f"row {row_number}: blank line skipped")
             continue
-        try:
-            number = float(token)
-        except ValueError:
+        if not _C_FLOAT.fullmatch(token):
             if row_number == 1 and not values:
                 warnings.append(f"row 1: header {token!r} skipped")
                 continue
-            raise ValueError(f"{path}: row {row_number}: not a number: {token!r}") from None
+            raise ValueError(f"{path}: row {row_number}: not a number: {token!r}")
+        number = float(token)
         if not np.isfinite(number):
             raise ValueError(f"{path}: row {row_number}: non-finite value {token!r}")
         values.append(number)
@@ -132,6 +143,8 @@ def load_config(path: str) -> ExperimentConfig:
     Recognized keys (matching :class:`ExperimentConfig` fields):
     ``distributions`` (comma-separated names), ``m_values`` (``20..99``
     ranges and/or comma lists), ``trials``, ``alpha``, ``master_seed``.
+    Numbers are read by Python's ``int`` and ``float``, so an integer may
+    group its digits as ``1_000``.
     Lines starting with ``#`` and blank lines are ignored.  Unknown and
     repeated keys are errors.  Every error names the file; one that a
     single line causes (text that is not UTF-8, a malformed line, an
@@ -258,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", required=True, help="key = value config file")
     ben.add_argument("--out", required=True, help="output CSV path")
     ben.add_argument("--workers", type=int, default=1,
-                     help="worker processes (output is identical for any count)")
+                     help="worker threads (output is identical for any count)")
     ben.set_defaults(func=_cmd_benchmark)
 
     orc = sub.add_parser("oracle", help="Monte Carlo ground truth for one law")

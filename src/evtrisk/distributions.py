@@ -181,18 +181,17 @@ class Distribution:
         checked once, and the sample's words are reserved on ``stream`` at
         once, before any tile is filled.
         """
-        out = np.empty(_integer("n", n, 1))
-        self._fill(out, stream)
-        return out
+        return self._fill(np.empty(_integer("n", n, 1)), stream)
 
-    def _fill(self, out: np.ndarray, stream: RandomStream) -> None:
+    def _fill(self, out: np.ndarray, stream: RandomStream) -> np.ndarray:
         """Fill the 1-D array ``out`` with the next ``out.size`` values of
-        ``stream``, tile by tile, as :meth:`sample` does."""
+        ``stream``, tile by tile, as :meth:`sample` does; return ``out``."""
         first = stream.take(self._words_per_value * out.size)
         scratch = _workspace(_TILE)[1]
         for start in range(0, out.size, _TILE):
             self._draw(stream.seed, first + self._words_per_value * start,
                        out[start:start + _TILE], scratch)
+        return out
 
     def _draw(self, seeds, start: int, out: np.ndarray, scratch: tuple) -> None:
         """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values

@@ -38,10 +38,8 @@ from .rng import RandomStream, _inside, _integer, _level
 from .tail_model import (
     GAMMA_NEAR_ZERO,
     TailParams,
-    _cvar,
-    _semideviation,
+    _closed_forms,
     _survival_unchecked,
-    _var,
     _var_at_least_mean,
 )
 
@@ -90,7 +88,7 @@ class RowEstimates(NamedTuple):
     and mean something only where the flags say so: the model VaR and CVaR
     where the fit is usable and ``alpha_ok`` (infinite where their value
     lies beyond the double range), ``rho_evt`` where ``evt_valid``, i.e.
-    where moreover the VaR is at least the mean and ``rho_evt`` is finite.
+    where moreover the VaR is at least the mean; it is finite there.
     """
 
     mean: np.ndarray
@@ -149,11 +147,8 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     # 0 raises r = m alpha / k >= 1 to a large power); the flags mask them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_ok = alpha < fits.k / m
-        # A numpy float over the count: numpy divides a Python float by
-        # a numpy int on its slow path, with the same bits.
-        var = _var(threshold, scale, fits.gamma, np.float64(m * alpha) / fits.k)
-        cvar_tail = _cvar(var, threshold, scale, fits.gamma)
-        rho_evt = _semideviation(cvar_tail, mu, alpha)
+        # rho stays finite where a tiny alpha overflows the VaR.
+        var, cvar_tail, rho_evt = _closed_forms(threshold, scale, fits.gamma, fits.k, m, mu, alpha)
         # One exceedance count for both estimators on every row, failed
         # fits included: the typical estimator averages the top k + 1
         # order statistics, the smallest of which is the threshold.
@@ -162,8 +157,6 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
         if e is not None:
             var, cvar_tail, rho_evt, rho_typical = (
                 np.ldexp(v, e) for v in (var, cvar_tail, rho_evt, rho_typical))
-            # In range rho is finite on every row the other flags pass.
-            evt_valid &= np.isfinite(rho_evt)
     # Positional, as fit_rows builds its fits (see _fit_above).
     return RowEstimates(mean, fits, rho_typical, var, cvar_tail, rho_evt, alpha_ok, evt_valid)
 
@@ -214,12 +207,13 @@ def evt_estimate(data, alpha: float = 0.01) -> EstimateReport:
     :class:`~evtrisk.fitting.FitError`.
 
     Every field is finite.  A VaR or CVaR whose value lies beyond the
-    double range (past about 1.8e308, only for data near the top of it)
-    is reported as None, while the flags keep stating the hypotheses, so
-    None under flags that hold names that cause.  The closed forms are
-    evaluated in units of a power of two there, so ``rho_evt``, a
-    fraction ``alpha`` of the CVaR's excess, is reported even where the
-    CVaR's value lies beyond the range.
+    double range (past about 1.8e308, for data near the top of it or a
+    tiny ``alpha``) is reported as None, while the flags keep stating the
+    hypotheses, so None under flags that hold names that cause.
+    ``rho_evt``, a fraction ``alpha`` of the CVaR's excess, is reported
+    all the same: its value is a fraction of the data's magnitude, and it
+    is evaluated in units of a power of two for data near the top of the
+    range, and in a form without the VaR where the VaR overflows.
     """
     values = _as_sample(data)
     est = estimate_rows(values, alpha)
@@ -298,6 +292,9 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
             cut, size = _raise_cut(kept, size, top)
     _, size = _raise_cut(kept, size, top)       # the cut is now v
     s = kept[:size]
+    # Summed in ascending order, which the values alone fix: the partition
+    # leaves them in an order that depends on numpy's SIMD kernel.
+    s.sort()
     s -= total / n
     np.maximum(s, 0.0, out=s)
     # The summand is s on these draws and 0 on the other n - size.

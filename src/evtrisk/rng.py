@@ -152,56 +152,50 @@ def _ramp(stride: int, n: int) -> np.ndarray:
     return ramp[:n]
 
 
-def _counter_words(seeds, first: int, n: int, stride: int = 1, out=None,
-                   scratch=None) -> np.ndarray:
+def _counter_words(seeds, first: int, n: int, stride: int, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
     """Words ``first, first + stride, ...`` (``n`` of them, 0-based) of the
     stream of each seed.
 
-    ``seeds`` is a uint64 scalar or array; the result has shape
-    ``np.shape(seeds) + (n,)``.  It is written to ``out`` and the hash's
-    shifts to ``scratch``, uint64 arrays of that shape, when they are
-    given.  Word ``v`` is hashed from ``seed + (first + 1) * GOLDEN``
-    plus ``v * stride * GOLDEN``, the kept ramp's entry (:func:`_ramp`),
-    so the counters take one addition and no array of their own; a run
-    longer than ``_TILE`` is built and hashed as runs of ``_TILE``.
+    ``seeds`` is a uint64 scalar or array; the words are written to
+    ``out``, and the hash's shifts to ``scratch``, uint64 arrays of shape
+    ``np.shape(seeds) + (n,)``, and ``out`` is returned.  Word ``v`` is
+    hashed from ``seed + (first + 1) * GOLDEN`` plus ``v * stride *
+    GOLDEN``, the kept ramp's entry (:func:`_ramp`), so the counters take
+    one addition and no array of their own; a run longer than ``_TILE``
+    is built and hashed as runs of ``_TILE``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    if out is None:
-        out = np.empty(seeds.shape + (n,), np.uint64)
     if n > _TILE:
         for c in range(0, n, _TILE):
             _counter_words(seeds, first + stride * c, min(_TILE, n - c), stride,
-                           out[..., c:c + _TILE],
-                           None if scratch is None else scratch[..., c:c + _TILE])
+                           out[..., c:c + _TILE], scratch[..., c:c + _TILE])
         return out
     heads = np.add(seeds, (first + 1) * _GOLDEN & _MASK64)
     np.add(heads[..., None], _ramp(stride, n), out=out)
     return _mix64_array(out, scratch)
 
 
-def uniform_planes(seeds, start: int, n: int, stride: int = 1,
-                   offsets: tuple[int, ...] = (0,), out=None, words=None) -> np.ndarray:
+def uniform_planes(seeds, start: int, n: int, stride: int, offsets: tuple[int, ...],
+                   out: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Uniforms of ``n`` groups of ``stride`` words from word ``start`` on,
     keeping the words at ``offsets`` within each group.
 
     Plane ``j`` of seed ``s`` holds, at ``v``, element ``stride * v +
     offsets[j]`` of ``RandomStream(s, start).uniform(stride * n)``; the
-    shape is ``(len(offsets),) + np.shape(seeds) + (n,)``, so every plane
-    is contiguous.  Words at other offsets are never hashed.  A uniform is
-    the top 53 bits of its word, offset by half an ulp.  The planes are
-    written to ``out`` when it is given, and hashed in ``words``, two
-    uint64 planes of shape ``(2,) + np.shape(seeds) + (n,)``, when they
-    are given; so a caller that passes both allocates nothing here of
-    a plane's size.  Nothing is validated here: this is the one fetch
-    behind every draw, and its callers pass sizes they have checked (a
-    stream reserves its words with :meth:`RandomStream.take`).
+    planes are written to ``out``, of shape ``(len(offsets),) +
+    np.shape(seeds) + (n,)``, so every plane is contiguous, and ``out`` is
+    returned.  Words at other offsets are never hashed.  A uniform is the
+    top 53 bits of its word, offset by half an ulp.  The words are hashed
+    in ``words``, two uint64 planes of shape ``(2,) + np.shape(seeds) +
+    (n,)``, so nothing here allocates an array of a plane's size.  Nothing
+    is validated here: this is the one fetch behind every draw, and its
+    callers pass sizes they have checked (a stream reserves its words with
+    :meth:`RandomStream.take`).
     """
-    if out is None:
-        out = np.empty((len(offsets),) + np.shape(seeds) + (n,))
-    hashed, scratch = (None, None) if words is None else words
     for plane, offset in zip(out, offsets):
         # One plane at a time, so the hash's buffers stay a plane in size.
-        w = _counter_words(seeds, start + offset, n, stride, hashed, scratch)
+        w = _counter_words(seeds, start + offset, n, stride, *words)
         w >>= _SHIFT_11
         plane[...] = w
         plane += 0.5
@@ -260,6 +254,13 @@ class RandomStream:
         return first
 
     def uniform(self, n: int) -> np.ndarray:
-        """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1)."""
-        first = self.take(n)
-        return uniform_planes(self._seed, first, self._counter - first)[0]
+        """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1).
+
+        The draw of the ``uniform01`` law: its tile loop fills the output
+        in the thread's kept workspace, so a warm call allocates the
+        output and nothing of a tile's size.
+        """
+        # Here, not at the top: distributions imports this module.
+        from .distributions import UNIFORM01
+
+        return UNIFORM01._fill(np.empty(_integer("n", n, 0)), self)

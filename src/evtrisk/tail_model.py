@@ -212,6 +212,37 @@ def _semideviation(cvar_value, sample_mean, alpha):
     return alpha * (cvar_value - sample_mean)
 
 
+def _closed_forms(threshold, scale, gamma, k, m: int, sample_mean, alpha: float):
+    """The model VaR, CVaR and :func:`_semideviation` at level ``alpha`` of
+    fits of ``k`` exceedances among ``m`` values; ufuncs over arrays.
+
+    At a tiny ``alpha`` the power ``r ** -gamma`` of a positive shape, with
+    ``r = m * alpha / k``, can overflow the VaR and the CVaR while the
+    semideviation, a fraction of the data's magnitude, is in range.  Where
+    it overflowed, it is taken in a form with no overflowing step:
+    ``alpha * (threshold - sample_mean - scale / gamma)`` plus ``scale *
+    (k / m) ** gamma * alpha ** (1 - gamma) / (gamma * (1 - gamma))``,
+    whose powers are at most 1 and which takes ``alpha`` itself, so a
+    subnormal ``alpha`` keeps its precision.  Every other entry keeps the
+    bits of the three closed forms.  In the units of
+    ``estimators.estimate_rows`` the data lie within 2**400, so the mean
+    exceedance ``scale / (1 - gamma)`` is at most 2**401, and the CVaR, at
+    most that times ``r ** -gamma / gamma`` past the threshold, can
+    overflow only where ``r ** -gamma > 2**600``, which takes ``alpha < r
+    < 2**-600``: a larger ``alpha`` skips the test.
+    """
+    # A numpy float over the count: numpy divides a Python float by a
+    # numpy int on its slow path, with the same bits.
+    var = _var(threshold, scale, gamma, np.float64(m * alpha) / k)
+    cvar_value = _cvar(var, threshold, scale, gamma)
+    rho = _semideviation(cvar_value, sample_mean, alpha)
+    if alpha < 2.0**-600 and np.isinf(rho).any():
+        rho = np.where(np.isinf(rho), alpha * (threshold - sample_mean - scale / gamma) + scale
+                       * (k / m) ** gamma * alpha ** (1.0 - gamma) / (gamma * (1.0 - gamma)),
+                       rho)[()]
+    return var, cvar_value, rho
+
+
 def value_at_risk(params: TailParams, alpha: float) -> float:
     """The (1 - alpha)-quantile of the tail model, in closed form.
 

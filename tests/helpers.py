@@ -72,6 +72,16 @@ def traced_peaks(call):
     return peaks[0], peaks[1], plane.base.nbytes + words.nbytes
 
 
+def avx512_targets():
+    """numpy's AVX-512 dispatch targets that are on for this CPU: the ones
+    ``NPY_DISABLE_CPU_FEATURES`` can switch off (numpy refuses the rest)
+    to reach the next level down; empty where AVX-512 is absent."""
+    # numpy's runtime CPU tables (numpy 1.x keeps them under numpy.core).
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]
+
+
 def run_python(*args, address_space=None, **env_vars):
     """Run a fresh interpreter that imports this checkout's package.
 

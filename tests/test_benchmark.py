@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 import re
 import resource
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 import evtrisk.benchmark as benchmark
 import evtrisk.distributions as distributions
+import evtrisk.fitting as fitting
 from evtrisk import (
     DISTRIBUTIONS,
     ExperimentConfig,
@@ -547,6 +549,29 @@ class TestWorkspace:
         assert shapes(big) == [(BLOCK + 1,), (4, BLOCK + 1), (2, BLOCK + 1)]
         assert distributions._workspace(BLOCK) is kept
 
+    def test_pool_threads_under_stress(self, monkeypatch):
+        # A pool of more threads than cores, switching every microsecond,
+        # grows the shared step ramps and fills fitting's shared caches
+        # from nothing: the bytes of one worker.
+        cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)),
+                           m_values=tuple(range(20, 32)), trials=40)
+        want = [summary_row(s) for s in run_experiment(cfg)]
+        monkeypatch.setattr(benchmark.os, "cpu_count", lambda: 64)
+        _RAMPS.clear()
+        fitting._weights.cache_clear()
+        fitting._threshold_index.cache_clear()
+        got, old = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=lambda: got.extend(
+                summary_row(s) for s in run_experiment(cfg, workers=6)))
+            thread.start()
+            thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(old)
+        assert not thread.is_alive()
+        assert got == want
+
     def test_threads_keep_their_own_workspace(self):
         # Two threads draw at once, each in the workspace its thread keeps:
         # every law's sample and a 10**5-sample oracle before and after each
@@ -680,7 +705,7 @@ class TestWorkerClamp:
     def test_pool_size(self, monkeypatch, workers, cpus, want):
         created = []
         monkeypatch.setattr(self.RecordingPool, "created", created)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", self.RecordingPool)
         monkeypatch.setattr(benchmark.os, "cpu_count", lambda: cpus)
         cfg = small_config(m_values=(20, 25, 30, 35), trials=3)
         assert run_experiment(cfg, workers=workers) == run_experiment(cfg)

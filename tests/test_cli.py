@@ -50,6 +50,31 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "\u00a01.5", "0x1p3"])
+    def test_only_c_float_syntax(self, tmp_path, token):
+        # Python's float reads the first three as 1000, 12 and 1.5, which
+        # C's strtod in the C locale does not; hexadecimal is left out of
+        # the grammar, as Python's float leaves it out.
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0\n{token}\n", encoding="utf-8")
+        message = f"{path}: row 2: not a number: {token!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("token", ["1.", ".5", "-2E+3", "+7", "1e-320"])
+    def test_c_float_syntax(self, tmp_path, token):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{token}\n", encoding="utf-8")
+        assert load_csv(str(path)).values.tolist() == [float(token)]
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "NaN"])
+    def test_non_finite_message(self, tmp_path, token):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0\n{token}\n")
+        message = f"{path}: row 2: non-finite value {token!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(str(path))
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")

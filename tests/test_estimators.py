@@ -1,7 +1,9 @@
 """Tests for the estimation pipeline and its verification oracles."""
 
 import dataclasses
+import decimal
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -465,6 +467,15 @@ def heavy_sweep(groups=1000, rows=4, seed=2311):
         yield np.stack(matrix), SWEEP_ALPHAS[g % len(SWEEP_ALPHAS)]
 
 
+def tiny_alpha_inputs():
+    """``(matrix, alpha)`` of a log-uniform body of 88 values from 1e-50 to
+    1e100, well inside the range, at alpha = 1e-300: its VaR and CVaR
+    overflow while rho, about alpha times the CVaR, is near 1e71."""
+    rng = np.random.default_rng(0)
+    m = int(rng.integers(20, 100))
+    yield (10.0 ** rng.uniform(-50, 100, m))[None], 1e-300
+
+
 def refuse_constant(name):
     """``json.loads``'s hook for NaN and the infinities, which are not JSON."""
     raise ValueError(f"{name} is not JSON (RFC 8259)")
@@ -476,7 +487,8 @@ class TestHeavySweep:
 
     def test_reports_are_finite_and_signed(self, tmp_path, capsys):
         seen = Counter()
-        for i, (row, alpha, report) in enumerate(TestScaledSweep.reports(heavy_sweep())):
+        inputs = itertools.chain(heavy_sweep(), tiny_alpha_inputs())
+        for i, (row, alpha, report) in enumerate(TestScaledSweep.reports(inputs)):
             if isinstance(report, FitError):
                 seen["FitError"] += 1
                 continue
@@ -489,6 +501,7 @@ class TestHeavySweep:
             beyond = report.assumptions.alpha_lt_k_over_m and report.cvar_tail is None
             seen["report"] += 1
             seen["beyond the range"] += beyond
+            seen["beyond the range from data in it"] += beyond and np.abs(row).max() <= 2.0**400
             seen["top"] += np.abs(row).max() > 2.0**1000
             seen["subnormal"] += np.abs(row).min() < 2.0**-1022
             if beyond or i % 50 == 0:
@@ -499,8 +512,28 @@ class TestHeavySweep:
                 payload = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
                 assert (payload["cvar_theta"], payload["rho_evt"]) == (report.cvar_tail,
                                                                        report.rho_evt)
-        assert all(seen[key] > 0 for key in ("FitError", "report", "beyond the range", "top",
+        assert all(seen[key] > 0 for key in ("FitError", "report", "beyond the range",
+                                             "beyond the range from data in it", "top",
                                              "subnormal")), seen
+
+
+class TestTinyAlpha:
+    """Where ``r ** -gamma`` overflows the VaR and the CVaR, ``rho_evt`` is
+    still ``alpha * (cvar - mean)``, taken in a form that does not."""
+
+    @pytest.mark.parametrize("alpha", [1e-250, 1e-300, 5e-324])
+    def test_rho_matches_exact_arithmetic(self, alpha):
+        (matrix, _), = tiny_alpha_inputs()
+        report = evt_estimate(matrix[0], alpha)
+        assert report.var_tail is None and report.assumptions.all_hold()
+        p = report.params
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a, t, s, g, mean = map(decimal.Decimal, (alpha, p.threshold, p.scale, p.gamma,
+                                                     report.sample_mean))
+            var = t + s * ((p.m * a / p.k) ** -g - 1) / g
+            want = a * ((var + s - g * t) / (1 - g) - mean)
+        assert report.rho_evt == pytest.approx(float(want), rel=1e-13)
 
 
 class TestMonteCarloOracle:

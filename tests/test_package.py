@@ -2,20 +2,32 @@
 
 from pathlib import Path
 
-import numpy
 import pytest
 
 import evtrisk
-from helpers import run_python
+from helpers import avx512_targets, run_python
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # The package needs no scipy, and the process pool, which pulls in
-    # multiprocessing, is needed only by a benchmark run with more than one
+    # The package needs no scipy, and the thread pool, which pulls in
+    # logging, is needed only by a benchmark run with more than one
     # worker; loading the package must pay for neither.
     code = ("import sys, evtrisk\n"
             "print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'multiprocessing')"
+            " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_two_worker_grid_runs_in_one_process():
+    # Workers are threads: a grid at two workers starts no process and
+    # never loads multiprocessing.
+    code = ("import sys, evtrisk\n"
+            "cfg = evtrisk.ExperimentConfig(distributions=('pareto2', 'gumbel'),"
+            " m_values=(20, 21), trials=5)\n"
+            "assert evtrisk.run_experiment(cfg, workers=2) == evtrisk.run_experiment(cfg)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
             " or m == 'concurrent.futures.process'))")
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -114,11 +126,7 @@ for name in ("pareto2", "uniform01", "beta12"):
 """
 
     def test_csv_bytes_without_avx512_kernels(self):
-        # numpy's runtime CPU tables (numpy 1.x keeps them under numpy.core).
-        umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
-        # Only dispatch targets can be switched off; numpy refuses the rest.
-        targets = [t for t in umath.__cpu_dispatch__
-                   if umath.__cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]
+        targets = avx512_targets()
         if not targets:
             pytest.skip("numpy dispatches no AVX-512 kernels on this CPU, "
                         "so there is no lower level to compare with")

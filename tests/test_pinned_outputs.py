@@ -22,6 +22,7 @@ in CHANGES.md.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ import pytest
 import evtrisk
 from evtrisk.cli import main
 from evtrisk.distributions import BLOCK
-from helpers import steps_law
+from helpers import avx512_targets, run_python, steps_law
 
 LAWS = "beta12, exponential1, gumbel, pareto2, tstudent5, uniform01"
 # Lower tails from 1e-300 to 1/2, then their mirrors 1 - p wherever that
@@ -54,16 +55,16 @@ PINNED = {
         "368d230114f575e866414163902cb77d06beee9f2d6743828914f6fa62cc02a2",
         "f125 b4aa bdcd 6b8c 19fa 84dd e74e 1fcd 9db8 ed00 b604 2ff2 2d06"),
     "oracle": (
-        "b52a48ec106d4e13ab93df6d4a1d881ac8ac69ed7e2348b415a2937fb395c196",
-        "a6fb 3ea2 d3d1 b7da ee0d 7f46 1d4e 21d6 412c"),
+        "f0d76c5c5e7e0525528b5bd936d0f97184d5922828aeaab30ef3f84388a5969e",
+        "a6fb 3ea2 d3d1 b7da ee0d 7f46 3320 21d6 412c"),
     "oracle_sweep": (
-        "3fbe869ecaef0ec71a4bc232587cab9f06969a7962bf78ae54f6218c10fc012a",
-        "f1da ef1f a239 efec a2a9 bce2 1c82 08ea 7c9d ac17 e064 6a08 c184 ab29 "
-        "7bee 03ce 5472 0634 efee 1bf2 6cb6 b8a9 b289 bc23 42a2 3ebd 8800 9878 "
-        "bdc2 48cc 139e 7a8e fb98 bfcd a109 adf2 8f38 aa89 9c12 0e04 e1ee a465 "
-        "a855 74e8 cd86 4323 6fc9 00fd 5569 2115 cf2a d45a 5a8e 7d4a 99fa bd55 "
-        "ebdb 4ade 018a b30e d84f 4839 d511 f9d5 c5e8 bcdb a69c 5bce b4fb aa98 "
-        "1c18 c5ea"),
+        "ab38d1a9307ec33015b7ce3289f98004ea9af0e6b7b86f368ae0f523aa827c6b",
+        "f1da ef1f a239 efec a2a9 bce2 1c82 9768 be98 ac17 e064 6a08 a0f7 ab29 "
+        "16b7 03ce 5472 662a efee 3c91 e2f1 b8a9 2c06 bc23 d888 cb3e 8800 9878 "
+        "bdc2 48cc 139e e0a6 b41b f206 7084 db75 8f38 d680 8202 0e04 13fd a465 "
+        "a855 b03e cd86 4323 6fc9 83dd 5569 2115 cf2a 8662 f1d6 7d4a 99fa bd55 "
+        "ebdb 4ade 018a b30e d84f 4839 d511 f9d5 c5e8 bcdb 942a 5bce f310 aa98 "
+        "1c18 c2c0"),
     "paper_grid": (
         "167a92d8fd8a703945bf841a86134bd0dfc621320a82d6e28c3a3ada0e339b5e",
         "f125 2c28 a337 e693 4b02 71fb 092a 12e2 2af4 2af4 d72d 2252 abf8 4719 "
@@ -160,7 +161,7 @@ def stdout(capsys, *argv) -> bytes:
 
 WRITERS = {
     # The paper's grid: 6 laws x m 20..99 x 2,000 trials, on two workers,
-    # which also runs the process pool.
+    # which also runs the thread pool.
     "paper_grid": lambda tmp_path, capsys: benchmark_csv(
         tmp_path, f"distributions = {LAWS}\nm_values = 20..99\ntrials = 2000\n"
                   "alpha = 0.01\nmaster_seed = 1729\n", "2"),
@@ -222,3 +223,32 @@ def test_bytes_match_the_record(name, tmp_path, capsys):
     if name in LEGACY:
         short, cut = LEGACY[name]
         assert hashlib.sha256(data.removesuffix(cut)).hexdigest()[:16] == short
+
+
+# Writes the oracle_sweep record to stdout, after checking that every CPU
+# feature named on the command line is off.
+ORACLE_SWEEP_CHILD = """
+import sys, numpy
+sys.path.insert(0, sys.argv[1])
+from test_pinned_outputs import WRITERS
+umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
+still_on = [f for f in sys.argv[2:] if umath.__cpu_features__[f]]
+assert not still_on, still_on
+sys.stdout.buffer.write(WRITERS["oracle_sweep"](None, None))
+"""
+
+
+def test_oracle_sweep_without_avx512_kernels():
+    # The oracle sums its kept draws in ascending order, so the kernel of
+    # its partition cannot reorder the sums.  A claim about one machine:
+    # its AVX-512 kernels against its next level down.
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU, "
+                    "so there is no lower level to compare with")
+    proc = run_python("-W", "error", "-c", ORACLE_SWEEP_CHILD, str(Path(__file__).parent),
+                      *targets, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert proc.returncode == 0, proc.stderr
+    data = proc.stdout.encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == PINNED["oracle_sweep"][0], mismatch("oracle_sweep", data, digest)

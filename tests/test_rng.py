@@ -14,9 +14,23 @@ from evtrisk import rng
 from evtrisk.distributions import TSTUDENT5
 from evtrisk.rng import (_TILE, RandomStream, _counter_words, _fold, _mix64_array, derive_seed,
                          mix64, uniform_planes)
+from helpers import traced_peaks
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+
+
+def counter_words(seeds, first, n, stride=1):
+    """``_counter_words`` into fresh buffers of the words' shape."""
+    out = np.empty(np.shape(seeds) + (n,), np.uint64)
+    return _counter_words(seeds, first, n, stride, out, np.empty_like(out))
+
+
+def fetch_planes(seeds, start, n, stride=1, offsets=(0,)):
+    """``uniform_planes`` into fresh buffers of the planes' shape."""
+    shape = np.shape(seeds) + (n,)
+    return uniform_planes(seeds, start, n, stride, offsets, np.empty((len(offsets),) + shape),
+                          np.empty((2,) + shape, np.uint64))
 
 
 def reference_words(seed, start, n):
@@ -37,11 +51,11 @@ def reference_mix64(z):
 
 class TestWordGeneration:
     def test_matches_scalar_reference(self):
-        got = _counter_words(123456789, 0, 64)
+        got = counter_words(123456789, 0, 64)
         assert [int(w) for w in got] == reference_words(123456789, 0, 64)
         # Every third word from word 7 on, for two seeds at once.
         seeds = np.array([123456789, (1 << 64) - 1], dtype=np.uint64)
-        got = _counter_words(seeds, 7, 20, 3)
+        got = counter_words(seeds, 7, 20, 3)
         assert got.shape == (2, 20)
         for seed, row in zip(seeds, got):
             want = reference_words(int(seed), 7, 58)[::3]
@@ -69,8 +83,8 @@ class TestWordGeneration:
         np.testing.assert_array_equal(stream.uniform(8), resumed.uniform(8))
 
     def test_different_seeds_differ(self):
-        a = _counter_words(1, 0, 16)
-        b = _counter_words(2, 0, 16)
+        a = counter_words(1, 0, 16)
+        b = counter_words(2, 0, 16)
         assert not np.array_equal(a, b)
 
 
@@ -92,7 +106,7 @@ class TestCounterRamp:
     def test_equals_arange_formula(self, n, stride):
         for seeds in (self.SEEDS, self.SEEDS[1], (1 << 64) - 1):
             for first in (0, 7, 6 * _TILE + 3):
-                got = _counter_words(seeds, first, n, stride)
+                got = counter_words(seeds, first, n, stride)
                 assert got.shape == np.shape(seeds) + (n,)
                 assert got.tobytes() == self.arange_words(seeds, first, n, stride).tobytes()
 
@@ -101,7 +115,7 @@ class TestCounterRamp:
         # The counter passes 2**64 in the run's second tile; a word is that
         # of its counter modulo 2**64.
         n, first = _TILE + 10, 2**64 - stride * _TILE - 5
-        got = _counter_words(self.SEEDS, first, n, stride)
+        got = counter_words(self.SEEDS, first, n, stride)
         for seed, row in zip(self.SEEDS.ravel(), got.reshape(-1, n)):
             want = [mix64((int(seed) + (first + 1 + stride * v) * GOLDEN) & MASK)
                     for v in range(n)]
@@ -116,7 +130,7 @@ class TestCounterRamp:
         def grow(i):
             for n in range(1 + i, 400, 7):
                 for stride in (1, 6):
-                    got = _counter_words(self.SEEDS, i, n, stride)
+                    got = counter_words(self.SEEDS, i, n, stride)
                     if got.tobytes() != self.arange_words(self.SEEDS, i, n, stride).tobytes():
                         errors.append((i, n, stride))
 
@@ -136,7 +150,7 @@ class TestCounterRamp:
     def test_ramp_grows_to_the_longest_count_asked(self):
         rng._RAMPS.clear()
         for m in (20, 99, 57):
-            _counter_words(self.SEEDS, 0, m, 6)
+            counter_words(self.SEEDS, 0, m, 6)
         assert rng._RAMPS[6].size == 99
         # A run past one tile is built a tile at a time.
         RandomStream(3).uniform(10**6)
@@ -147,6 +161,22 @@ class TestCounterRamp:
 
 
 class TestUniform:
+    def test_matches_scalar_reference(self):
+        # Across a tile boundary and from a counter past zero: the top 53
+        # bits of each reference word, offset by half an ulp.
+        n, start = _TILE + 5, 3
+        stream = RandomStream(2**63 + 11, counter=start)
+        want = [((w >> 11) + 0.5) * 2.0**-53 for w in reference_words(2**63 + 11, start, n)]
+        assert stream.uniform(n).tolist() == want
+        assert stream.counter == start + n
+
+    def test_peak_memory_is_the_output(self):
+        # Filled a tile at a time in the thread's kept workspace: a warm
+        # call allocates its output and nothing of a tile's size.
+        n = 10**6
+        _, warm, _ = traced_peaks(lambda: RandomStream(5).uniform(n))
+        assert warm - 8 * n < 2**12, warm - 8 * n
+
     def test_open_interval(self):
         u = RandomStream(2024).uniform(100_000)
         assert u.min() > 0.0
@@ -205,13 +235,13 @@ class TestBatchedStreams:
         assert [int(s) for s in got] == want
 
     def test_uniform_planes(self):
-        rows = uniform_planes(self.SEEDS, 0, 33)
+        rows = fetch_planes(self.SEEDS, 0, 33)
         assert rows.shape == (1, len(self.SEEDS), 33)
         for seed, row in zip(self.SEEDS, rows[0]):
             np.testing.assert_array_equal(row, RandomStream(seed).uniform(33))
         # Kept offsets of each group of six words, from word 4 on: one
         # contiguous plane per offset.
-        planes = uniform_planes(self.SEEDS, 4, 33, 6, (0, 1, 2, 4))
+        planes = fetch_planes(self.SEEDS, 4, 33, 6, (0, 1, 2, 4))
         assert planes.shape == (4, len(self.SEEDS), 33)
         assert all(plane.flags.c_contiguous for plane in planes)
         for seed, groups in zip(self.SEEDS, planes.transpose(1, 2, 0)):
@@ -224,7 +254,7 @@ class TestBatchedStreams:
         stream = RandomStream(5, counter=3)
         got = TSTUDENT5.sample(10, stream)
         assert stream.counter == 63
-        planes = uniform_planes(5, 3, 10, 6, TSTUDENT5._word_offsets)
+        planes = fetch_planes(5, 3, 10, 6, TSTUDENT5._word_offsets)
         np.testing.assert_array_equal(got, TSTUDENT5._transform(planes, np.empty(10)))
         np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=63).uniform(2))
 
