@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BLOCK, Distribution, _tail_level, _workspace, get_distribution
+from .distributions import BLOCK, Distribution, _workspace, get_distribution
 from .estimators import AssumptionChecks, estimate_rows
 from .fitting import _fit_error, min_sample_size
-from .rng import RandomStream, _fold, _integer, derive_seed
+from .rng import RandomStream, _fold, _integer, _level, derive_seed
 
 DEFAULT_M_VALUES = tuple(range(20, 100))
 DEFAULT_TRIALS = 2_000
@@ -57,8 +57,8 @@ class ExperimentConfig:
     integers (``operator.index``); a law (by its lower-cased name) and a
     sample size may each appear only once, and the seed lies in ``[0,
     2**64)``, so no two seeds fold to the same trial streams.  ``alpha``
-    is one the ground truths take: above ``2**-54``, so that ``1 -
-    alpha`` is below 1 (``Distribution.extremal_semideviation``).  ``trials``
+    lies in (0, 1), where every ground truth
+    (``Distribution.extremal_semideviation``) is finite.  ``trials``
     defaults to a desk-scale 2,000; raise it to 10,000 to match
     full-scale runs.  Every ``ValueError`` it raises starts with the name
     of the field at fault, so :func:`~evtrisk.cli.load_config` can name
@@ -96,7 +96,7 @@ class ExperimentConfig:
         object.__setattr__(self, "m_values", _once("m_values", "sample size", m_values))
         object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         # Every run takes its errors against the truths at alpha.
-        _tail_level(self.alpha)
+        _level("alpha", self.alpha)
         seed = _integer("master_seed", self.master_seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"master_seed: {seed} is outside [0, 2**64)")

@@ -236,7 +236,6 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_oracle(args) -> int:
     dist = get_distribution(args.dist)
-    # First, so an alpha the truth refuses fails before the draw.
     analytic = dist.extremal_semideviation(args.alpha)
     estimate, std_error = monte_carlo_semideviation(dist, args.alpha, args.samples,
                                                     RandomStream(args.seed))

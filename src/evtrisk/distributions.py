@@ -54,17 +54,6 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 BLOCK = 2**16
 
 
-def _tail_level(alpha) -> None:
-    """Raise ``ValueError``, naming alpha, unless the truths take it: it
-    lies in (0, 1) and above ``2**-54``, so that ``1 - alpha`` is below 1
-    and the quantile ``q(1 - alpha)`` can be computed.  The truths' closed
-    forms take ``alpha`` itself and would hold below the bound too."""
-    _level("alpha", alpha)
-    if 1.0 - alpha == 1.0:
-        raise ValueError(f"alpha: {alpha} is too small: 1 - alpha rounds to 1 in "
-                         f"double precision, so the quantile q(1 - alpha) cannot be computed")
-
-
 # Each thread's workspace, kept from call to call (see _workspace).
 _KEPT = threading.local()
 
@@ -221,11 +210,11 @@ class Distribution:
         The tail integral of ``(y - mean)`` from ``max(q(1 - alpha), mean)``
         to the right endpoint, by the closed form attached to each law.
         The form takes the tail level ``min(alpha, survival at the mean)``
-        itself, never ``1 - alpha``, so it keeps its precision at small
-        ``alpha``.  An ``alpha`` outside (0, 1), or one so small that ``1 -
-        alpha`` rounds to 1, raises ``ValueError``.
+        itself, never ``1 - alpha``, so it keeps its precision at any
+        ``alpha`` in (0, 1), down to the smallest subnormal; an ``alpha``
+        outside (0, 1) raises ``ValueError``.
         """
-        _tail_level(alpha)
+        _level("alpha", alpha)
         return float(self._tail_semidev(min(alpha, self._mean_tail)))
 
 

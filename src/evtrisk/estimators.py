@@ -39,8 +39,8 @@ from .tail_model import (
     GAMMA_NEAR_ZERO,
     TailParams,
     _closed_forms,
+    _forms_at,
     _survival_unchecked,
-    _var_at_least_mean,
 )
 
 
@@ -341,7 +341,9 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
     ``alpha * (v - sample_mean)``.  This is the independent check of the
     closed form in :func:`~evtrisk.tail_model.extremal_semideviation`: the
     two must agree to better than 1e-8 relative error, and the quadrature
-    never consults the closed-form CVaR.
+    takes the closed forms' VaR alone, never their CVaR.  A VaR beyond the
+    double range leaves the boundary term unformed and raises
+    ``ValueError``.
 
     The integral is taken in the log-survival coordinate ``t``, where the
     tail's survival is ``(k/m) e^-t``: ``z = threshold + scale *
@@ -351,8 +353,11 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
     alpha / k``.  One exp-sinh rule, scaled by ``1 / (1 - gamma)``,
     integrates it, bounded support or not.
     """
-    v = _var_at_least_mean(params, alpha, sample_mean,
-                           "the integral check has the same hypothesis as the closed form")
+    v = _forms_at(params, alpha, sample_mean,
+                  "the integral check has the same hypothesis as the closed form")[0]
+    if math.isinf(v):
+        raise ValueError(f"value-at-risk at alpha {alpha} lies beyond the double range, "
+                         f"so the boundary term alpha * (v - sample_mean) cannot be formed")
     gamma = params.gamma
     # With u = t - t_v and r = e^-t_v,
     #   (z - v) e^-t = scale r^(1 - gamma) e^-u expm1(gamma u) / gamma.

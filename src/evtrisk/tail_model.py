@@ -181,11 +181,12 @@ def tail_quantile(params: TailParams, u):
         raise ValueError("quantile level must satisfy 0 <= u < 1")
     r = np.where(arr > 1.0 - params.tail_fraction,
                  (1.0 - arr) / params.tail_fraction, 1.0)
-    return _like(u, _var(params.threshold, params.scale, params.gamma, r))
+    return _like(u, _var(params.threshold, params.scale, params.gamma, np.log(r)))
 
 
-def _var(threshold, scale, gamma, r):
-    """Tail-branch quantile at the survival ratio ``r``; a ufunc over arrays.
+def _var(threshold, scale, gamma, log_r):
+    """Tail-branch quantile at the survival ratio ``r``, given by its log
+    ``log_r``; a ufunc over arrays.
 
     At ``r = m * alpha / k`` it is the model value-at-risk, the
     (1 - alpha)-quantile of the continuous tail branch:
@@ -193,7 +194,6 @@ def _var(threshold, scale, gamma, r):
     ``threshold - scale * log(r)`` for shapes within ``GAMMA_NEAR_ZERO``
     of zero, both in the stable ``expm1``/``log`` form.
     """
-    log_r = np.log(r)
     near_zero = np.abs(gamma) < GAMMA_NEAR_ZERO
     # Near-zero rows divide by gamma + 1, and the select throws them away;
     # most calls have none, and skip it.
@@ -207,39 +207,77 @@ def _cvar(var, threshold, scale, gamma):
     return (var + scale - gamma * threshold) / (1.0 - gamma)
 
 
-def _semideviation(cvar_value, sample_mean, alpha):
-    """``alpha * (cvar - sample_mean)``, valid when VaR >= sample_mean."""
-    return alpha * (cvar_value - sample_mean)
-
-
 def _closed_forms(threshold, scale, gamma, k, m: int, sample_mean, alpha: float):
-    """The model VaR, CVaR and :func:`_semideviation` at level ``alpha`` of
-    fits of ``k`` exceedances among ``m`` values; ufuncs over arrays.
+    """The model VaR, CVaR and semideviation ``alpha * (cvar -
+    sample_mean)`` at level ``alpha`` of fits of ``k`` exceedances among
+    ``m`` values; ufuncs over arrays.  The one evaluation of the three:
+    the scalar functions are it at batch size one (:func:`_forms_at`).
 
-    At a tiny ``alpha`` the power ``r ** -gamma`` of a positive shape, with
-    ``r = m * alpha / k``, can overflow the VaR and the CVaR while the
-    semideviation, a fraction of the data's magnitude, is in range.  Where
-    it overflowed, it is taken in a form with no overflowing step:
-    ``alpha * (threshold - sample_mean - scale / gamma)`` plus ``scale *
-    (k / m) ** gamma * alpha ** (1 - gamma) / (gamma * (1 - gamma))``,
-    whose powers are at most 1 and which takes ``alpha`` itself, so a
-    subnormal ``alpha`` keeps its precision.  Every other entry keeps the
-    bits of the three closed forms.  In the units of
-    ``estimators.estimate_rows`` the data lie within 2**400, so the mean
-    exceedance ``scale / (1 - gamma)`` is at most 2**401, and the CVaR, at
-    most that times ``r ** -gamma / gamma`` past the threshold, can
-    overflow only where ``r ** -gamma > 2**600``, which takes ``alpha < r
-    < 2**-600``: a larger ``alpha`` skips the test.
+    The VaR takes ``log r``, with ``r = m * alpha / k``.  Below
+    ``alpha = 2**-1022`` that ratio would be subnormal, with fewer bits,
+    so its log is taken of ``2**600 * r``, formed from the exact
+    ``ldexp(alpha, 600)``, less ``600 log 2``.
+
+    At a tiny ``alpha`` the power ``r ** -gamma`` of a positive shape can
+    overflow the VaR and the CVaR while the semideviation, a fraction of
+    the data's magnitude, is in range.  Where it overflowed, it is taken
+    in a form with no overflowing step: ``alpha * (threshold -
+    sample_mean - scale / gamma)`` plus ``scale * (k / m) ** gamma *
+    alpha ** (1 - gamma) / (gamma * (1 - gamma))``, whose powers are at
+    most 1 and which takes ``alpha`` itself, so a subnormal ``alpha``
+    keeps its precision.  The semideviation of an overflowed CVaR is
+    positive, so a form that is not (a shape of 0, or a term of its own
+    overflowing) leaves the infinity.  Every other entry keeps the bits of
+    the three closed forms.  In the units of ``estimators.estimate_rows``
+    the data lie within 2**400, so the mean exceedance ``scale / (1 -
+    gamma)`` is at most 2**401, and the CVaR, at most that times ``r **
+    -gamma / gamma`` past the threshold, can overflow only where ``r **
+    -gamma > 2**600``, which takes ``alpha < r < 2**-600``: a larger
+    ``alpha`` skips the test.
     """
-    # A numpy float over the count: numpy divides a Python float by a
-    # numpy int on its slow path, with the same bits.
-    var = _var(threshold, scale, gamma, np.float64(m * alpha) / k)
+    if alpha < 2.0**-1022:
+        log_r = np.log(np.float64(m * math.ldexp(alpha, 600)) / k) - 600 * math.log(2.0)
+    else:
+        # A numpy float over the count: numpy divides a Python float by a
+        # numpy int on its slow path, with the same bits.
+        log_r = np.log(np.float64(m * alpha) / k)
+    var = _var(threshold, scale, gamma, log_r)
     cvar_value = _cvar(var, threshold, scale, gamma)
-    rho = _semideviation(cvar_value, sample_mean, alpha)
+    rho = alpha * (cvar_value - sample_mean)
     if alpha < 2.0**-600 and np.isinf(rho).any():
-        rho = np.where(np.isinf(rho), alpha * (threshold - sample_mean - scale / gamma) + scale
-                       * (k / m) ** gamma * alpha ** (1.0 - gamma) / (gamma * (1.0 - gamma)),
-                       rho)[()]
+        tiny = (alpha * (threshold - sample_mean - scale / gamma) + scale * (k / m) ** gamma
+                * alpha ** (1.0 - gamma) / (gamma * (1.0 - gamma)))
+        rho = np.where(np.isinf(rho) & (tiny > 0.0), tiny, rho)[()]
+    return var, cvar_value, rho
+
+
+def _forms_at(params: TailParams, alpha: float, sample_mean: float = 0.0,
+              consequence: str | None = None) -> tuple[float, float, float]:
+    """:func:`_closed_forms` of ``params`` at batch size one: the model
+    VaR, CVaR and semideviation as floats, with the bits of a batch row of
+    the same parameters.
+
+    Requires ``0 < alpha < k/m`` (``ValueError``).  A VaR or CVaR whose
+    value lies beyond the double range is ``inf``, without a warning.
+    Given ``consequence``, a VaR below ``sample_mean`` raises
+    :class:`AssumptionViolation` ending in it: the hypothesis of the
+    closed form and of every check of it.
+    """
+    if not 0.0 < alpha < params.tail_fraction:
+        raise ValueError(
+            f"alpha must be in (0, k/m) = (0, {params.tail_fraction}), got {alpha}"
+        )
+    # The batch's float type for the shape: at a shape of 0 the overflow
+    # form then divides by zero to a result it discards, as the batch
+    # does, and raises no ZeroDivisionError.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        forms = _closed_forms(params.threshold, params.scale, np.float64(params.gamma),
+                              params.k, params.m, sample_mean, alpha)
+    var, cvar_value, rho = map(float, forms)
+    if consequence is not None and var < sample_mean:
+        raise AssumptionViolation(
+            f"value-at-risk {var} is below the sample mean {sample_mean}; {consequence}"
+        )
     return var, cvar_value, rho
 
 
@@ -248,14 +286,12 @@ def value_at_risk(params: TailParams, alpha: float) -> float:
 
     Requires ``0 < alpha < k/m`` so that the level lands strictly inside
     the continuous tail branch (where the closed form is exact and the
-    result lies in the interior of the support).
+    result lies in the interior of the support).  On the fit of a sample
+    of magnitudes up to 2**400 it is that sample's ``var_tail`` in
+    ``estimators.estimate_rows``, bit for bit; it is ``inf``, without a
+    warning, where its value lies beyond the double range.
     """
-    if not 0.0 < alpha < params.tail_fraction:
-        raise ValueError(
-            f"alpha must be in (0, k/m) = (0, {params.tail_fraction}), got {alpha}"
-        )
-    return float(_var(params.threshold, params.scale, params.gamma,
-                      params.m * alpha / params.k))
+    return _forms_at(params, alpha)[0]
 
 
 def cvar(params: TailParams, alpha: float) -> float:
@@ -263,10 +299,12 @@ def cvar(params: TailParams, alpha: float) -> float:
 
     Equals the average of the value-at-risk over all levels below alpha;
     for this model the average collapses to
-    ``(value_at_risk + scale - gamma * threshold) / (1 - gamma)``.
+    ``(value_at_risk + scale - gamma * threshold) / (1 - gamma)``.  Like
+    :func:`value_at_risk`, it is the sample's ``cvar_tail`` in
+    ``estimators.estimate_rows``, bit for bit, and ``inf`` beyond the
+    double range.
     """
-    v = value_at_risk(params, alpha)
-    return float(_cvar(v, params.threshold, params.scale, params.gamma))
+    return _forms_at(params, alpha)[1]
 
 
 def extremal_semideviation(params: TailParams, alpha: float,
@@ -276,7 +314,10 @@ def extremal_semideviation(params: TailParams, alpha: float,
     This is the tail integral of ``max(z - sample_mean, 0)`` over the worst
     ``alpha`` fraction of the model's outcomes, which collapses to
     ``alpha * (cvar - sample_mean)`` whenever the value-at-risk is at least
-    the sample mean.
+    the sample mean.  On the fit and mean of a sample of magnitudes up to
+    2**400 it is ``rho_evt`` of ``estimators.evt_estimate``, bit for bit:
+    finite wherever its value is, also where a tiny ``alpha`` overflows the
+    VaR and the CVaR.
 
     Raises
     ------
@@ -285,19 +326,4 @@ def extremal_semideviation(params: TailParams, alpha: float,
         not abort (e.g. the benchmark harness) check the hypothesis first
         and record a flag instead.
     """
-    v = _var_at_least_mean(params, alpha, sample_mean, "the closed form does not apply")
-    c = _cvar(v, params.threshold, params.scale, params.gamma)
-    return float(_semideviation(c, sample_mean, alpha))
-
-
-def _var_at_least_mean(params: TailParams, alpha: float, sample_mean: float,
-                       consequence: str) -> float:
-    """The model value-at-risk, or :class:`AssumptionViolation` ending in
-    ``consequence`` if it is below ``sample_mean``: the hypothesis of the
-    closed form and of every check of it."""
-    v = value_at_risk(params, alpha)
-    if v < sample_mean:
-        raise AssumptionViolation(
-            f"value-at-risk {v} is below the sample mean {sample_mean}; {consequence}"
-        )
-    return v
+    return _forms_at(params, alpha, sample_mean, "the closed form does not apply")[2]

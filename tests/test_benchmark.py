@@ -144,17 +144,20 @@ class TestConfigValidation:
             small_config(**{field: value})
 
     def test_alpha_whose_complement_rounds_to_one(self):
-        # Every run would refuse it at the ground truth, so the config
-        # refuses it first, by the truth's cause.
+        # 1 - alpha rounds to 1 at and below 2**-54; the truths take alpha
+        # itself, so the config takes it and every cell runs, with finite
+        # errors.
         for alpha in (1e-17, 2.0**-54, 5e-324):
-            with pytest.raises(ValueError, match=f"^alpha: {re.escape(str(alpha))} is too small: "
-                                                 "1 - alpha rounds to 1"):
-                small_config(alpha=alpha)
+            cfg = small_config(alpha=alpha)
+            assert cfg.alpha == alpha
+            for s in run_experiment(cfg):
+                assert s.trials_completed == cfg.trials
+                assert all(math.isfinite(v) for v in (s.mean_err_typical, s.mean_err_evt)), s
 
     def test_smallest_alpha_the_truths_take(self):
-        alpha = np.nextafter(2.0**-54, 1.0)
-        assert 1.0 - alpha < 1.0
+        alpha = 5e-324
         assert small_config(alpha=alpha).alpha == alpha
+        assert small_config(alpha=1.0 - 2.0**-53).alpha == 1.0 - 2.0**-53
 
     def test_lists_and_ranges_keep_their_bytes(self):
         cfg = small_config(distributions=["uniform01", "exponential1"], m_values=range(20, 30, 5))

@@ -2,6 +2,7 @@
 
 import codecs
 import json
+import math
 import re
 
 import numpy as np
@@ -447,17 +448,16 @@ class TestBenchmarkCommand:
         assert err == f"evtrisk: error: workers must be >= 1, got {workers}\n"
         assert not out_csv.exists()
 
-    def test_alpha_whose_complement_rounds_to_one_exit_1(self, tmp_path, capsys):
-        # Refused as the config loads, so the error names the file and line.
-        cfg = tmp_path / "b.cfg"
-        cfg.write_text(self.CONFIG + "alpha = 1e-17\n")
-        line = len(self.CONFIG.splitlines()) + 1
-        out_csv = tmp_path / "out.csv"
-        code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out_csv))
-        assert code == 1
-        assert err.startswith(f"evtrisk: error: {cfg}: line {line}: alpha: 1e-17 is too small: "
-                              "1 - alpha rounds to 1")
-        assert not out_csv.exists()
+    def test_alpha_whose_complement_rounds_to_one_exit_0(self, tmp_path, capsys):
+        # 1 - alpha rounds to 1, but the truths take alpha itself: the
+        # config loads and the grid writes its rows.
+        for alpha in (1e-17, 2.0**-54, 5e-324):
+            cfg = tmp_path / "b.cfg"
+            cfg.write_text(self.CONFIG + f"alpha = {alpha!r}\n")
+            out_csv = tmp_path / "out.csv"
+            code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg), "--out", str(out_csv))
+            assert (code, err) == (0, "")
+            assert len(out_csv.read_text().splitlines()) == 1 + 2
 
     def test_environment_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         # The master seed comes from the config alone: EVTRISK_SEED once
@@ -491,11 +491,16 @@ class TestOracleCommand:
         assert json.loads(out)["seed"] == 1
         assert out == run_cli(capsys, *argv, "--seed", "1")[1]
 
-    def test_alpha_whose_complement_rounds_to_one_exit_1(self, capsys):
-        # At the default 4e6 samples: refused before the draw, not after it.
-        code, out, err = run_cli(capsys, "oracle", "--dist", "pareto2", "--alpha", "1e-17")
-        assert code == 1 and out == ""
-        assert err.startswith("evtrisk: error: alpha: 1e-17 is too small: 1 - alpha rounds to 1")
+    def test_alpha_whose_complement_rounds_to_one_exit_0(self, capsys):
+        # 1 - alpha rounds to 1, but the truth takes alpha itself.
+        for alpha in (1e-17, 2.0**-54, 5e-324):
+            code, out, err = run_cli(capsys, "oracle", "--dist", "pareto2", "--alpha", repr(alpha),
+                                     "--samples", "100000")
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            assert payload["alpha"] == alpha
+            assert 0.0 <= payload["analytic"] < math.inf
+            assert 0.0 <= payload["estimate"] < math.inf
 
     def test_unknown_name_lists_valid(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--dist", "pareto3",

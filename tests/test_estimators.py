@@ -400,7 +400,23 @@ class TestScaledSweep:
                 tied = ordered[j - 1] == ordered[j] or ordered[j + 1] == ordered[j]
                 # repr round-trips every float, -0.0 included.
                 assert repr(report) == repr(cls.row_report(est, i, m, alpha, tied))
+                if est.alpha_ok[i] and np.abs(row).max() <= 2.0**400:
+                    cls.check_scalar_forms(report, est, i)
                 yield row, alpha, report
+
+    @staticmethod
+    def check_scalar_forms(report, est, i):
+        """The scalar closed forms on the report's fit are row ``i`` of
+        ``est``, bit for bit: on data in range, which ``estimate_rows``
+        evaluates in its own units."""
+        p, alpha, mean = report.params, report.alpha, report.sample_mean
+        assert (repr((value_at_risk(p, alpha), cvar(p, alpha)))
+                == repr((float(est.var_tail[i]), float(est.cvar_tail[i]))))
+        if est.evt_valid[i]:
+            assert repr(extremal_semideviation(p, alpha, mean)) == repr(float(est.rho_evt[i]))
+        else:
+            with pytest.raises(AssumptionViolation):
+                extremal_semideviation(p, alpha, mean)
 
     def test_reports_are_the_batch_rows(self):
         lines, failed, scaled = [], 0, 0
@@ -534,6 +550,19 @@ class TestTinyAlpha:
             var = t + s * ((p.m * a / p.k) ** -g - 1) / g
             want = a * ((var + s - g * t) / (1 - g) - mean)
         assert report.rho_evt == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.95])
+    def test_subnormal_alpha_matches_exact_arithmetic(self, gamma):
+        # m alpha / k is subnormal here, a multiple of 2**-1074 (11 for
+        # 10.67), so the VaR takes its log from 2**600 alpha instead.
+        p, alpha, mean = TailParams(k=6, m=64, gamma=gamma, threshold=0.0, scale=1.0), 5e-324, 1.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a, g = decimal.Decimal(alpha), decimal.Decimal(gamma)
+            var = ((p.m * a / p.k) ** -g - 1) / g
+            rho = a * ((var + 1) / (1 - g) - decimal.Decimal(mean))
+        assert value_at_risk(p, alpha) == pytest.approx(float(var), rel=1e-13)
+        assert extremal_semideviation(p, alpha, mean) == pytest.approx(float(rho), rel=1e-13)
 
 
 class TestMonteCarloOracle:
@@ -683,6 +712,19 @@ class TestQuadratureOracle:
         v = value_at_risk(p, 0.05)
         with pytest.raises(AssumptionViolation):
             semideviation_by_quadrature(p, 0.05, v + 1.0)
+
+    def test_raises_where_the_var_overflows(self):
+        # The tiny-alpha input's VaR lies beyond the double range, so the
+        # boundary term alpha * (v - mean) cannot be formed, while the
+        # closed form it checks is finite.
+        (matrix, alpha), = tiny_alpha_inputs()
+        report = evt_estimate(matrix[0], alpha)
+        p, mean = report.params, report.sample_mean
+        assert value_at_risk(p, alpha) == math.inf
+        assert math.isfinite(extremal_semideviation(p, alpha, mean))
+        with pytest.raises(ValueError, match="value-at-risk at alpha 1e-300 lies beyond "
+                                             "the double range"):
+            semideviation_by_quadrature(p, alpha, mean)
 
     @pytest.mark.parametrize("gamma", [np.nextafter(-GAMMA_NEAR_ZERO, -1.0),
                                        -GAMMA_NEAR_ZERO,

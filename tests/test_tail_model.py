@@ -299,6 +299,17 @@ class TestValueAtRisk:
             vs = np.array([value_at_risk(p, a) for a in alphas])
             assert np.all(np.diff(vs) < 0.0)
 
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1e-12, 0.5])
+    @pytest.mark.parametrize("alpha", [0.1, 1e-300, 5e-324])
+    def test_inf_beyond_the_double_range(self, gamma, alpha):
+        # No overflow warning (the suite makes warnings errors).  At a tiny
+        # alpha rho's value is in range, but the overflow-free form, which
+        # divides by the shape, overflows on these parameters: it may
+        # leave rho infinite, never NaN, negative or a ZeroDivisionError.
+        p = TailParams(k=2, m=3, gamma=gamma, threshold=1e308, scale=1e308)
+        assert (value_at_risk(p, alpha), cvar(p, alpha)) == (math.inf, math.inf)
+        assert extremal_semideviation(p, alpha, 0.0) >= 0.0
+
 
 class TestCvar:
     def test_exponential_case(self):
