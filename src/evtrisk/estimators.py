@@ -40,6 +40,7 @@ from .tail_model import (
     TailParams,
     _closed_forms,
     _forms_at,
+    _log_ratio,
     _survival_unchecked,
 )
 
@@ -135,28 +136,26 @@ def estimate_rows(samples: np.ndarray, alpha: float) -> RowEstimates:
     ordered, mean, e = _sort_rows(samples)
     m = ordered.shape[-1]
     fits = fit_rows(ordered)
-    # Out of range (see _sort_rows), each row is evaluated in units of
-    # 2**e and its results multiplied back: the same bits wherever the
-    # data's units overflow nowhere, and a finite rho wherever its value is.
-    threshold, scale, mu, top = fits.threshold, fits.scale, mean, ordered
+    # Out of range (see _sort_rows), the typical estimator is evaluated in
+    # units of 2**e and multiplied back, as _closed_forms evaluates its own.
+    mu, top = mean, ordered
     if e is not None:
-        threshold, scale, mu = (np.ldexp(v, -e) for v in (threshold, scale, mean))
-        top = np.ldexp(ordered, -np.asarray(e)[..., None])
+        mu, top = np.ldexp(mean, -e), np.ldexp(ordered, -np.asarray(e)[..., None])
     # Failed rows carry NaN or unusable parameters (and k = 0 divides by
     # zero), and a row with alpha >= k/m can overflow (a shape far below
     # 0 raises r = m alpha / k >= 1 to a large power); the flags mask them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_ok = alpha < fits.k / m
         # rho stays finite where a tiny alpha overflows the VaR.
-        var, cvar_tail, rho_evt = _closed_forms(threshold, scale, fits.gamma, fits.k, m, mu, alpha)
+        var, cvar_tail, rho_evt = _closed_forms(fits.threshold, fits.scale, fits.gamma, fits.k,
+                                                m, mean, alpha, e)
         # One exceedance count for both estimators on every row, failed
         # fits included: the typical estimator averages the top k + 1
         # order statistics, the smallest of which is the threshold.
         rho_typical = typical_rows(top, mu, fits.k)
-        evt_valid = np.logical_not(fits.failed) & alpha_ok & (var >= mu)
+        evt_valid = np.logical_not(fits.failed) & alpha_ok & (var >= mean)
         if e is not None:
-            var, cvar_tail, rho_evt, rho_typical = (
-                np.ldexp(v, e) for v in (var, cvar_tail, rho_evt, rho_typical))
+            rho_typical = np.ldexp(rho_typical, e)
     # Positional, as fit_rows builds its fits (see _fit_above).
     return RowEstimates(mean, fits, rho_typical, var, cvar_tail, rho_evt, alpha_ok, evt_valid)
 
@@ -351,7 +350,10 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
     GAMMA_NEAR_ZERO``), so ``density(z) dz = (k/m) e^-t dt`` and ``[v,
     upper)`` maps onto ``[t_v, inf)`` for every shape, with ``e^-t_v = m
     alpha / k``.  One exp-sinh rule, scaled by ``1 / (1 - gamma)``,
-    integrates it, bounded support or not.
+    integrates it, bounded support or not.  Its excess term takes ``r **
+    (1 - gamma)`` as ``exp((1 - gamma) log r)``, with ``log r`` from
+    ``tail_model._log_ratio``, as the VaR takes it, so a subnormal
+    ``alpha`` keeps its precision.
     """
     v = _forms_at(params, alpha, sample_mean,
                   "the integral check has the same hypothesis as the closed form")[0]
@@ -368,8 +370,8 @@ def semideviation_by_quadrature(params: TailParams, alpha: float,
     a = abs(gamma)
     rise = u if a < GAMMA_NEAR_ZERO else np.expm1(-a * u) / -a
     integral = np.dot(_EXP_SINH_WEIGHTS, np.exp((max(gamma, 0.0) - 1.0) * u) * rise)
-    r = params.m * alpha / params.k
-    excess = params.tail_fraction * params.scale * r ** (1.0 - gamma) * integral / (1.0 - gamma)
+    r_power = math.exp((1.0 - gamma) * _log_ratio(params.m, alpha, params.k))
+    excess = params.tail_fraction * params.scale * r_power * integral / (1.0 - gamma)
     return float(excess + alpha * (v - sample_mean))
 
 

@@ -46,11 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import _integer, _level
-from .tail_model import TailParams
+from .tail_model import _HIGH, TailParams, _in_range
 
 THRESHOLD_QUANTILE = 0.90
-# The magnitudes that need no power-of-two scaling; see _in_range.
-_LOW, _HIGH = 2.0**-400, 2.0**400
 
 
 class FitError(ValueError):
@@ -138,22 +136,6 @@ def _as_sample(data) -> np.ndarray:
     return arr
 
 
-def _in_range(largest, smallest=_LOW) -> bool:
-    """Whether values of magnitudes from ``smallest`` to ``largest`` need
-    no power-of-two scaling: the one edge-of-range rule, of the mean
-    (:func:`_sort_rows`) and of the moment fit (:func:`_pwm`).
-
-    On magnitudes from 2**-400 to 2**400 and counts below 2**40, every
-    sum, product and quotient of those formulas stays normal, both in the
-    data's units and in units of ``2**e``, with ``e`` the binary exponent
-    of the largest value.  Powers of two scale exactly between normal
-    numbers, so the formulas give the scaled ones' bits without the
-    scaling.  The mean is scaled only where its sum overflows, so it
-    passes only ``largest``.
-    """
-    return smallest >= _LOW and largest <= _HIGH
-
-
 # The moment weights i / k of _pwm, made once per exceedance count k and
 # shared, so never written to.
 _weights = functools.lru_cache(maxsize=32)(lambda k: np.arange(k) / k)
@@ -187,7 +169,7 @@ def _pwm(excess_desc: np.ndarray):
 
     Works along the last axis, so one call fits every row of a matrix
     whose rows share one exceedance count.  Unless the smallest and the
-    largest exceedance are in range (:func:`_in_range`, the rule
+    largest exceedance are in range (``tail_model._in_range``, the rule
     :func:`_sort_rows` shares), the moments are taken of the exceedances
     divided by ``2**e``, with ``e`` the binary exponent of the largest
     one, and the scale is multiplied back.  So ``P*Q`` stays in range at
@@ -309,12 +291,13 @@ def _sort_rows(ordered: np.ndarray):
     A sample that is not finite raises ``ValueError``: NaN sorts last, so
     the ends of the sorted rows show it.  Rows are summed as they are,
     and the exponents are None, when their largest magnitude is in range
-    (:func:`_in_range`, the rule :func:`_pwm` shares).  Otherwise a row's
-    exponent is ``e``, the binary exponent of its largest magnitude, where
-    that magnitude is out of range, and 0 where it is not; and a row whose
-    sum is not finite is summed a second time, divided by ``2**e``, and
-    its mean multiplied back.  Powers of two scale exactly, so that mean
-    is bit for bit the unscaled formula's on data small enough for it.
+    (``tail_model._in_range``, the rule :func:`_pwm` and the closed forms
+    share).  Otherwise a row's exponent is ``e``, the binary exponent of
+    its largest magnitude, where that magnitude is out of range, and 0
+    where it is not; and a row whose sum is not finite is summed a second
+    time, divided by ``2**e``, and its mean multiplied back.  Powers of
+    two scale exactly, so that mean is bit for bit the unscaled formula's
+    on data small enough for it.
     """
     ordered.sort(axis=-1)
     m = ordered.shape[-1]

@@ -31,6 +31,25 @@ from .rng import _inside, _integer, _like
 # the stable expm1/log1p forms still cancel catastrophically when the
 # exponent 1/shape overflows the working precision.
 GAMMA_NEAR_ZERO = 1e-10
+# The magnitudes that need no power-of-two scaling; see _in_range.
+_LOW, _HIGH = 2.0**-400, 2.0**400
+
+
+def _in_range(largest, smallest=_LOW) -> bool:
+    """Whether values of magnitudes from ``smallest`` to ``largest`` need
+    no power-of-two scaling: the one edge-of-range rule, of the mean
+    (``fitting._sort_rows``), of the moment fit (``fitting._pwm``) and of
+    the closed forms (:func:`_closed_forms`).
+
+    On magnitudes from 2**-400 to 2**400 and counts below 2**40, every
+    sum, product and quotient of those formulas stays normal, both in the
+    data's units and in units of ``2**e``, with ``e`` the binary exponent
+    of the largest value.  Powers of two scale exactly between normal
+    numbers, so the formulas give the scaled ones' bits without the
+    scaling.  The mean and the closed forms are scaled only for large
+    magnitudes, so they pass only ``largest``.
+    """
+    return smallest >= _LOW and largest <= _HIGH
 
 
 def _bounded(gamma) -> bool:
@@ -207,16 +226,36 @@ def _cvar(var, threshold, scale, gamma):
     return (var + scale - gamma * threshold) / (1.0 - gamma)
 
 
-def _closed_forms(threshold, scale, gamma, k, m: int, sample_mean, alpha: float):
+def _log_ratio(m, alpha: float, k):
+    """``log r`` of the survival ratio ``r = m * alpha / k`` at level
+    ``alpha``; a ufunc over the counts.
+
+    Below ``alpha = 2**-1022`` the ratio would be subnormal, with fewer
+    bits, so its log is taken of ``2**600 * r``, formed from the exact
+    ``ldexp(alpha, 600)``, less ``600 log 2``.
+    """
+    if alpha < 2.0**-1022:
+        return np.log(np.float64(m * math.ldexp(alpha, 600)) / k) - 600 * math.log(2.0)
+    # A numpy float over the count: numpy divides a Python float by a
+    # numpy int on its slow path, with the same bits.
+    return np.log(np.float64(m * alpha) / k)
+
+
+def _closed_forms(threshold, scale, gamma, k, m: int, sample_mean, alpha: float, e):
     """The model VaR, CVaR and semideviation ``alpha * (cvar -
     sample_mean)`` at level ``alpha`` of fits of ``k`` exceedances among
     ``m`` values; ufuncs over arrays.  The one evaluation of the three:
-    the scalar functions are it at batch size one (:func:`_forms_at`).
+    the scalar functions are it at batch size one (:func:`_forms_at`),
+    and ``estimators.estimate_rows`` is it on a batch.
 
-    The VaR takes ``log r``, with ``r = m * alpha / k``.  Below
-    ``alpha = 2**-1022`` that ratio would be subnormal, with fewer bits,
-    so its log is taken of ``2**600 * r``, formed from the exact
-    ``ldexp(alpha, 600)``, less ``600 log 2``.
+    ``e`` is None where the magnitudes are in range (:func:`_in_range`),
+    and otherwise each row's binary exponent, 0 for a row in range: the
+    threshold, scale and mean are divided by ``2**e``, the three are
+    evaluated in those units, and each is multiplied back, so that a
+    semideviation whose value is in range is finite, and each is the bits
+    of the unscaled formula wherever that formula overflows nowhere.  The
+    VaR takes ``log r`` from :func:`_log_ratio`, which keeps its precision
+    down to ``alpha = 5e-324``.
 
     At a tiny ``alpha`` the power ``r ** -gamma`` of a positive shape can
     overflow the VaR and the CVaR while the semideviation, a fraction of
@@ -228,26 +267,23 @@ def _closed_forms(threshold, scale, gamma, k, m: int, sample_mean, alpha: float)
     keeps its precision.  The semideviation of an overflowed CVaR is
     positive, so a form that is not (a shape of 0, or a term of its own
     overflowing) leaves the infinity.  Every other entry keeps the bits of
-    the three closed forms.  In the units of ``estimators.estimate_rows``
-    the data lie within 2**400, so the mean exceedance ``scale / (1 -
-    gamma)`` is at most 2**401, and the CVaR, at most that times ``r **
-    -gamma / gamma`` past the threshold, can overflow only where ``r **
-    -gamma > 2**600``, which takes ``alpha < r < 2**-600``: a larger
-    ``alpha`` skips the test.
+    the three closed forms.  In the units of ``2**e`` the magnitudes lie
+    within 2**400, so the mean exceedance ``scale / (1 - gamma)`` is at
+    most 2**401, and the CVaR, at most that times ``r ** -gamma / gamma``
+    past the threshold, can overflow only where ``r ** -gamma > 2**600``,
+    which takes ``alpha < r < 2**-600``: a larger ``alpha`` skips the test.
     """
-    if alpha < 2.0**-1022:
-        log_r = np.log(np.float64(m * math.ldexp(alpha, 600)) / k) - 600 * math.log(2.0)
-    else:
-        # A numpy float over the count: numpy divides a Python float by a
-        # numpy int on its slow path, with the same bits.
-        log_r = np.log(np.float64(m * alpha) / k)
-    var = _var(threshold, scale, gamma, log_r)
+    if e is not None:
+        threshold, scale, sample_mean = (np.ldexp(v, -e) for v in (threshold, scale, sample_mean))
+    var = _var(threshold, scale, gamma, _log_ratio(m, alpha, k))
     cvar_value = _cvar(var, threshold, scale, gamma)
     rho = alpha * (cvar_value - sample_mean)
     if alpha < 2.0**-600 and np.isinf(rho).any():
         tiny = (alpha * (threshold - sample_mean - scale / gamma) + scale * (k / m) ** gamma
                 * alpha ** (1.0 - gamma) / (gamma * (1.0 - gamma)))
         rho = np.where(np.isinf(rho) & (tiny > 0.0), tiny, rho)[()]
+    if e is not None:
+        var, cvar_value, rho = (np.ldexp(v, e) for v in (var, cvar_value, rho))
     return var, cvar_value, rho
 
 
@@ -255,7 +291,10 @@ def _forms_at(params: TailParams, alpha: float, sample_mean: float = 0.0,
               consequence: str | None = None) -> tuple[float, float, float]:
     """:func:`_closed_forms` of ``params`` at batch size one: the model
     VaR, CVaR and semideviation as floats, with the bits of a batch row of
-    the same parameters.
+    the same parameters.  Past 2**400 (:func:`_in_range`) the largest of
+    ``|threshold|``, ``scale`` and ``|sample_mean|`` gives the units
+    ``2**e``, ``e`` its binary exponent, as the largest value of a row
+    gives a batch's.
 
     Requires ``0 < alpha < k/m`` (``ValueError``).  A VaR or CVaR whose
     value lies beyond the double range is ``inf``, without a warning.
@@ -267,12 +306,14 @@ def _forms_at(params: TailParams, alpha: float, sample_mean: float = 0.0,
         raise ValueError(
             f"alpha must be in (0, k/m) = (0, {params.tail_fraction}), got {alpha}"
         )
+    largest = max(abs(params.threshold), params.scale, abs(sample_mean))
+    e = None if _in_range(largest) else math.frexp(largest)[1]
     # The batch's float type for the shape: at a shape of 0 the overflow
     # form then divides by zero to a result it discards, as the batch
     # does, and raises no ZeroDivisionError.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         forms = _closed_forms(params.threshold, params.scale, np.float64(params.gamma),
-                              params.k, params.m, sample_mean, alpha)
+                              params.k, params.m, sample_mean, alpha, e)
     var, cvar_value, rho = map(float, forms)
     if consequence is not None and var < sample_mean:
         raise AssumptionViolation(
@@ -287,9 +328,10 @@ def value_at_risk(params: TailParams, alpha: float) -> float:
     Requires ``0 < alpha < k/m`` so that the level lands strictly inside
     the continuous tail branch (where the closed form is exact and the
     result lies in the interior of the support).  On the fit of a sample
-    of magnitudes up to 2**400 it is that sample's ``var_tail`` in
-    ``estimators.estimate_rows``, bit for bit; it is ``inf``, without a
-    warning, where its value lies beyond the double range.
+    of any magnitude it is that sample's ``var_tail`` in
+    ``estimators.estimate_rows``, bit for bit: past 2**400 both evaluate
+    in units of a power of two.  It is ``inf``, without a warning, where
+    its value lies beyond the double range.
     """
     return _forms_at(params, alpha)[0]
 
@@ -301,8 +343,8 @@ def cvar(params: TailParams, alpha: float) -> float:
     for this model the average collapses to
     ``(value_at_risk + scale - gamma * threshold) / (1 - gamma)``.  Like
     :func:`value_at_risk`, it is the sample's ``cvar_tail`` in
-    ``estimators.estimate_rows``, bit for bit, and ``inf`` beyond the
-    double range.
+    ``estimators.estimate_rows``, bit for bit at any magnitude, and
+    ``inf`` beyond the double range.
     """
     return _forms_at(params, alpha)[1]
 
@@ -314,10 +356,10 @@ def extremal_semideviation(params: TailParams, alpha: float,
     This is the tail integral of ``max(z - sample_mean, 0)`` over the worst
     ``alpha`` fraction of the model's outcomes, which collapses to
     ``alpha * (cvar - sample_mean)`` whenever the value-at-risk is at least
-    the sample mean.  On the fit and mean of a sample of magnitudes up to
-    2**400 it is ``rho_evt`` of ``estimators.evt_estimate``, bit for bit:
-    finite wherever its value is, also where a tiny ``alpha`` overflows the
-    VaR and the CVaR.
+    the sample mean.  On the fit and mean of a sample of any magnitude it
+    is ``rho_evt`` of ``estimators.evt_estimate``, bit for bit: finite
+    wherever its value is, also where the VaR and the CVaR overflow, at a
+    tiny ``alpha`` or for parameters near the top of the double range.
 
     Raises
     ------

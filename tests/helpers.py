@@ -82,6 +82,18 @@ def avx512_targets():
             if umath.__cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]
 
 
+def run_without_avx512(targets, code):
+    """Run ``code`` with numpy's AVX-512 ``targets`` switched off
+    (``NPY_DISABLE_CPU_FEATURES``), in a fresh interpreter that turns
+    warnings into errors, has the tests directory on its path, and first
+    checks that each of ``targets`` is off."""
+    child = (f"import sys, numpy\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+             "umath = (getattr(numpy, '_core', None) or numpy.core)._multiarray_umath\n"
+             f"still_on = [f for f in {list(targets)!r} if umath.__cpu_features__[f]]\n"
+             "assert not still_on, still_on\n" + code)
+    return run_python("-W", "error", "-c", child, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+
+
 def run_python(*args, address_space=None, **env_vars):
     """Run a fresh interpreter that imports this checkout's package.
 

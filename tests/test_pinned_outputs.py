@@ -22,7 +22,6 @@ in CHANGES.md.
 """
 
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ import pytest
 import evtrisk
 from evtrisk.cli import main
 from evtrisk.distributions import BLOCK
-from helpers import avx512_targets, run_python, steps_law
+from helpers import avx512_targets, run_without_avx512, steps_law
 
 LAWS = "beta12, exponential1, gumbel, pareto2, tstudent5, uniform01"
 # Lower tails from 1e-300 to 1/2, then their mirrors 1 - p wherever that
@@ -225,19 +224,6 @@ def test_bytes_match_the_record(name, tmp_path, capsys):
         assert hashlib.sha256(data.removesuffix(cut)).hexdigest()[:16] == short
 
 
-# Writes the oracle_sweep record to stdout, after checking that every CPU
-# feature named on the command line is off.
-ORACLE_SWEEP_CHILD = """
-import sys, numpy
-sys.path.insert(0, sys.argv[1])
-from test_pinned_outputs import WRITERS
-umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
-still_on = [f for f in sys.argv[2:] if umath.__cpu_features__[f]]
-assert not still_on, still_on
-sys.stdout.buffer.write(WRITERS["oracle_sweep"](None, None))
-"""
-
-
 def test_oracle_sweep_without_avx512_kernels():
     # The oracle sums its kept draws in ascending order, so the kernel of
     # its partition cannot reorder the sums.  A claim about one machine:
@@ -246,8 +232,8 @@ def test_oracle_sweep_without_avx512_kernels():
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 kernels on this CPU, "
                     "so there is no lower level to compare with")
-    proc = run_python("-W", "error", "-c", ORACLE_SWEEP_CHILD, str(Path(__file__).parent),
-                      *targets, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    proc = run_without_avx512(targets, "from test_pinned_outputs import WRITERS\n"
+                              "sys.stdout.buffer.write(WRITERS['oracle_sweep'](None, None))")
     assert proc.returncode == 0, proc.stderr
     data = proc.stdout.encode("utf-8")
     digest = hashlib.sha256(data).hexdigest()

@@ -1,6 +1,7 @@
 """Tests for the GPD tail model and its closed-form risk functionals."""
 
 import dataclasses
+import decimal
 import math
 import warnings
 
@@ -309,6 +310,19 @@ class TestValueAtRisk:
         p = TailParams(k=2, m=3, gamma=gamma, threshold=1e308, scale=1e308)
         assert (value_at_risk(p, alpha), cvar(p, alpha)) == (math.inf, math.inf)
         assert extremal_semideviation(p, alpha, 0.0) >= 0.0
+
+    def test_rho_past_2_to_the_400_matches_exact_arithmetic(self):
+        # Parameters near the top of the range are evaluated in units of
+        # 2**e, as a batch row is: the VaR and the CVaR lie beyond the
+        # range, while rho, about 7e10, is finite and accurate.
+        p, alpha = TailParams(k=2, m=3, gamma=0.0, threshold=1e308, scale=1e308), 1e-300
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a, t, s = map(decimal.Decimal, (alpha, p.threshold, p.scale))
+            var = t - s * (p.m * a / p.k).ln()
+            want = a * (var + s)
+        assert (value_at_risk(p, alpha), cvar(p, alpha)) == (math.inf, math.inf)
+        assert extremal_semideviation(p, alpha, 0.0) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestCvar:
