@@ -16,6 +16,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -237,7 +238,8 @@ def _column_seeds(heads: np.ndarray, m: int, trials: int) -> np.ndarray:
     return _fold(_fold(heads, np.uint64(m))[:, None], np.arange(trials, dtype=np.uint64))
 
 
-def _run_column(args) -> list[SeriesSummary]:
+def _run_column(config: ExperimentConfig, truths: tuple, heads: np.ndarray,
+                m: int) -> list[SeriesSummary]:
     """Worker body: every law's trials at one sample size ``m``.
 
     The column's rows run law-major, in ``config.distributions`` order,
@@ -249,7 +251,6 @@ def _run_column(args) -> list[SeriesSummary]:
     change no bit of a cell.  ``heads`` holds each law's
     ``derive_seed(master_seed, name)`` (see :func:`_column_seeds`).
     """
-    config, m, truths, heads = args
     names, trials = config.distributions, config.trials
     seeds = _column_seeds(heads, m, trials).ravel()
     typ, evt, valid = np.empty(seeds.size), np.empty(seeds.size), np.empty(seeds.size, bool)
@@ -292,15 +293,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSum
                    for name in config.distributions)
     heads = np.array([derive_seed(config.master_seed, name) for name in config.distributions],
                      dtype=np.uint64)
-    columns = [(config, m, truths, heads) for m in config.m_values]
-    workers = min(workers, len(columns), os.cpu_count() or 1)
+    column = partial(_run_column, config, truths, heads)
+    workers = min(workers, len(config.m_values), os.cpu_count() or 1)
     if workers <= 1:
         # In this thread, whose kept workspace then serves later runs too.
-        results = map(_run_column, columns)
+        results = map(column, config.m_values)
     else:
         # Imported here: it loads logging, which a one-worker run never needs.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_column, columns))
-    return sorted((s for column in results for s in column), key=lambda s: (s.dist, s.m))
+            results = list(pool.map(column, config.m_values))
+    return sorted((s for cells in results for s in cells), key=lambda s: (s.dist, s.m))

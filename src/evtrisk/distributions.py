@@ -39,18 +39,19 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 #   whatever the law, so a tile's hash planes, uniforms and output stay
 #   within a core's L2 (Student-t, with four planes of uniforms, touches
 #   about 0.9 MiB, a one-word law about 0.4 MiB); the Monte Carlo oracle
-#   fills blocks of ``BLOCK`` values in its kept buffer;
+#   draws, sums and filters such tiles in its kept buffer, and its blocks
+#   of ``BLOCK`` values are only the unit of its running sum;
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
 # Every tile- and pass-sized scratch array comes from one owner,
 # ``_workspace``, which keeps one set of ``BLOCK``-value buffers per
 # thread from call to call: a draw hashes in its two uint64 planes and
-# writes its values in place, so no draw (a sample's tile, and so an
-# oracle block or a trial, or a grid pass) allocates scratch of that
-# size, and glibc never maps or unmaps one.  Tiles and rows are whole
-# values, so a Student-t group never straddles a cut.  The grid stays on
-# the value rule because the word rule measured no faster there.
+# writes its values in place, so no draw (a sample's tile, an oracle's
+# tile, a trial or a grid pass) allocates scratch of that size, and
+# glibc never maps or unmaps one.  Tiles and rows are whole values, so a
+# Student-t group never straddles a cut.  The grid stays on the value
+# rule because the word rule measured no faster there.
 BLOCK = 2**16
 
 
@@ -66,7 +67,7 @@ def _workspace(size: int) -> tuple[np.ndarray, tuple]:
     Each thread allocates one workspace of ``BLOCK`` values, which holds
     every tile of :meth:`Distribution.sample` and every grid pass of ``m
     <= BLOCK`` (see ``BLOCK``), on its first draw, and keeps it for every
-    later draw: samples, the Monte Carlo oracle's blocks, trials and grid
+    later draw: samples, the Monte Carlo oracle's tiles, trials and grid
     runs alike.  Draws that allocate and free their arrays make glibc map
     and unmap them, with a zeroing and a page fault a page, or keep them
     only as its dynamic mmap threshold happens to allow.  A grid pass of

@@ -34,7 +34,7 @@ from .fitting import (
     _sort_rows,
     fit_rows,
 )
-from .rng import RandomStream, _inside, _integer, _level
+from .rng import _TILE, RandomStream, _inside, _integer, _level
 from .tail_model import (
     GAMMA_NEAR_ZERO,
     TailParams,
@@ -240,26 +240,28 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     of the same draw, and averages ``max(y - mean, 0)`` over the samples
     at or above ``v``.
 
-    The draw is one streaming pass of blocks of at most ``BLOCK`` values;
-    blocks splice exactly, so the draws and the stream's final counter are
-    those of ``dist.sample(n, stream)``.  The summand is zero below ``v``,
-    the ``top``-th largest draw, so the pass keeps only the running sum and
-    the draws at or above a cut, in one buffer.  Each block is drawn
-    straight into the buffer's free tail (tile by tile, in the thread's
-    kept workspace, ``distributions._workspace``), summed there, and its
-    draws below the cut are squeezed out in place; a block whose draws all
-    survive does not move.  Whenever the kept set reaches ``2 * top +
-    BLOCK`` values, the cut rises to its ``top``-th largest value and what
-    falls below it is dropped, again in place.  That value is the
-    ``top``-th largest of a prefix of the draw, so the cut never exceeds
-    ``v``, and values equal to the cut are kept: every draw at or above
-    ``v``, ties at ``v`` included, survives to the end.
+    The draw is one streaming pass of tiles of at most ``rng._TILE``
+    values; tiles splice exactly, so the draws and the stream's final
+    counter are those of ``dist.sample(n, stream)``.  The summand is zero
+    below ``v``, the ``top``-th largest draw, so the pass keeps only the
+    running sum and the draws at or above a cut, in one buffer.  Each
+    tile is drawn straight into the buffer's free tail
+    (``Distribution._fill``, in the thread's kept workspace), summed
+    there, and its draws below the cut are squeezed out in place; a tile
+    whose draws all survive does not move.  Whenever the kept set reaches
+    ``2 * top + _TILE`` values, the cut rises to its ``top``-th largest
+    value and what falls below it is dropped, again in place.  That value
+    is the ``top``-th largest of a prefix of the draw, so the cut never
+    exceeds ``v``, and values equal to the cut are kept: every draw at or
+    above ``v``, ties at ``v`` included, survives to the end.  The running
+    sum adds ``np.add.reduce`` of each ``BLOCK`` of draws, rebuilt bit for
+    bit from its tiles' sums (:func:`_pairwise_sum`).
 
-    Memory is the kept buffer, ``min(n, 2 * top + 2 * BLOCK)`` values for a
-    law without atoms, plus the workspace and transients of at most one
-    block (its mask, and its survivors with their indices); draws tied at
-    the cut are all kept, so an atom at ``v`` adds its count, and the buffer
-    grows when they outgrow it.
+    Memory is the kept buffer, ``min(n, 2 * top + 2 * _TILE)`` values for
+    a law without atoms, plus the workspace and the transients of at most
+    one tile (its mask and its survivors); draws tied at the cut are all
+    kept, so an atom at ``v`` adds its count, and the buffer grows when
+    they outgrow it.
 
     Returns
     -------
@@ -272,23 +274,31 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     n = _integer("n", n, 10_000)
     _level("alpha", alpha)
     top = _floor_scaled(alpha * n) + 1      # v is the top-th largest
-    total, cut, size = 0.0, -np.inf, 0
-    kept = np.empty(min(n, 2 * top + 2 * BLOCK))
-    for start in range(0, n, BLOCK):
-        block = min(BLOCK, n - start)
-        if size + block > kept.size:        # only with ties at the cut
-            kept = np.resize(kept, 2 * (size + block))
-        y = kept[size:size + block]
+    cut, size = -np.inf, 0
+    kept = np.empty(min(n, 2 * top + 2 * _TILE))
+
+    def tile(count: int) -> float:
+        # The next count draws, into the free tail: their sum, and those
+        # at or above the cut kept.
+        nonlocal kept, cut, size
+        if size + count > kept.size:        # only with ties at the cut
+            kept = np.resize(kept, 2 * (size + count))
+        y = kept[size:size + count]
         dist._fill(y, stream)
-        total += np.add.reduce(y)
+        tile_sum = np.add.reduce(y)
         keep = y >= cut
-        count = np.count_nonzero(keep)
-        if count < block:
+        survivors = np.count_nonzero(keep)
+        if survivors < count:
             # compress, not a mask index, which branches on every value.
-            y[:count] = np.compress(keep, y)
-        size += count
-        if size >= 2 * top + BLOCK:
+            y[:survivors] = np.compress(keep, y)
+        size += survivors
+        if size >= 2 * top + _TILE:
             cut, size = _raise_cut(kept, size, top)
+        return tile_sum
+
+    total = 0.0
+    for start in range(0, n, BLOCK):
+        total += _pairwise_sum(tile, min(BLOCK, n - start))
     _, size = _raise_cut(kept, size, top)       # the cut is now v
     s = kept[:size]
     # Summed in ascending order, which the values alone fix: the partition
@@ -302,6 +312,22 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     s *= s
     variance = (np.add.reduce(s) + (n - size) * estimate**2) / (n - 1)
     return float(estimate), float(np.sqrt(variance) / np.sqrt(n))
+
+
+def _pairwise_sum(leaf, n: int) -> float:
+    """``np.add.reduce`` of ``n`` contiguous float64 values, bit for bit,
+    from ``leaf(count)``, the ``np.add.reduce`` of the next ``count <=
+    rng._TILE`` of them, called in order.
+
+    numpy sums a contiguous array pairwise: it halves it at ``n // 2``
+    rounded down to a multiple of 8, and adds the halves' sums, until a
+    piece holds at most 128 values.  The same halvings, stopped at pieces
+    of at most ``_TILE`` values, and the same additions give the same bits.
+    """
+    if n <= _TILE:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf, half) + _pairwise_sum(leaf, n - half)
 
 
 def _raise_cut(kept: np.ndarray, size: int, top: int) -> tuple[float, int]:

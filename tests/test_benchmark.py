@@ -479,7 +479,7 @@ class TestCellMemory:
         distributions._KEPT.__dict__.clear()
         tracemalloc.start()
         try:
-            benchmark._run_column((cfg, m, truths, heads))
+            benchmark._run_column(cfg, truths, heads, m)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -35,8 +35,9 @@ from evtrisk import (
 )
 from evtrisk.cli import main
 from evtrisk.distributions import BLOCK, DISTRIBUTIONS
-from evtrisk.estimators import AssumptionChecks, EstimateReport, estimate_rows
+from evtrisk.estimators import AssumptionChecks, EstimateReport, _pairwise_sum, estimate_rows
 from evtrisk.fitting import _ceil_scaled, _fit_error, _floor_scaled, fit_rows, pwm_fit, select_threshold
+from evtrisk.rng import _TILE
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
 from helpers import (
     avx512_targets,
@@ -688,31 +689,63 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_peak_memory_blocks_plus_tail(self, name):
-        # A kept set of at most 2 * (alpha * n + BLOCK) values, into which
-        # each block is drawn, and one block's transients: a sample tile's
-        # counters, the block's mask and its survivors, together at most
-        # 2 * BLOCK values; nothing grows with n itself.  The tile's planes
-        # are the thread's kept workspace, allocated once, by its first draw.
-        dist = get_distribution(name)
+        # A kept set of at most 2 * (alpha * n + _TILE) values, into which
+        # each tile is drawn, and one tile's transients: its mask and its
+        # survivors, 9 bytes a value; nothing grows with n itself.  The
+        # tile's planes are the thread's kept workspace, allocated once, by
+        # its first draw, as is at most one tile's ramp for a stride no
+        # earlier draw used.  0.47 MiB measured; a free tail of 2 * BLOCK
+        # values would peak at 1.33 MiB and fail.
+        dist, alpha, n = get_distribution(name), 0.01, 10**6
+        kept = 8 * min(n, 2 * (_floor_scaled(alpha * n) + 1) + 2 * _TILE)
         cold, peak, workspace = traced_peaks(
-            lambda: monte_carlo_semideviation(dist, 0.01, 10**6, RandomStream(5)))
-        assert peak <= 4 * 8 * BLOCK + 2 * 8 * 0.01 * 10**6, peak / (8 * BLOCK)
-        assert cold - peak <= workspace + 2**12, (cold - peak) / (8 * BLOCK)
+            lambda: monte_carlo_semideviation(dist, alpha, n, RandomStream(5)))
+        assert peak <= kept + 9 * _TILE + 2**12, peak / kept
+        assert cold - peak <= workspace + 8 * _TILE + 2**12, (cold - peak) / (8 * BLOCK)
         # Ten times the draws at the same alpha * n: the same peak.
         assert self.traced_peak(dist, 0.001, 10**7) <= 1.1 * peak
 
     @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
     def test_peak_memory_is_the_kept_buffer(self, name):
-        # Blocks are drawn, filtered and cut in the kept buffer itself, so a
-        # warm call's peak is that buffer plus one block's transients: about
-        # 1.14 times the buffer at alpha = 0.2.  Drawing each block into an
-        # array of its own and copying what a raise of the cut keeps reads
-        # 1.62.
+        # Tiles are drawn, filtered and cut in the kept buffer itself, so a
+        # warm call's peak is that buffer plus one tile's transients: about
+        # 1.07 times the buffer at alpha = 0.2.  Drawing each block of BLOCK
+        # values into an array of its own and copying what a raise of the
+        # cut keeps read 1.62.
         dist, alpha, n = get_distribution(name), 0.2, 10**6
-        kept = 8 * min(n, 2 * (_floor_scaled(alpha * n) + 1) + 2 * BLOCK)
+        kept = 8 * min(n, 2 * (_floor_scaled(alpha * n) + 1) + 2 * _TILE)
         _, peak, _ = traced_peaks(
             lambda: monte_carlo_semideviation(dist, alpha, n, RandomStream(5)))
         assert peak <= 1.25 * kept, peak / kept
+
+
+class TestTileSums:
+    """The oracle's running sum is ``np.add.reduce`` of each ``BLOCK`` of
+    draws, rebuilt from the sums of its tiles."""
+
+    @pytest.mark.parametrize("n", [1, 128, 129, _TILE - 1, _TILE, _TILE + 1, 16_960, 32_776,
+                                   BLOCK - 1, BLOCK])
+    def test_rebuilt_sum_is_add_reduce(self, n):
+        # Student-t(5) draws of eight streams: a tree that splits one
+        # piece elsewhere moves the last bit of most of them (16,960 is the
+        # last block at n = 10**6).
+        tstudent5 = get_distribution("tstudent5")
+        for seed in range(8):
+            y = tstudent5.sample(n, RandomStream(seed))
+            counts = []
+
+            def leaf(count):
+                first = sum(counts)
+                counts.append(count)
+                return np.add.reduce(y[first:first + count])
+
+            got = _pairwise_sum(leaf, n)
+            assert sum(counts) == n and max(counts) <= _TILE
+            want = np.add.reduce(y)
+            assert np.float64(got).tobytes() == want.tobytes(), (
+                f"n = {n}, seed {seed}: tiles rebuild {got!r}, np.add.reduce gives "
+                f"{want!r}; numpy {np.__version__} no longer sums a contiguous array "
+                "in the pairwise tree that _pairwise_sum follows")
 
 
 class TestQuadratureOracle:
