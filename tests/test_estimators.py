@@ -37,7 +37,7 @@ from evtrisk.cli import main
 from evtrisk.distributions import BLOCK, DISTRIBUTIONS
 from evtrisk.estimators import AssumptionChecks, EstimateReport, _pairwise_sum, estimate_rows
 from evtrisk.fitting import _ceil_scaled, _fit_error, _floor_scaled, fit_rows, pwm_fit, select_threshold
-from evtrisk.rng import _TILE
+from evtrisk.rng import _RAMPS, _TILE
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
 from helpers import (
     avx512_targets,
@@ -693,15 +693,18 @@ class TestMonteCarloOracle:
         # each tile is drawn, and one tile's transients: its mask and its
         # survivors, 9 bytes a value; nothing grows with n itself.  The
         # tile's planes are the thread's kept workspace, allocated once, by
-        # its first draw, as is at most one tile's ramp for a stride no
-        # earlier draw used.  0.47 MiB measured; a free tail of 2 * BLOCK
-        # values would peak at 1.33 MiB and fail.
+        # its first draw, as are the ramps of strides no earlier draw used
+        # (all threads keep those), and the first call keeps nothing else.
+        # 0.47 MiB measured; a free tail of 2 * BLOCK values would peak at
+        # 1.33 MiB and fail.
         dist, alpha, n = get_distribution(name), 0.01, 10**6
         kept = 8 * min(n, 2 * (_floor_scaled(alpha * n) + 1) + 2 * _TILE)
+        ramps_before = dict(_RAMPS)
         cold, peak, workspace = traced_peaks(
             lambda: monte_carlo_semideviation(dist, alpha, n, RandomStream(5)))
+        ramps = sum(r.nbytes for s, r in _RAMPS.items() if ramps_before.get(s) is not r)
         assert peak <= kept + 9 * _TILE + 2**12, peak / kept
-        assert cold - peak <= workspace + 8 * _TILE + 2**12, (cold - peak) / (8 * BLOCK)
+        assert cold - peak <= workspace + ramps + 2**12, (cold - peak) / (8 * BLOCK)
         # Ten times the draws at the same alpha * n: the same peak.
         assert self.traced_peak(dist, 0.001, 10**7) <= 1.1 * peak
 
