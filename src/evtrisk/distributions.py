@@ -39,11 +39,11 @@ _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 #   whatever the law, so a tile's hash planes, uniforms and output stay
 #   within a core's L2 (Student-t, with four planes of uniforms, touches
 #   about 0.9 MiB, a one-word law about 0.4 MiB); the Monte Carlo oracle
-#   draws, sums and filters such tiles in its kept buffer, and its blocks
-#   of ``BLOCK`` values are only the unit of its running sum;
+#   draws, sums and filters such tiles in its kept buffer, one at a time;
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
+# So ``BLOCK`` has two uses, the grid's passes and the workspace's size.
 # Every tile- and pass-sized scratch array comes from one owner,
 # ``_workspace``, which keeps one set of ``BLOCK``-value buffers per
 # thread from call to call: a draw hashes in its two uint64 planes and

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import BLOCK, Distribution
+from .distributions import Distribution
 from .fitting import (
     RowFits,
     SortedSample,
@@ -254,8 +254,8 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     is the ``top``-th largest of a prefix of the draw, so the cut never
     exceeds ``v``, and values equal to the cut are kept: every draw at or
     above ``v``, ties at ``v`` included, survives to the end.  The running
-    sum adds ``np.add.reduce`` of each ``BLOCK`` of draws, rebuilt bit for
-    bit from its tiles' sums (:func:`_pairwise_sum`).
+    sum adds ``np.add.reduce`` of each tile, so ``_TILE`` is the one unit
+    of both the draw and the sum.
 
     Memory is the kept buffer, ``min(n, 2 * top + 2 * _TILE)`` values for
     a law without atoms, plus the workspace and the transients of at most
@@ -274,18 +274,17 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     n = _integer("n", n, 10_000)
     _level("alpha", alpha)
     top = _floor_scaled(alpha * n) + 1      # v is the top-th largest
-    cut, size = -np.inf, 0
+    cut, size, total = -np.inf, 0, 0.0
     kept = np.empty(min(n, 2 * top + 2 * _TILE))
-
-    def tile(count: int) -> float:
-        # The next count draws, into the free tail: their sum, and those
-        # at or above the cut kept.
-        nonlocal kept, cut, size
+    for start in range(0, n, _TILE):
+        # The next tile, into the free tail: its sum, and the draws at or
+        # above the cut kept.
+        count = min(_TILE, n - start)
         if size + count > kept.size:        # only with ties at the cut
             kept = np.resize(kept, 2 * (size + count))
         y = kept[size:size + count]
         dist._fill(y, stream)
-        tile_sum = np.add.reduce(y)
+        total += np.add.reduce(y)
         keep = y >= cut
         survivors = np.count_nonzero(keep)
         if survivors < count:
@@ -294,11 +293,6 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
         size += survivors
         if size >= 2 * top + _TILE:
             cut, size = _raise_cut(kept, size, top)
-        return tile_sum
-
-    total = 0.0
-    for start in range(0, n, BLOCK):
-        total += _pairwise_sum(tile, min(BLOCK, n - start))
     _, size = _raise_cut(kept, size, top)       # the cut is now v
     s = kept[:size]
     # Summed in ascending order, which the values alone fix: the partition
@@ -312,22 +306,6 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
     s *= s
     variance = (np.add.reduce(s) + (n - size) * estimate**2) / (n - 1)
     return float(estimate), float(np.sqrt(variance) / np.sqrt(n))
-
-
-def _pairwise_sum(leaf, n: int) -> float:
-    """``np.add.reduce`` of ``n`` contiguous float64 values, bit for bit,
-    from ``leaf(count)``, the ``np.add.reduce`` of the next ``count <=
-    rng._TILE`` of them, called in order.
-
-    numpy sums a contiguous array pairwise: it halves it at ``n // 2``
-    rounded down to a multiple of 8, and adds the halves' sums, until a
-    piece holds at most 128 values.  The same halvings, stopped at pieces
-    of at most ``_TILE`` values, and the same additions give the same bits.
-    """
-    if n <= _TILE:
-        return leaf(n)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(leaf, half) + _pairwise_sum(leaf, n - half)
 
 
 def _raise_cut(kept: np.ndarray, size: int, top: int) -> tuple[float, int]:

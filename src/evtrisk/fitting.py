@@ -185,7 +185,10 @@ def _pwm(excess_desc: np.ndarray):
     q_mom = np.add.reduce(_weights(k) * excess, axis=-1) / k
     denom = p_mom - 2.0 * q_mom
     scale = 2.0 * p_mom * q_mom / denom
-    return (p_mom - 4.0 * q_mom) / denom, scale if e is None else np.ldexp(scale, e)
+    if e is not None:
+        with np.errstate(over="ignore"):    # a scale past the range is inf, a failed fit
+            scale = np.ldexp(scale, e)
+    return (p_mom - 4.0 * q_mom) / denom, scale
 
 
 @dataclass(frozen=True)

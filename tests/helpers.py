@@ -82,6 +82,17 @@ def avx512_targets():
             if umath.__cpu_features__.get(t) and ("AVX512" in t or t == "X86_V4")]
 
 
+def x86_v3_targets():
+    """:func:`avx512_targets` and numpy's ``X86_V3`` target (AVX2 and FMA3)
+    where it is on for this CPU: switched off together, they leave numpy
+    at its baseline, X86_V2 in numpy 2's default build.  Empty where numpy
+    dispatches neither."""
+    # numpy's runtime CPU tables (numpy 1.x keeps them under numpy.core).
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(t) and ("AVX512" in t or t in ("X86_V3", "X86_V4"))]
+
+
 def run_without_avx512(targets, code):
     """Run ``code`` with numpy's AVX-512 ``targets`` switched off
     (``NPY_DISABLE_CPU_FEATURES``), in a fresh interpreter that turns

@@ -18,6 +18,7 @@ from evtrisk import (
     RandomStream,
     TailParams,
     cvar,
+    derive_seed,
     extremal_semideviation,
     get_distribution,
     monte_carlo_semideviation,
@@ -83,8 +84,10 @@ def test_criterion_03_monte_carlo_oracle_agrees_with_analytic():
     zs = {}
     for name in ALL_NAMES:
         dist = get_distribution(name)
+        # A pure function of the law, the same in every process (str's
+        # hash is salted per process), among the 97 seeds 1000..1096.
         est, se = monte_carlo_semideviation(dist, 0.01, 4_000_000,
-                                            RandomStream(1_000 + hash(name) % 97))
+                                            RandomStream(1_000 + derive_seed(name) % 97))
         want = dist.extremal_semideviation(0.01)
         zs[name] = (est - want) / se
         assert abs(est - want) <= 3.0 * se, (name, est, want, se)

@@ -376,6 +376,15 @@ class TestEstimateCommand:
         assert code != 0
         assert "no strict exceedances" in err
 
+    def test_scale_past_the_range_exit_code(self, tmp_path, capsys):
+        # A fit error and no overflow warning, which under -W error (as in
+        # this suite) would end the command in a traceback.
+        path = tmp_path / "top.csv"
+        path.write_text("0\n" * 27 + "1.5e308\n1.49e308\n1.48e308\n")
+        code, _, err = run_cli(capsys, "estimate", "--input", str(path))
+        assert code == 1
+        assert err.startswith("evtrisk: fit error: the fitted scale is inf: ")
+
     def test_large_alpha_flags(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
         path = tmp_path / "d.csv"

@@ -14,7 +14,11 @@ line, its line ending included.  They only serve a failure's message,
 which names the first line whose fingerprint differs (a changed line
 keeps its fingerprint by chance once in 65,536, and then a later line is
 named), the numpy version and the CPU features numpy dispatches to, so a
-failure on another CPU can be read rather than guessed at.
+failure on another CPU can be read rather than guessed at.  Where moving
+one or two of that line's floats (those printed as their ``repr``) by at
+most a few ulps gives back its recorded fingerprint, the message lists
+each such field as recorded value, new value and distance in ulps: a
+kernel difference reads as 1-2 ulps, and a logic change as no match.
 
 The digests were recorded by hand, and no script writes them.  A change
 that moves an output edits its literal and lists the old and new digests
@@ -22,6 +26,9 @@ in CHANGES.md.
 """
 
 import hashlib
+import itertools
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -57,11 +64,11 @@ PINNED = {
         "f0d76c5c5e7e0525528b5bd936d0f97184d5922828aeaab30ef3f84388a5969e",
         "a6fb 3ea2 d3d1 b7da ee0d 7f46 3320 21d6 412c"),
     "oracle_sweep": (
-        "ab38d1a9307ec33015b7ce3289f98004ea9af0e6b7b86f368ae0f523aa827c6b",
-        "f1da ef1f a239 efec a2a9 bce2 1c82 9768 be98 ac17 e064 6a08 a0f7 ab29 "
-        "16b7 03ce 5472 662a efee 3c91 e2f1 b8a9 2c06 bc23 d888 cb3e 8800 9878 "
-        "bdc2 48cc 139e e0a6 b41b f206 7084 db75 8f38 d680 8202 0e04 13fd a465 "
-        "a855 b03e cd86 4323 6fc9 83dd 5569 2115 cf2a 8662 f1d6 7d4a 99fa bd55 "
+        "c599d1cf1a396460ab8a29042d5eab56308026e6af94a0c74ac3e4dceed822d1",
+        "f1da ef1f 4000 efec a2a9 7c0a 1c82 9768 7b92 ac17 e064 1373 a0f7 ab29 "
+        "a086 03ce 5472 b77b efee 59ae e2f1 b8a9 2c06 bc23 d888 3ebd 8800 9878 "
+        "bdc2 48cc 139e 181b fb98 f206 7084 f871 8f38 d680 8202 0e04 13fd a465 "
+        "a855 b03e cd86 4323 fbc1 6530 5569 58d0 d1c5 8662 a221 0ca8 99fa bd55 "
         "ebdb 4ade 018a b30e d84f 4839 d511 f9d5 c5e8 bcdb 942a 5bce f310 aa98 "
         "1c18 c2c0"),
     "paper_grid": (
@@ -204,14 +211,65 @@ def numpy_build() -> str:
     return f"numpy {np.__version__}, SIMD features found: {found}"
 
 
+# Floats as repr writes them, e.g. 0.01, -2.5e-05 or 1e-300, kept by split.
+FLOATS = re.compile(rb"(-?\d+(?:\.\d+)?(?:e[-+]\d+)?)")
+ULPS = 3
+
+
+def ordinal(x: float) -> int:
+    """``x``'s place among the doubles, both zeros at 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def from_ordinal(j: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", j if j >= 0 else -j | -2**63))[0]
+
+
+def ulp_moves(line: bytes, fingerprint: str) -> str:
+    """The floats of ``line`` that, moved by at most ``ULPS`` ulps, one or
+    two at a time, give back the recorded ``fingerprint``: each as its
+    recorded value, its value now and their distance in ulps."""
+    pieces = FLOATS.split(line)          # the floats at odd places
+    fields = [i for i in range(1, len(pieces), 2)
+              if not pieces[i].isdigit() and repr(float(pieces[i])).encode() == pieces[i]]
+    steps = [d for d in range(-ULPS, ULPS + 1) if d]
+    guesses = 0
+    for chosen in itertools.chain(itertools.combinations(fields, 1),
+                                  itertools.combinations(fields, 2)):
+        for moves in itertools.product(steps, repeat=len(chosen)):
+            guess = list(pieces)
+            for i, d in zip(chosen, moves):
+                guess[i] = repr(from_ordinal(ordinal(float(pieces[i])) + d)).encode()
+            guesses += 1
+            if fingerprints(b"".join(guess)) == [fingerprint]:
+                return "; ".join(f"recorded {guess[i].decode()}, now {pieces[i].decode()} "
+                                 f"({-d:+d} ulp)" for i, d in zip(chosen, moves)) + (
+                    f" (guess {guesses}; a wrong guess matches once in 65,536)")
+    return (f"no move of one or two of the line's {len(fields)} floats by at most {ULPS} ulps "
+            "gives back the recorded fingerprint, so it is not a last-bits change")
+
+
 def mismatch(name: str, data: bytes, digest: str) -> str:
     got, want = fingerprints(data), PINNED[name][1].split()
     first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
                  min(len(got), len(want)))
     line = data.splitlines(keepends=True)[first] if first < len(got) else b"(none)"
+    moves = ulp_moves(line, want[first]) if first < min(len(got), len(want)) else ""
     return (f"{name}: SHA-256 {digest}, recorded {PINNED[name][0]}; {len(got)} lines, "
             f"recorded {len(want)}; first differing line {first + 1}: {line!r}; "
-            f"{numpy_build()}")
+            f"{moves + '; ' if moves else ''}{numpy_build()}")
+
+
+def test_mismatch_reads_last_bits_in_ulps(tmp_path, capsys):
+    data = WRITERS["truths"](tmp_path, capsys)
+    line = data.splitlines(keepends=True)[1]
+    assert line == b"exponential1 0.04605170185988091\n"
+    moved = data.replace(line, b"exponential1 0.046051701859880924\n")
+    assert "line 2: b'exponential1 0.046051701859880924\\n'; recorded 0.04605170185988091, " \
+           "now 0.046051701859880924 (+2 ulp) (guess 2;" in mismatch("truths", moved, "")
+    changed = data.replace(line, b"exponential1 0.05\n")
+    assert "not a last-bits change" in mismatch("truths", changed, "")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

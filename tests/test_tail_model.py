@@ -281,6 +281,12 @@ class TestValueAtRisk:
         with pytest.raises(ValueError):
             value_at_risk(p, 0.1)
 
+    def test_rejects_alpha_zero(self):
+        p = TailParams(k=10, m=100, gamma=0.3, threshold=4.0, scale=1.0)
+        for form in (value_at_risk, cvar, lambda p, alpha: extremal_semideviation(p, alpha, 4.0)):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, k/m\)"):
+                form(p, 0.0)
+
     def test_level_identity_and_interiority(self):
         # F(VaR) = 1 - alpha to 1e-12 and VaR strictly inside the support.
         rng = np.random.default_rng(11)
