@@ -58,19 +58,20 @@ class ExperimentConfig:
     integers (``operator.index``); a law (by its lower-cased name) and a
     sample size may each appear only once, and the seed lies in ``[0,
     2**64)``, so no two seeds fold to the same trial streams.  ``alpha``
-    lies in (0, 1), where every ground truth
-    (``Distribution.extremal_semideviation``) is finite.  ``trials``
-    defaults to a desk-scale 2,000; raise it to 10,000 to match
-    full-scale runs.  Every ``ValueError`` it raises starts with the name
+    is one number (a 0-d array is one, an array of one entry is not) in
+    (0, 1), where every ground truth (``Distribution.extremal_semideviation``)
+    is finite.  ``trials`` defaults to a desk-scale 2,000; raise it to
+    10,000 to match full-scale runs.  Every ``ValueError`` it raises starts with the name
     of the field at fault, so :func:`~evtrisk.cli.load_config` can name
     that field's line.
 
     The grid runs one sample size at a time, every law's trials in turn,
     and draws and fits ``max(1, BLOCK // m)`` of them per pass
     (``distributions.BLOCK``), so its memory is O(``BLOCK`` + trials ×
-    laws).  One row of ``m`` values is the floor, so a pass needs O(m)
-    memory, and ``m`` has no upper bound.  Each trial costs a fixed
-    number of bytes, which is why ``trials`` has no upper bound either.
+    laws).  One row of ``m`` values is the floor, so a pass of ``m >
+    BLOCK`` needs that row's ``m`` values besides, and ``m`` has no upper
+    bound.  Each trial costs a fixed number of bytes, which is why
+    ``trials`` has no upper bound either.
     """
 
     distributions: tuple[str, ...]
@@ -245,17 +246,20 @@ def _run_column(config: ExperimentConfig, truths: tuple, heads: np.ndarray,
     The column's rows run law-major, in ``config.distributions`` order,
     as array passes of ``max(1, BLOCK // m)`` rows (see
     ``distributions.BLOCK``).  A pass may straddle laws: each law draws
-    its own rows straight into the pass's one matrix, and
-    ``estimate_rows`` sorts and fits it in place, once.  Every row is a
-    pure function of its seed, so the pass size and the neighbouring laws
-    change no bit of a cell.  ``heads`` holds each law's
+    its own rows straight into the pass's one matrix, the thread's kept
+    pass plane (a row of ``m > BLOCK`` values gets a plane of its own),
+    and ``estimate_rows`` sorts and fits it in place, once.  Every row is
+    a pure function of its seed, so the pass size and the neighbouring
+    laws change no bit of a cell.  ``heads`` holds each law's
     ``derive_seed(master_seed, name)`` (see :func:`_column_seeds`).
     """
     names, trials = config.distributions, config.trials
     seeds = _column_seeds(heads, m, trials).ravel()
     typ, evt, valid = np.empty(seeds.size), np.empty(seeds.size), np.empty(seeds.size, bool)
     rows = max(1, BLOCK // m)
-    plane, scratch = _workspace(min(rows, seeds.size) * m)
+    plane, scratch = _workspace()
+    if m > BLOCK:
+        plane = np.empty(m)     # one row, past the kept plane
     for start in range(0, seeds.size, rows):
         stop = min(start + rows, seeds.size)
         matrix = plane[:(stop - start) * m].reshape(stop - start, m)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import _TILE, RandomStream, _integer, _level, _like, uniform_planes
+from .rng import RandomStream, _integer, _level, _like, uniform_planes
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -35,55 +35,54 @@ EULER_GAMMA = float(np.euler_gamma)
 _T5_COEF = float(8.0 / (3.0 * np.pi * np.sqrt(5.0)))
 
 # The size of a pass over draws, under two rules:
-# - a sample is filled in tiles of ``rng._TILE = BLOCK // 4`` values,
-#   whatever the law, so a tile's hash planes, uniforms and output stay
-#   within a core's L2 (Student-t, with four planes of uniforms, touches
-#   about 0.9 MiB, a one-word law about 0.4 MiB); the Monte Carlo oracle
-#   draws, sums and filters such tiles in its kept buffer, one at a time;
+# - every draw (``Distribution._draw``) cuts each row into tiles of
+#   ``_TILE = BLOCK // 4`` values, whatever the law, so a one-row tile's
+#   hash planes, uniforms and output stay within a core's L2 (Student-t,
+#   with four planes of uniforms, touches about 0.9 MiB, a one-word law
+#   about 0.4 MiB); the Monte Carlo oracle draws, sums and filters such
+#   tiles in its kept buffer, one at a time;
 # - the grid draws ``BLOCK // m`` rows of ``m`` values (at least one)
 #   per pass, whatever the law: one sample size at a time, every law's
 #   trials in turn, so a pass may hold rows of two or more laws.
-# So ``BLOCK`` has two uses, the grid's passes and the workspace's size.
-# Every tile- and pass-sized scratch array comes from one owner,
+# So a tile of a pass, ``rows * min(m, _TILE)`` values, never exceeds
+# ``BLOCK``, and every draw's scratch comes from one owner,
 # ``_workspace``, which keeps one set of ``BLOCK``-value buffers per
 # thread from call to call: a draw hashes in its two uint64 planes and
-# writes its values in place, so no draw (a sample's tile, an oracle's
-# tile, a trial or a grid pass) allocates scratch of that size, and
-# glibc never maps or unmaps one.  Tiles and rows are whole values, so a
-# Student-t group never straddles a cut.  The grid stays on the value
-# rule because the word rule measured no faster there.
+# writes its values in place, so no draw (a sample, an oracle's tile, a
+# trial or a grid pass) allocates scratch of that size, and glibc never
+# maps or unmaps one.  Tiles and rows are whole values, so a Student-t
+# group never straddles a cut.  The grid stays on the value rule because
+# the word rule measured no faster there.
 BLOCK = 2**16
+_TILE = BLOCK // 4
 
 
 # Each thread's workspace, kept from call to call (see _workspace).
 _KEPT = threading.local()
 
 
-def _workspace(size: int) -> tuple[np.ndarray, tuple]:
-    """The buffers of a draw of at most ``size`` values: a pass plane,
+def _workspace() -> tuple[np.ndarray, tuple]:
+    """This thread's kept buffers, ``BLOCK`` values each: a pass plane,
     which the grid shapes into its pass matrix, and a draw scratch that
     any law's :meth:`Distribution._draw` takes as it is.
 
-    Each thread allocates one workspace of ``BLOCK`` values, which holds
-    every tile of :meth:`Distribution.sample` and every grid pass of ``m
-    <= BLOCK`` (see ``BLOCK``), on its first draw, and keeps it for every
-    later draw: samples, the Monte Carlo oracle's tiles, trials and grid
-    runs alike.  Draws that allocate and free their arrays make glibc map
+    Each thread allocates its workspace on its first draw and keeps it
+    for every later draw: samples, the Monte Carlo oracle's tiles, trials
+    and grid runs alike.  A draw needs scratch for one tile, at most
+    ``BLOCK`` values (see ``BLOCK``), so the workspace never grows; only
+    a grid pass of one row of ``m > BLOCK`` values needs a pass plane of
+    its own.  Draws that allocate and free their arrays make glibc map
     and unmap them, with a zeroing and a page fault a page, or keep them
-    only as its dynamic mmap threshold happens to allow.  A grid pass of
-    more than ``BLOCK`` values (one row of ``m > BLOCK``) gets a workspace
-    of its own, not kept.  Every draw overwrites what it reads of the
-    workspace, so no caller sees another's values.
+    only as its dynamic mmap threshold happens to allow.  Every draw
+    overwrites what it reads of the workspace, so no caller sees
+    another's values.
     """
-    # Kept in the thread's attributes; a pass past BLOCK keeps its own in
-    # a throwaway dict, so it is freed with the pass.
-    kept = vars(_KEPT) if size <= BLOCK else {}
+    kept = vars(_KEPT)
     if "workspace" not in kept:
         # Plane 0 is the pass's; the scratch holds the most planes any law
         # draws (Student-t's four) and the hash's two.
-        size = max(size, BLOCK)
-        planes = np.empty((1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values()), size))
-        kept["workspace"] = planes[0], (planes[1:], np.empty((2, size), np.uint64))
+        planes = np.empty((1 + max(len(d._word_offsets) for d in DISTRIBUTIONS.values()), BLOCK))
+        kept["workspace"] = planes[0], (planes[1:], np.empty((2, BLOCK), np.uint64))
     return kept["workspace"]
 
 
@@ -157,53 +156,59 @@ class Distribution:
         5 d.o.f. (see ``_t5_from_uniforms``).  The stream's counter
         advances by six words per value all the same.
 
-        The sample is filled in tiles of ``BLOCK // 4`` (16,384) values,
-        whatever the law, so that a tile's working set stays in L2.  Each
-        tile is hashed and mapped in the thread's kept workspace
-        (:func:`_workspace`) and written in place into its slice of the
-        output, and its counters are one addition of a kept ramp
-        (``rng._ramp``), so a warm call allocates its output and nothing
-        of a tile's size.  The tiles splice exactly: every word
-        is a function of its counter alone, and tiles are whole values, so
-        a Student-t group of six words never straddles a cut.  The values
-        and the stream's counter are those of one pass.  ``n`` must be an
-        integer >= 1 (``operator.index``), else ``ValueError``; it is
-        checked once, and the sample's words are reserved on ``stream`` at
-        once, before any tile is filled.
+        The sample is one :meth:`_draw`, which fills it in tiles of
+        ``_TILE`` (16,384) values, whatever the law, so that a tile's
+        working set stays in L2.  Each tile is hashed and mapped in the
+        thread's kept workspace (:func:`_workspace`) and written in place
+        into its slice of the output, and its counters are one addition of
+        a kept ramp (``rng._ramp``), so a warm call allocates its output
+        and nothing of a tile's size.  The values and the stream's counter
+        are those of one pass.  ``n`` must be an integer >= 1
+        (``operator.index``), else ``ValueError``; it is checked once, and
+        the sample's words are reserved on ``stream`` at once, before any
+        tile is filled.
         """
         return self._fill(np.empty(_integer("n", n, 1)), stream)
 
     def _fill(self, out: np.ndarray, stream: RandomStream) -> np.ndarray:
         """Fill the 1-D array ``out`` with the next ``out.size`` values of
-        ``stream``, tile by tile, as :meth:`sample` does; return ``out``."""
+        ``stream``, as :meth:`sample` does: reserve their words, then one
+        :meth:`_draw` in the thread's kept workspace; return ``out``."""
         first = stream.take(self._words_per_value * out.size)
-        scratch = _workspace(_TILE)[1]
-        for start in range(0, out.size, _TILE):
-            self._draw(stream.seed, first + self._words_per_value * start,
-                       out[start:start + _TILE], scratch)
+        self._draw(stream.seed, first, out, _workspace()[1])
         return out
 
     def _draw(self, seeds, start: int, out: np.ndarray, scratch: tuple) -> None:
         """Fill ``out``, shaped ``np.shape(seeds) + (n,)``, with ``n`` values
         of the stream of each seed (a scalar or an array) from word
-        ``start`` on: the one fetch of this law's uniform planes.
+        ``start`` on: the one fetch of this law's uniform planes, and the
+        one place that cuts a draw into tiles.
 
-        ``scratch`` is ``(planes, words)``, a workspace's scratch (see
-        :func:`_workspace`): the words are hashed in ``words``, two
-        uint64 buffers, and a law with a transform draws its planes into
+        Each row is cut into tiles of ``_TILE`` values, and a tile of every
+        row at once is hashed, mapped and written in place into its slice
+        of ``out``.  The tiles splice exactly: every word is a function of
+        its counter alone, and tiles are whole values, so a Student-t
+        group of six words never straddles a cut.  ``scratch`` is
+        ``(planes, words)``, a workspace's scratch (see
+        :func:`_workspace`): the words are hashed in ``words``, two uint64
+        buffers, and a law with a transform draws its planes into
         ``planes``, one float64 buffer per offset; each buffer holds at
-        least ``out.size`` values, and their contents are overwritten.  A
-        law sampled through its quantile draws its one plane into ``out``
-        and maps it in place.
+        least one tile of every row, ``np.size(seeds) * min(n, _TILE)``
+        values, and their contents are overwritten.  A law sampled through
+        its quantile draws its one plane into ``out`` and maps it in
+        place.
         """
-        u = (out[None] if self._transform is None
-             else _leading(scratch[0][:len(self._word_offsets)], out.shape))
-        uniform_planes(seeds, start, out.shape[-1], self._words_per_value, self._word_offsets,
-                       u, _leading(scratch[1], out.shape))
-        if self._transform is None:
-            self._quantile(out, out=out)
-        else:
-            self._transform(u, out)
+        for c in range(0, out.shape[-1], _TILE):
+            tile = out[..., c:c + _TILE]
+            u = (tile[None] if self._transform is None
+                 else _leading(scratch[0][:len(self._word_offsets)], tile.shape))
+            uniform_planes(seeds, start + self._words_per_value * c, tile.shape[-1],
+                           self._words_per_value, self._word_offsets, u,
+                           _leading(scratch[1], tile.shape))
+            if self._transform is None:
+                self._quantile(tile, out=tile)
+            else:
+                self._transform(u, tile)
 
     def extremal_semideviation(self, alpha: float) -> float:
         """Exact expected exceedance above the mean in the worst alpha fraction.

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import _TILE, Distribution
 from .fitting import (
     RowFits,
     SortedSample,
@@ -34,7 +34,7 @@ from .fitting import (
     _sort_rows,
     fit_rows,
 )
-from .rng import _TILE, RandomStream, _inside, _integer, _level
+from .rng import RandomStream, _inside, _integer, _level
 from .tail_model import (
     GAMMA_NEAR_ZERO,
     TailParams,
@@ -235,20 +235,22 @@ def monte_carlo_semideviation(dist: Distribution, alpha: float, n: int,
                               stream: RandomStream) -> tuple[float, float]:
     """Monte Carlo ground truth for the extremal upper-semideviation.
 
-    Draws ``n`` samples (an integer >= 10^4, else ``ValueError``), plugs
-    in the empirical mean and the empirical ``(1 - alpha)``-quantile ``v``
-    of the same draw, and averages ``max(y - mean, 0)`` over the samples
-    at or above ``v``.
+    Draws ``n`` samples (an integer >= 10^4), plugs in the empirical mean
+    and the empirical ``(1 - alpha)``-quantile ``v`` of the same draw, and
+    averages ``max(y - mean, 0)`` over the samples at or above ``v``.
+    ``alpha`` is one number in (0, 1), not an array of one entry; either
+    argument out of its domain raises ``ValueError``.
 
-    The draw is one streaming pass of tiles of at most ``rng._TILE``
-    values; tiles splice exactly, so the draws and the stream's final
-    counter are those of ``dist.sample(n, stream)``.  The summand is zero
-    below ``v``, the ``top``-th largest draw, so the pass keeps only the
-    running sum and the draws at or above a cut, in one buffer.  Each
-    tile is drawn straight into the buffer's free tail
-    (``Distribution._fill``, in the thread's kept workspace), summed
-    there, and its draws below the cut are squeezed out in place; a tile
-    whose draws all survive does not move.  Whenever the kept set reaches
+    The draw is one streaming pass of tiles of at most ``_TILE`` values,
+    the tile of every draw (``distributions._TILE``); tiles splice
+    exactly, so the draws and the stream's final counter are those of
+    ``dist.sample(n, stream)``.  The summand is zero below ``v``, the
+    ``top``-th largest draw, so the pass keeps only the running sum and
+    the draws at or above a cut, in one buffer.  Each tile is drawn
+    straight into the buffer's free tail (``Distribution._fill``, in the
+    thread's kept workspace), summed there, and its draws below the cut
+    are squeezed out in place; a tile whose draws all survive does not
+    move.  Whenever the kept set reaches
     ``2 * top + _TILE`` values, the cut rises to its ``top``-th largest
     value and what falls below it is dropped, again in place.  That value
     is the ``top``-th largest of a prefix of the draw, so the cut never

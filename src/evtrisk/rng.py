@@ -53,9 +53,11 @@ def _integer(name: str, value, least: int | None = None) -> int:
 def _level(name: str, value) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` lies in the
     open interval (0, 1), as a probability level must; NaN does not, nor
-    does a value that is not one number, such as a string or an array."""
+    does a value that is not one number, such as a string or an array of
+    any size but a 0-d one."""
     try:
-        inside = 0.0 < value < 1.0
+        # A float is one number, and np.ndim costs a microsecond a call.
+        inside = (isinstance(value, float) or np.ndim(value) == 0) and 0.0 < value < 1.0
     except (TypeError, ValueError):
         inside = False
     if not inside:
@@ -132,9 +134,6 @@ def _fold(heads, part) -> np.ndarray:
     return _mix64_array(np.add(heads, _U64_GOLDEN) ^ part)
 
 
-# The longest run of counters built in one step, and so the longest step
-# ramp kept (see _ramp): 2**14 words, one tile of ``Distribution._fill``.
-_TILE = 2**14
 # Per stride, the step ramp of _counter_words; read-only, so threads share it.
 _RAMPS: dict[int, np.ndarray] = {}
 
@@ -142,7 +141,9 @@ _RAMPS: dict[int, np.ndarray] = {}
 def _ramp(stride: int, n: int) -> np.ndarray:
     """``v * stride * GOLDEN`` (mod 2**64) for ``v`` below ``n``: a view of
     the ramp kept for ``stride``, which grows only to the longest ``n``
-    asked so far, so a caller of short counts keeps a short ramp."""
+    asked so far, so a caller of short counts keeps a short ramp, and the
+    draws, which fetch a tile at a time (``Distribution._draw``), keep at
+    most one tile's."""
     ramp = _RAMPS.get(stride)
     if ramp is None or ramp.size < n:
         ramp = np.arange(n, dtype=np.uint64)
@@ -162,16 +163,9 @@ def _counter_words(seeds, first: int, n: int, stride: int, out: np.ndarray,
     ``np.shape(seeds) + (n,)``, and ``out`` is returned.  Word ``v`` is
     hashed from ``seed + (first + 1) * GOLDEN`` plus ``v * stride *
     GOLDEN``, the kept ramp's entry (:func:`_ramp`), so the counters take
-    one addition and no array of their own; a run longer than ``_TILE``
-    is built and hashed as runs of ``_TILE``.
+    one addition and no array of their own.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if n > _TILE:
-        for c in range(0, n, _TILE):
-            _counter_words(seeds, first + stride * c, min(_TILE, n - c), stride,
-                           out[..., c:c + _TILE], scratch[..., c:c + _TILE])
-        return out
-    heads = np.add(seeds, (first + 1) * _GOLDEN & _MASK64)
+    heads = np.add(np.asarray(seeds, dtype=np.uint64), (first + 1) * _GOLDEN & _MASK64)
     np.add(heads[..., None], _ramp(stride, n), out=out)
     return _mix64_array(out, scratch)
 
@@ -184,8 +178,7 @@ def uniform_planes(seeds, start: int, n: int, stride: int, offsets: tuple[int, .
     Plane ``j`` of seed ``s`` holds, at ``v``, element ``stride * v +
     offsets[j]`` of ``RandomStream(s, start).uniform(stride * n)``; the
     planes are written to ``out``, of shape ``(len(offsets),) +
-    np.shape(seeds) + (n,)``, so every plane is contiguous, and ``out`` is
-    returned.  Words at other offsets are never hashed.  A uniform is the
+    np.shape(seeds) + (n,)``, and ``out`` is returned.  Words at other offsets are never hashed.  A uniform is the
     top 53 bits of its word, offset by half an ulp.  The words are hashed
     in ``words``, two uint64 planes of shape ``(2,) + np.shape(seeds) +
     (n,)``, so nothing here allocates an array of a plane's size.  Nothing
@@ -256,9 +249,9 @@ class RandomStream:
     def uniform(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1).
 
-        The draw of the ``uniform01`` law: its tile loop fills the output
-        in the thread's kept workspace, so a warm call allocates the
-        output and nothing of a tile's size.
+        The draw of the ``uniform01`` law (``Distribution._fill``), which
+        fills the output a tile at a time in the thread's kept workspace,
+        so a warm call allocates the output and nothing of a tile's size.
         """
         # Here, not at the top: distributions imports this module.
         from .distributions import UNIFORM01

@@ -296,13 +296,15 @@ def _forms_at(params: TailParams, alpha: float, sample_mean: float = 0.0,
     ``2**e``, ``e`` its binary exponent, as the largest value of a row
     gives a batch's.
 
-    Requires ``0 < alpha < k/m`` (``ValueError``).  A VaR or CVaR whose
-    value lies beyond the double range is ``inf``, without a warning.
+    Requires ``0 < alpha < k/m``, one number, not an array of one entry
+    (``ValueError``).  A VaR or CVaR whose value lies beyond the double
+    range is ``inf``, without a warning.
     Given ``consequence``, a VaR below ``sample_mean`` raises
     :class:`AssumptionViolation` ending in it: the hypothesis of the
     closed form and of every check of it.
     """
-    if not 0.0 < alpha < params.tail_fraction:
+    if not ((isinstance(alpha, float) or np.ndim(alpha) == 0)
+            and 0.0 < alpha < params.tail_fraction):
         raise ValueError(
             f"alpha must be in (0, k/m) = (0, {params.tail_fraction}), got {alpha}"
         )

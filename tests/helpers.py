@@ -47,11 +47,12 @@ def steps_law(levels):
 
 def draw_rows(dist, seeds, n):
     """One row of ``n`` draws of ``dist`` per seed, drawn as a grid pass
-    draws them: through ``Distribution._draw`` into one matrix, with the
-    thread's ``_workspace`` as scratch.  Row ``i`` should be
-    ``dist.sample(n, RandomStream(seeds[i]))``."""
+    draws them: through ``Distribution._draw`` into one matrix, with
+    fresh scratch of the matrix's size, which any number of rows fits.
+    Row ``i`` should be ``dist.sample(n, RandomStream(seeds[i]))``."""
     out = np.empty((len(seeds), n))
-    dist._draw(seeds, 0, out, _workspace(out.size)[1])
+    dist._draw(seeds, 0, out, (np.empty((len(dist._word_offsets),) + out.shape),
+                               np.empty((2,) + out.shape, np.uint64)))
     return out
 
 
@@ -68,7 +69,7 @@ def traced_peaks(call):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    plane, (_, words) = _workspace(1)
+    plane, (_, words) = _workspace()
     return peaks[0], peaks[1], plane.base.nbytes + words.nbytes
 
 

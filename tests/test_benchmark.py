@@ -138,6 +138,7 @@ class TestConfigValidation:
         ("alpha", "0.01", "alpha must be in (0, 1), got '0.01'"),
         ("alpha", None, "alpha must be in (0, 1), got None"),
         ("alpha", np.array([0.01, 0.02]), "alpha must be in (0, 1), got array([0.01, 0.02])"),
+        ("alpha", np.array([0.01]), "alpha must be in (0, 1), got array([0.01])"),
     ])
     def test_rejects_a_law_or_alpha_of_the_wrong_type(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -469,20 +470,28 @@ class TestCellMemory:
     """A column draws BLOCK values per pass, so its peak does not grow with m."""
 
     @staticmethod
-    def peak(laws, m, trials):
+    def column(laws, m, trials):
+        """The column of every law of ``laws`` at ``m``, as a call."""
         cfg = ExperimentConfig(distributions=laws, m_values=(m,), trials=trials)
         # Computed once per law outside the columns, as run_experiment does.
         truths = tuple(ground_truth_value(cfg, get_distribution(name)) for name in laws)
         heads = np.array([derive_seed(cfg.master_seed, name) for name in laws], np.uint64)
-        # Drop the thread's kept workspace, so the column allocates its own
-        # inside the trace and the bound covers it.
-        distributions._KEPT.__dict__.clear()
+        return lambda: benchmark._run_column(cfg, truths, heads, m)
+
+    @staticmethod
+    def traced(call):
         tracemalloc.start()
         try:
-            benchmark._run_column(cfg, truths, heads, m)
+            call()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def peak(self, laws, m, trials):
+        # Drop the thread's kept workspace, so the column allocates its own
+        # inside the trace and the bound covers it.
+        distributions._KEPT.__dict__.clear()
+        return self.traced(self.column(laws, m, trials))
 
     @pytest.mark.parametrize("m", [20, 1_000, 4_000])
     def test_peak_bounded_by_block_and_trials(self, m):
@@ -500,6 +509,32 @@ class TestCellMemory:
         peak = self.peak(laws, m, trials)
         assert peak <= 128 * BLOCK + 64 * trials * len(laws), peak / BLOCK
 
+    def test_row_past_block_takes_one_plane(self, monkeypatch):
+        # A row of m > BLOCK values is drawn into a plane of its own, with
+        # the kept workspace as its tiles' scratch: a warm column peaks at
+        # 9.6 bytes a row value measured (1.26 MB); scratch planes of m
+        # values each, allocated for the pass, would read 57.6 (7.55 MB).
+        m, trials = 2 * BLOCK, 3
+        column = self.column(("tstudent5",), m, trials)
+        column()
+        kept = distributions._workspace()
+        peak = self.traced(column)
+        assert peak < 16 * m, peak / m
+        assert distributions._workspace() is kept
+        rows = []
+
+        def spy(matrix, alpha):
+            rows.append(matrix.copy())
+            return estimate_rows(matrix, alpha)
+
+        monkeypatch.setattr(benchmark, "estimate_rows", spy)
+        column()
+        assert [r.shape for r in rows] == [(1, m)] * trials
+        seed = trial_seed(ExperimentConfig.master_seed, "tstudent5", m, 1)
+        assert rows[1][0].tobytes() == get_distribution("tstudent5").sample(
+            m, RandomStream(seed)).tobytes()
+        assert distributions._workspace() is kept
+
 
 class TestWorkspace:
     """Each thread's kept draw workspace, which samples, oracles and the
@@ -513,7 +548,7 @@ class TestWorkspace:
         # rows of the pass matrix, as a pass that straddles laws draws:
         # no law may leave its values in (or read them from) the planes
         # the next one reuses.
-        plane, scratch = distributions._workspace(BLOCK)
+        plane, scratch = distributions._workspace()
         plane[...] = np.nan
         scratch[0][...] = np.nan
         scratch[1][...] = np.uint64(2**64 - 1)
@@ -532,25 +567,23 @@ class TestWorkspace:
     def test_poisoned_workspace_changes_no_run(self):
         cfg = small_config(distributions=tuple(sorted(DISTRIBUTIONS)), m_values=(20, 57))
         want = list(map(repr, run_experiment(cfg)))
-        plane, (planes, words) = distributions._workspace(BLOCK)
+        plane, (planes, words) = distributions._workspace()
         plane[...] = planes[...] = np.inf
         words[...] = np.uint64(12345)
         assert list(map(repr, run_experiment(cfg))) == want
 
     def test_kept_and_one_row_workspaces(self):
         # One set of five float planes (the pass's and Student-t's four)
-        # and two hash planes, as the grid has always allocated.
-        def shapes(workspace):
-            plane, (planes, words) = workspace
-            assert plane.base is planes.base
-            return [plane.shape, planes.shape, words.shape]
-
-        kept = distributions._workspace(1)
-        assert kept is distributions._workspace(BLOCK)
-        assert shapes(kept) == [(BLOCK,), (4, BLOCK), (2, BLOCK)]
-        big = distributions._workspace(BLOCK + 1)
-        assert shapes(big) == [(BLOCK + 1,), (4, BLOCK + 1), (2, BLOCK + 1)]
-        assert distributions._workspace(BLOCK) is kept
+        # and two hash planes, as the grid has always allocated, of one
+        # size: a draw needs scratch for one tile of its rows, and a row
+        # past BLOCK takes a pass plane of its own.
+        kept = distributions._workspace()
+        plane, (planes, words) = kept
+        assert plane.base is planes.base
+        assert [plane.shape, planes.shape, words.shape] == [(BLOCK,), (4, BLOCK), (2, BLOCK)]
+        run_experiment(small_config(distributions=("tstudent5",), m_values=(BLOCK + 1,),
+                                    trials=2))
+        assert distributions._workspace() is kept
 
     def test_pool_threads_under_stress(self, monkeypatch):
         # A pool of more threads than cores, switching every microsecond,
@@ -617,12 +650,12 @@ class TestWorkspace:
             start.wait()
             for attempt in range(3):
                 got[i, attempt] = session()
-            workspaces[i] = distributions._workspace(1)
+            workspaces[i] = distributions._workspace()
 
         for thread in [in_thread(run, i) for i in range(2)]:
             join(thread)
         assert len(got) == 6 and all(out == want["bytes"] for out in got.values())
-        mine = distributions._workspace(1)
+        mine = distributions._workspace()
         assert len({id(w[0]) for w in (mine, *workspaces.values())}) == 3
         for stride, ramp in _RAMPS.items():
             step = np.uint64(stride * _GOLDEN & _MASK64)

@@ -16,8 +16,8 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from evtrisk import DISTRIBUTIONS, RandomStream, derive_seed, get_distribution
-from evtrisk.distributions import BLOCK, _T5_COEF
-from evtrisk.rng import _TILE
+from evtrisk.distributions import _T5_COEF, _TILE, BLOCK, _workspace
+from evtrisk.rng import uniform_planes
 from helpers import draw_rows, traced_peaks
 
 ALL_NAMES = sorted(DISTRIBUTIONS)
@@ -407,6 +407,55 @@ class TestBlockedSampling:
             lambda: get_distribution(name).sample(n, RandomStream(5)))
         assert warm - 8 * n <= 2**12, warm - 8 * n
         assert cold - warm <= workspace + 8 * _TILE + 2**12, (cold - warm) / (8 * BLOCK)
+
+
+class TestTiledDraw:
+    """``Distribution._draw`` is the one place that cuts a draw into tiles
+    of ``_TILE`` values: its tiles of every row splice into one untiled
+    fetch of the rows, bit for bit, also where a counter passes 2**64
+    inside the draw."""
+
+    # Four rows, so a tile of every row, 4 * _TILE values, fills the kept
+    # workspace's planes of BLOCK values.
+    SEEDS = np.array([[0, 2**63 + 5], [2**64 - 1, 0x9E3779B97F4A7C15]], np.uint64)
+
+    @staticmethod
+    def untiled(dist, seeds, start, n):
+        """One ``uniform_planes`` fetch of every row, mapped by the law's
+        quantile or transform, into fresh buffers of the draw's shape."""
+        shape = np.shape(seeds) + (n,)
+        u = np.empty((len(dist._word_offsets),) + shape)
+        uniform_planes(seeds, start, n, dist._words_per_value, dist._word_offsets, u,
+                       np.empty((2,) + shape, np.uint64))
+        if dist._transform is None:
+            return dist._quantile(u[0], out=u[0])
+        return dist._transform(u, np.empty(shape))
+
+    def drawn(self, dist, start, n):
+        assert 4 * _TILE == BLOCK
+        out = np.empty(self.SEEDS.shape + (n,))
+        dist._draw(self.SEEDS, start, out, _workspace()[1])
+        return out
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("n", [1, 99, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    def test_tiles_splice_into_one_fetch(self, name, n):
+        dist = get_distribution(name)
+        for start in (0, 7, 6 * _TILE + 3):
+            got = self.drawn(dist, start, n)
+            assert got.tobytes() == self.untiled(dist, self.SEEDS, start, n).tobytes()
+
+    @pytest.mark.parametrize("name", ["uniform01", "tstudent5"])
+    def test_counter_wraps_past_two_to_the_64(self, name):
+        # The counter passes 2**64 in the draw's second tile, at value
+        # _TILE + 5; a word is that of its counter modulo 2**64.
+        dist = get_distribution(name)
+        n, stride = _TILE + 10, dist._words_per_value
+        start = 2**64 - stride * (_TILE + 5)
+        want = self.untiled(dist, self.SEEDS, start, n)
+        assert self.drawn(dist, start, n).tobytes() == want.tobytes()
+        head = self.untiled(dist, self.SEEDS, 0, 5)
+        assert want[..., _TILE + 5:].tobytes() == head.tobytes()
 
 
 class TestTStudentConstruction:

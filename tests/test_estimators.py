@@ -34,10 +34,10 @@ from evtrisk import (
     value_at_risk,
 )
 from evtrisk.cli import main
-from evtrisk.distributions import BLOCK, DISTRIBUTIONS
+from evtrisk.distributions import _TILE, BLOCK, DISTRIBUTIONS
 from evtrisk.estimators import AssumptionChecks, EstimateReport, estimate_rows
 from evtrisk.fitting import _ceil_scaled, _fit_error, _floor_scaled, fit_rows, pwm_fit, select_threshold
-from evtrisk.rng import _RAMPS, _TILE
+from evtrisk.rng import _RAMPS
 from evtrisk.tail_model import GAMMA_NEAR_ZERO
 from helpers import (
     avx512_targets,
@@ -183,6 +183,20 @@ class TestPipeline:
             assert report.rho_evt is None
             assert report.var_tail is None
             assert report.rho_typical > 0.0
+
+    # Each used to let the array through and die on it with a raw
+    # TypeError; a 0-d array is one number, and works.
+    @pytest.mark.parametrize("call", [
+        lambda alpha: evt_estimate(get_distribution("pareto2").sample(50, RandomStream(1)),
+                                   alpha=alpha),
+        lambda alpha: get_distribution("pareto2").extremal_semideviation(alpha),
+        lambda alpha: monte_carlo_semideviation(get_distribution("pareto2"), alpha, 10_000,
+                                                RandomStream(1)),
+    ], ids=["evt_estimate", "extremal_semideviation", "monte_carlo_semideviation"])
+    def test_alpha_of_one_entry_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got array\(\[0\.01\]\)$"):
+            call(np.array([0.01]))
+        assert call(np.array(0.01)) == call(0.01)
 
     def test_rho_evt_consistent_with_parts(self):
         data = get_distribution("gumbel").sample(500, RandomStream(12))

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from evtrisk import rng
-from evtrisk.distributions import TSTUDENT5
-from evtrisk.rng import (_TILE, RandomStream, _counter_words, _fold, _mix64_array, derive_seed,
-                         mix64, uniform_planes)
+from evtrisk.distributions import _TILE, TSTUDENT5
+from evtrisk.rng import (RandomStream, _counter_words, _fold, _mix64_array, derive_seed, mix64,
+                         uniform_planes)
 from helpers import traced_peaks
 
 MASK = (1 << 64) - 1
@@ -89,9 +89,10 @@ class TestWordGeneration:
 
 
 class TestCounterRamp:
-    """Counters are a kept step ramp plus one head per run of ``_TILE``
-    words: the words of the ``arange`` formula they replaced, at any count,
-    stride and seed shape, and no ramp longer than a count asked for."""
+    """Counters are a kept step ramp plus one head per run: the words of
+    the ``arange`` formula they replaced, at any count, stride and seed
+    shape, and no ramp longer than a count asked for.  Cutting a draw into
+    tiles is ``Distribution._draw``'s (``TestTiledDraw``)."""
 
     SEEDS = np.array([[0, 1, 2**63 + 5], [(1 << 64) - 1, GOLDEN, 987654321]], np.uint64)
 
@@ -112,8 +113,8 @@ class TestCounterRamp:
 
     @pytest.mark.parametrize("stride", [1, 6])
     def test_counter_wraps_past_two_to_the_64(self, stride):
-        # The counter passes 2**64 in the run's second tile; a word is that
-        # of its counter modulo 2**64.
+        # The counter passes 2**64 inside the run; a word is that of its
+        # counter modulo 2**64.
         n, first = _TILE + 10, 2**64 - stride * _TILE - 5
         got = counter_words(self.SEEDS, first, n, stride)
         for seed, row in zip(self.SEEDS.ravel(), got.reshape(-1, n)):
@@ -152,7 +153,7 @@ class TestCounterRamp:
         for m in (20, 99, 57):
             counter_words(self.SEEDS, 0, m, 6)
         assert rng._RAMPS[6].size == 99
-        # A run past one tile is built a tile at a time.
+        # A sample past one tile is drawn a tile at a time.
         RandomStream(3).uniform(10**6)
         assert rng._RAMPS[1].size == _TILE
         for stride, ramp in rng._RAMPS.items():

@@ -287,6 +287,15 @@ class TestValueAtRisk:
             with pytest.raises(ValueError, match=r"alpha must be in \(0, k/m\)"):
                 form(p, 0.0)
 
+    def test_rejects_alpha_of_one_entry(self):
+        # It used to pass the range check and die on the array with a raw
+        # TypeError.
+        p = TailParams(k=10, m=100, gamma=0.3, threshold=4.0, scale=1.0)
+        for form in (value_at_risk, cvar, lambda p, alpha: extremal_semideviation(p, alpha, 4.0)):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, k/m\)"):
+                form(p, np.array([0.01]))
+            assert form(p, np.array(0.01)) == form(p, 0.01)
+
     def test_level_identity_and_interiority(self):
         # F(VaR) = 1 - alpha to 1e-12 and VaR strictly inside the support.
         rng = np.random.default_rng(11)
