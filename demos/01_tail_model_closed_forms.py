@@ -8,6 +8,7 @@
 import numpy as np
 
 from evtrisk import (
+    UNIFORM01,
     RandomStream,
     TailParams,
     cvar,
@@ -62,7 +63,7 @@ print("\nu        quantile(u)")
 for u, z in zip(levels, tail_quantile(params, levels)):
     print(f"{u:.3f}   {z:.6f}")
 
-draws = tail_quantile(params, RandomStream(7).uniform(1_000_000))
+draws = tail_quantile(params, UNIFORM01.sample(1_000_000, RandomStream(7)))
 print("\nshare of draws at the atom:", np.mean(draws == params.threshold),
       " (expect 0.90)")
 print("sample mean of draws:", draws.mean(), " vs model mean", params.mean())

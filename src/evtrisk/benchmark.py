@@ -293,7 +293,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[SeriesSum
     byte-for-byte identical for any worker count and thread schedule.
     """
     workers = _integer("workers", workers, 1)
-    truths = tuple(ground_truth_value(config, get_distribution(name))
+    truths = tuple(get_distribution(name).extremal_semideviation(config.alpha)
                    for name in config.distributions)
     heads = np.array([derive_seed(config.master_seed, name) for name in config.distributions],
                      dtype=np.uint64)

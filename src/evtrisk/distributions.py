@@ -202,9 +202,8 @@ class Distribution:
             tile = out[..., c:c + _TILE]
             u = (tile[None] if self._transform is None
                  else _leading(scratch[0][:len(self._word_offsets)], tile.shape))
-            uniform_planes(seeds, start + self._words_per_value * c, tile.shape[-1],
-                           self._words_per_value, self._word_offsets, u,
-                           _leading(scratch[1], tile.shape))
+            uniform_planes(seeds, start + self._words_per_value * c, self._words_per_value,
+                           self._word_offsets, u, _leading(scratch[1], tile.shape))
             if self._transform is None:
                 self._quantile(tile, out=tile)
             else:

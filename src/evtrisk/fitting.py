@@ -386,14 +386,16 @@ def pwm_fit(sample: SortedSample, threshold: float, n_exceed: int) -> FitReport:
     """Fit GPD shape and scale to the exceedances by probability-weighted moments.
 
     The top ``n_exceed`` order statistics must all exceed ``threshold``
-    strictly (as produced by :func:`select_threshold`); fewer than 2 of
-    them, or a fit that rounding made unusable, raise a :class:`FitError`.
+    strictly (as produced by :func:`select_threshold`), and the threshold
+    must be finite, else ``ValueError``; fewer than 2 of them, or a fit
+    that rounding made unusable, raise a :class:`FitError`.
     ``n_exceed`` is an integer (``operator.index``), else ``ValueError``.
     """
     k, m = _integer("n_exceed", n_exceed), sample.m
     if not 0 <= k < m:
         raise ValueError(f"exceedance count {k} must be in [0, m) for a sample of m = {m}")
-    if not np.all(sample.values[m - k:] > threshold):
-        raise ValueError("the top n_exceed values must exceed the threshold strictly")
+    if not (math.isfinite(threshold) and np.all(sample.values[m - k:] > threshold)):
+        raise ValueError(f"the threshold must be finite, got {threshold!r}, and "
+                         "the top n_exceed values must exceed the threshold strictly")
     fits = _fit_above(sample.values, np.float64(threshold), np.int64(k))
     return FitReport(*_fit_report(sample.values, fits, q=None))

@@ -153,10 +153,10 @@ def _ramp(stride: int, n: int) -> np.ndarray:
     return ramp[:n]
 
 
-def _counter_words(seeds, first: int, n: int, stride: int, out: np.ndarray,
+def _counter_words(seeds, first: int, stride: int, out: np.ndarray,
                    scratch: np.ndarray) -> np.ndarray:
-    """Words ``first, first + stride, ...`` (``n`` of them, 0-based) of the
-    stream of each seed.
+    """Words ``first, first + stride, ...`` (0-based) of the stream of
+    each seed, as many as ``out`` has along its last axis.
 
     ``seeds`` is a uint64 scalar or array; the words are written to
     ``out``, and the hash's shifts to ``scratch``, uint64 arrays of shape
@@ -166,29 +166,30 @@ def _counter_words(seeds, first: int, n: int, stride: int, out: np.ndarray,
     one addition and no array of their own.
     """
     heads = np.add(np.asarray(seeds, dtype=np.uint64), (first + 1) * _GOLDEN & _MASK64)
-    np.add(heads[..., None], _ramp(stride, n), out=out)
+    np.add(heads[..., None], _ramp(stride, out.shape[-1]), out=out)
     return _mix64_array(out, scratch)
 
 
-def uniform_planes(seeds, start: int, n: int, stride: int, offsets: tuple[int, ...],
+def uniform_planes(seeds, start: int, stride: int, offsets: tuple[int, ...],
                    out: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Uniforms of ``n`` groups of ``stride`` words from word ``start`` on,
-    keeping the words at ``offsets`` within each group.
+    keeping the words at ``offsets`` within each group; ``n`` is the
+    length of ``out``'s last axis.
 
-    Plane ``j`` of seed ``s`` holds, at ``v``, element ``stride * v +
-    offsets[j]`` of ``RandomStream(s, start).uniform(stride * n)``; the
-    planes are written to ``out``, of shape ``(len(offsets),) +
-    np.shape(seeds) + (n,)``, and ``out`` is returned.  Words at other offsets are never hashed.  A uniform is the
-    top 53 bits of its word, offset by half an ulp.  The words are hashed
-    in ``words``, two uint64 planes of shape ``(2,) + np.shape(seeds) +
-    (n,)``, so nothing here allocates an array of a plane's size.  Nothing
-    is validated here: this is the one fetch behind every draw, and its
-    callers pass sizes they have checked (a stream reserves its words with
-    :meth:`RandomStream.take`).
+    Plane ``j`` of seed ``s`` holds, at ``v``, the uniform of word
+    ``start + stride * v + offsets[j]`` of the stream of ``s``; the planes
+    are written to ``out``, of shape ``(len(offsets),) + np.shape(seeds)
+    + (n,)``, and ``out`` is returned.  Words at other offsets are never
+    hashed.  A uniform is the top 53 bits of its word, offset by half an
+    ulp.  The words are hashed in ``words``, two uint64 planes of shape
+    ``(2,) + np.shape(seeds) + (n,)``, so nothing here allocates an array
+    of a plane's size.  Nothing is validated here: this is the one fetch
+    behind every draw, and its callers pass sizes they have checked (a
+    stream reserves its words with :meth:`RandomStream.take`).
     """
     for plane, offset in zip(out, offsets):
         # One plane at a time, so the hash's buffers stay a plane in size.
-        w = _counter_words(seeds, start + offset, n, stride, *words)
+        w = _counter_words(seeds, start + offset, stride, *words)
         w >>= _SHIFT_11
         plane[...] = w
         plane += 0.5
@@ -216,9 +217,10 @@ class RandomStream:
     naming the argument instead of being truncated or leaving a fractional
     counter behind.
 
-    :meth:`uniform` reads the next ``n`` words; :meth:`take` only reserves
-    them, for a caller that fetches them itself (with
-    :func:`uniform_planes` at the returned counter).
+    A stream only counts words: :meth:`take` reserves the next ``n``, and
+    its caller fetches them itself, with :func:`uniform_planes` at the
+    returned counter.  Every draw, uniforms included
+    (``UNIFORM01.sample``), goes through ``Distribution``.
     """
 
     __slots__ = ("_seed", "_counter")
@@ -245,15 +247,3 @@ class RandomStream:
         first = self._counter
         self._counter += _integer("n", n, 0)
         return first
-
-    def uniform(self, n: int) -> np.ndarray:
-        """Next ``n`` doubles, i.i.d. uniform on the open interval (0, 1).
-
-        The draw of the ``uniform01`` law (``Distribution._fill``), which
-        fills the output a tile at a time in the thread's kept workspace,
-        so a warm call allocates the output and nothing of a tile's size.
-        """
-        # Here, not at the top: distributions imports this module.
-        from .distributions import UNIFORM01
-
-        return UNIFORM01._fill(np.empty(_integer("n", n, 0)), self)

@@ -79,7 +79,7 @@ def gpd_survival(gamma: float, z):
     Parameters
     ----------
     gamma : float
-        Shape parameter (extreme value index).
+        Shape parameter (extreme value index), finite, else ``ValueError``.
     z : float or array
         Points in the survival function's domain: ``z >= 0`` and, for
         shapes at or below ``-GAMMA_NEAR_ZERO``, ``z < -1/gamma``.  NaN
@@ -92,6 +92,8 @@ def gpd_survival(gamma: float, z):
         ``exp(-log1p(gamma*z)/gamma)`` so that values stay accurate for
         shapes arbitrarily close to zero.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gpd_survival requires a finite shape, got {gamma!r}")
     arr = np.asarray(z, dtype=float)
     # Closed at +inf, where an unbounded shape's survival is 0; NaN fails.
     if not np.all(arr >= 0.0):

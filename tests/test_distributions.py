@@ -15,7 +15,7 @@ import pytest
 from scipy import special, stats
 from scipy.integrate import quad
 
-from evtrisk import DISTRIBUTIONS, RandomStream, derive_seed, get_distribution
+from evtrisk import DISTRIBUTIONS, UNIFORM01, RandomStream, derive_seed, get_distribution
 from evtrisk.distributions import _T5_COEF, _TILE, BLOCK, _workspace
 from evtrisk.rng import uniform_planes
 from helpers import draw_rows, traced_peaks
@@ -347,10 +347,10 @@ class TestBlockedSampling:
     @staticmethod
     def one_pass(dist, n, stream):
         if dist.name != "tstudent5":
-            return dist._quantile(stream.uniform(n))
+            return dist._quantile(UNIFORM01.sample(n, stream))
         # Six uniforms per value from one pass of the stream; the sampler's
         # arithmetic on columns 0, 1, 2 and 4 (3 and 5 are counted, unused).
-        u = stream.uniform(6 * n).reshape(n, 6)
+        u = UNIFORM01.sample(6 * n, stream).reshape(n, 6)
         radius = np.sqrt(-2.0 * np.log(u[:, 0]))
         angle = (2.0 * np.pi) * u[:, 1]
         z1 = np.sin(angle) * radius
@@ -425,7 +425,7 @@ class TestTiledDraw:
         quantile or transform, into fresh buffers of the draw's shape."""
         shape = np.shape(seeds) + (n,)
         u = np.empty((len(dist._word_offsets),) + shape)
-        uniform_planes(seeds, start, n, dist._words_per_value, dist._word_offsets, u,
+        uniform_planes(seeds, start, dist._words_per_value, dist._word_offsets, u,
                        np.empty((2,) + shape, np.uint64))
         if dist._transform is None:
             return dist._quantile(u[0], out=u[0])
@@ -465,7 +465,7 @@ class TestTStudentConstruction:
         # normals; the sampler replaces two of the pairs' squared sums by
         # -2 log u, equal in real arithmetic, so only rounding may differ.
         n = 100_000
-        u = RandomStream(seed).uniform(6 * n).reshape(n, 3, 2)
+        u = UNIFORM01.sample(6 * n, RandomStream(seed)).reshape(n, 3, 2)
         radius = np.sqrt(-2.0 * np.log(u[..., 0]))
         angle = 2.0 * np.pi * u[..., 1]
         z = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1).reshape(n, 6)

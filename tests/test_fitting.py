@@ -294,6 +294,16 @@ class TestPwmFit:
         with pytest.raises(ValueError):
             pwm_fit(s, 2.0, 2)
 
+    # Every value exceeds -inf, yet the fit would take its scale from the
+    # threshold; each non-finite threshold is refused by name, before any
+    # arithmetic warns.
+    @pytest.mark.parametrize("threshold", [-math.inf, math.inf, math.nan])
+    def test_threshold_must_be_finite(self, threshold):
+        s = sort_and_summarize(np.arange(1.0, 31.0))
+        with pytest.raises(ValueError, match=rf"^the threshold must be finite, got {threshold!r}, "
+                                             "and the top n_exceed values must exceed"):
+            pwm_fit(s, threshold, 3)
+
     def test_tied_threshold_warning(self):
         s = sort_and_summarize([1.0] * 5 + [5.0, 5.0, 5.0] + [6.0, 7.0])
         report = pwm_fit(s, 5.0, 2)

@@ -4,6 +4,7 @@ The generator is checked against an independent pure-Python walk of the
 same algorithm, and its statistical output against textbook properties.
 """
 
+import ast
 import sys
 import threading
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from evtrisk import rng
-from evtrisk.distributions import _TILE, TSTUDENT5
+from evtrisk.distributions import _TILE, TSTUDENT5, UNIFORM01
 from evtrisk.rng import (RandomStream, _counter_words, _fold, _mix64_array, derive_seed, mix64,
                          uniform_planes)
 from helpers import traced_peaks
@@ -23,13 +24,13 @@ GOLDEN = 0x9E3779B97F4A7C15
 def counter_words(seeds, first, n, stride=1):
     """``_counter_words`` into fresh buffers of the words' shape."""
     out = np.empty(np.shape(seeds) + (n,), np.uint64)
-    return _counter_words(seeds, first, n, stride, out, np.empty_like(out))
+    return _counter_words(seeds, first, stride, out, np.empty_like(out))
 
 
 def fetch_planes(seeds, start, n, stride=1, offsets=(0,)):
     """``uniform_planes`` into fresh buffers of the planes' shape."""
     shape = np.shape(seeds) + (n,)
-    return uniform_planes(seeds, start, n, stride, offsets, np.empty((len(offsets),) + shape),
+    return uniform_planes(seeds, start, stride, offsets, np.empty((len(offsets),) + shape),
                           np.empty((2,) + shape, np.uint64))
 
 
@@ -66,21 +67,21 @@ class TestWordGeneration:
             assert mix64(z) == reference_mix64(z)
 
     def test_same_seed_same_sequence(self):
-        a = RandomStream(7).uniform(1000)
-        b = RandomStream(7).uniform(1000)
+        a = UNIFORM01.sample(1000, RandomStream(7))
+        b = UNIFORM01.sample(1000, RandomStream(7))
         np.testing.assert_array_equal(a, b)
 
     def test_chunked_uniforms_splice(self):
-        whole = RandomStream(99).uniform(30)
+        whole = UNIFORM01.sample(30, RandomStream(99))
         stream = RandomStream(99)
-        parts = np.concatenate([stream.uniform(11), stream.uniform(19)])
+        parts = np.concatenate([UNIFORM01.sample(11, stream), UNIFORM01.sample(19, stream)])
         np.testing.assert_array_equal(whole, parts)
 
     def test_counter_resume(self):
         stream = RandomStream(5)
-        stream.uniform(17)
+        UNIFORM01.sample(17, stream)
         resumed = RandomStream(5, counter=17)
-        np.testing.assert_array_equal(stream.uniform(8), resumed.uniform(8))
+        np.testing.assert_array_equal(UNIFORM01.sample(8, stream), UNIFORM01.sample(8, resumed))
 
     def test_different_seeds_differ(self):
         a = counter_words(1, 0, 16)
@@ -154,7 +155,7 @@ class TestCounterRamp:
             counter_words(self.SEEDS, 0, m, 6)
         assert rng._RAMPS[6].size == 99
         # A sample past one tile is drawn a tile at a time.
-        RandomStream(3).uniform(10**6)
+        UNIFORM01.sample(10**6, RandomStream(3))
         assert rng._RAMPS[1].size == _TILE
         for stride, ramp in rng._RAMPS.items():
             assert not ramp.flags.writeable
@@ -162,34 +163,36 @@ class TestCounterRamp:
 
 
 class TestUniform:
+    """The ``uniform01`` law's draw: the stream's words as uniforms, unmapped."""
+
     def test_matches_scalar_reference(self):
         # Across a tile boundary and from a counter past zero: the top 53
         # bits of each reference word, offset by half an ulp.
         n, start = _TILE + 5, 3
         stream = RandomStream(2**63 + 11, counter=start)
         want = [((w >> 11) + 0.5) * 2.0**-53 for w in reference_words(2**63 + 11, start, n)]
-        assert stream.uniform(n).tolist() == want
+        assert UNIFORM01.sample(n, stream).tolist() == want
         assert stream.counter == start + n
 
     def test_peak_memory_is_the_output(self):
         # Filled a tile at a time in the thread's kept workspace: a warm
         # call allocates its output and nothing of a tile's size.
         n = 10**6
-        _, warm, _ = traced_peaks(lambda: RandomStream(5).uniform(n))
+        _, warm, _ = traced_peaks(lambda: UNIFORM01.sample(n, RandomStream(5)))
         assert warm - 8 * n < 2**12, warm - 8 * n
 
     def test_open_interval(self):
-        u = RandomStream(2024).uniform(100_000)
+        u = UNIFORM01.sample(100_000, RandomStream(2024))
         assert u.min() > 0.0
         assert u.max() < 1.0
 
     def test_moments(self):
-        u = RandomStream(31337).uniform(200_000)
+        u = UNIFORM01.sample(200_000, RandomStream(31337))
         assert abs(u.mean() - 0.5) < 0.003
         assert abs(u.var() - 1.0 / 12.0) < 0.002
 
     def test_ks_distance(self):
-        u = np.sort(RandomStream(8).uniform(20_000))
+        u = np.sort(UNIFORM01.sample(20_000, RandomStream(8)))
         i = np.arange(1, u.size + 1)
         ks = max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
         assert ks < 0.015  # 1.36/sqrt(n) is ~0.0096 at the 5% level
@@ -239,14 +242,14 @@ class TestBatchedStreams:
         rows = fetch_planes(self.SEEDS, 0, 33)
         assert rows.shape == (1, len(self.SEEDS), 33)
         for seed, row in zip(self.SEEDS, rows[0]):
-            np.testing.assert_array_equal(row, RandomStream(seed).uniform(33))
+            np.testing.assert_array_equal(row, UNIFORM01.sample(33, RandomStream(seed)))
         # Kept offsets of each group of six words, from word 4 on: one
         # contiguous plane per offset.
         planes = fetch_planes(self.SEEDS, 4, 33, 6, (0, 1, 2, 4))
         assert planes.shape == (4, len(self.SEEDS), 33)
         assert all(plane.flags.c_contiguous for plane in planes)
         for seed, groups in zip(self.SEEDS, planes.transpose(1, 2, 0)):
-            want = RandomStream(seed, counter=4).uniform(6 * 33).reshape(33, 6)
+            want = UNIFORM01.sample(6 * 33, RandomStream(seed, counter=4)).reshape(33, 6)
             np.testing.assert_array_equal(groups, want[:, [0, 1, 2, 4]])
 
     def test_stream_planes_advance_by_whole_groups(self):
@@ -257,14 +260,16 @@ class TestBatchedStreams:
         assert stream.counter == 63
         planes = fetch_planes(5, 3, 10, 6, TSTUDENT5._word_offsets)
         np.testing.assert_array_equal(got, TSTUDENT5._transform(planes, np.empty(10)))
-        np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=63).uniform(2))
+        np.testing.assert_array_equal(UNIFORM01.sample(2, stream),
+                                      UNIFORM01.sample(2, RandomStream(5, counter=63)))
 
     def test_take_reserves_words(self):
         stream = RandomStream(5, counter=3)
         assert stream.take(10) == 3
         assert stream.take(0) == 13
         assert stream.counter == 13
-        np.testing.assert_array_equal(stream.uniform(2), RandomStream(5, counter=13).uniform(2))
+        np.testing.assert_array_equal(UNIFORM01.sample(2, stream),
+                                      UNIFORM01.sample(2, RandomStream(5, counter=13)))
 
 
 class TestValidation:
@@ -274,7 +279,7 @@ class TestValidation:
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
-            RandomStream(1).uniform(-1)
+            UNIFORM01.sample(-1, RandomStream(1))
         with pytest.raises(ValueError):
             RandomStream(1).take(-1)
 
@@ -289,24 +294,38 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             call()
 
-    @pytest.mark.parametrize("draw", [
-        lambda stream, n: stream.uniform(n),
-        lambda stream, n: stream.take(n),
-    ])
-    def test_sizes_must_be_integers(self, draw):
+    def test_sizes_must_be_integers(self):
         stream = RandomStream(1, counter=5)
         for n, message in ((2.5, r"^n: 2\.5 is not an integer$"),
                            (3.0, r"^n: 3\.0 is not an integer$"),
                            (-1, r"^n must be >= 0, got -1$")):
             with pytest.raises(ValueError, match=message):
-                draw(stream, n)
+                stream.take(n)
         assert stream.counter == 5
 
     def test_integer_likes_are_accepted(self):
         stream = RandomStream(np.uint64(7), counter=np.int64(3))
         assert (stream.seed, stream.counter) == (7, 3)
-        np.testing.assert_array_equal(stream.uniform(np.int32(4)), RandomStream(7, 3).uniform(4))
+        np.testing.assert_array_equal(UNIFORM01.sample(np.int32(4), stream),
+                                      UNIFORM01.sample(4, RandomStream(7, 3)))
         assert stream.counter == 7
         # Any integer seed, reduced modulo 2**64.
         assert RandomStream(-1).seed == MASK
         assert RandomStream(2**64 + 5).seed == 5
+
+
+class TestLayering:
+    def test_rng_imports_nothing_from_the_package(self):
+        # rng is the bottom layer: every other module draws through it, so
+        # it imports none of them, not even inside a function.
+        with open(rng.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level or (node.module or "").split(".")[0] == "evtrisk":
+                    found.append((node.lineno, "." * node.level + (node.module or "")))
+            elif isinstance(node, ast.Import):
+                found += [(node.lineno, a.name) for a in node.names
+                          if a.name.split(".")[0] == "evtrisk"]
+        assert found == []

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from evtrisk import (
+    UNIFORM01,
     AssumptionViolation,
     RandomStream,
     TailParams,
@@ -57,6 +58,14 @@ class TestGpdSurvival:
             gpd_survival(0.5, -0.1)
         with pytest.raises(ValueError):
             gpd_survival(-0.5, 2.0)  # domain is [0, 2)
+
+    # A shape that is not finite has no survival function: NaN and +inf
+    # would give NaN, -inf an empty domain; each is refused by name.
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_shape_must_be_finite(self, gamma):
+        message = rf"^gpd_survival requires a finite shape, got {gamma}$"
+        with pytest.raises(ValueError, match=message):
+            gpd_survival(gamma, 1.0)
 
     @pytest.mark.parametrize("z", [math.nan, [1.0, math.nan]])
     @pytest.mark.parametrize("gamma", [0.5, 0.0, -0.5])
@@ -453,7 +462,8 @@ class TestIntegrability:
         rng = np.random.default_rng(31)
         for _ in range(10):
             p = random_params(rng, gamma_range=(-2.0, 0.45))
-            draws = tail_quantile(p, RandomStream(int(rng.integers(1 << 30))).uniform(1_000_000))
+            stream = RandomStream(int(rng.integers(1 << 30)))
+            draws = tail_quantile(p, UNIFORM01.sample(1_000_000, stream))
             se = draws.std(ddof=1) / math.sqrt(draws.size)
             assert abs(draws.mean() - p.mean()) <= 4.0 * se
 
